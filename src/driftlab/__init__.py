@@ -44,9 +44,7 @@ from .models import (
     TvGrowthParams,
     gbm_beta_spec,
     gbm_spec,
-    model_factory,
     ou_spec,
-    register_model,
 )
 from .movement import gaussian_position_model, preset_integrated_rw_t
 from .observe import (

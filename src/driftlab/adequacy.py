@@ -22,7 +22,7 @@ from .parallel import map_replicates
 from .particle import DiscreteKernel
 from .paths import Path
 from .rng import stream
-from .simulate import ou_transition_moments
+from .simulate import euler_advance, ou_paths
 
 DEFAULT_K = 50
 
@@ -85,14 +85,7 @@ def simulate_states_at(model, times: np.ndarray, rng: np.random.Generator) -> np
         incr = (model.beta - 0.5 * model.sigma**2) * dts + model.sigma * np.sqrt(dts) * z
         return (model.x0 * np.exp(np.concatenate([[0.0], np.cumsum(incr)])))[:, None]
     if isinstance(model, OuParams):
-        phi, offset, var = ou_transition_moments(model, dts)
-        sd = np.sqrt(var)
-        z = rng.standard_normal(len(dts))
-        out = np.empty(len(times))
-        out[0] = model.b0
-        for k in range(len(dts)):
-            out[k + 1] = phi[k] * out[k] + offset[k] + sd[k] * z[k]
-        return out[:, None]
+        return ou_paths(model, dts, rng.standard_normal(len(dts)))[:, None]
     if isinstance(model, TvGrowthParams):
         b = simulate_states_at(model.ou, times, rng)[:, 0]
         x = model.x0 * np.exp(np.concatenate([[0.0], np.cumsum(b[:-1] * dts)]))
@@ -106,19 +99,12 @@ def simulate_states_at(model, times: np.ndarray, rng: np.random.Generator) -> np
             out[k + 1] = state[0]
         return out
     if isinstance(model, DiffusionSpec):
+        # 20 Euler substeps per observation gap; report every 20th state
         substeps = 20
-        x = model.x0.copy()
-        out = np.empty((len(times), model.state_dim))
-        out[0] = x
-        for k, gap in enumerate(dts):
-            delta = gap / substeps
-            z = rng.standard_normal((substeps, model.state_dim))
-            for j in range(substeps):
-                mu = model.drift_at(x)
-                sig = model.diffusion_at(x)
-                x = x + mu * delta + sig * np.sqrt(delta) * z[j]
-            out[k + 1] = x
-        return out
+        z = rng.standard_normal((len(dts) * substeps, model.state_dim))
+        fine = np.empty((len(z) + 1, model.state_dim))
+        euler_advance(model, model.x0, np.repeat(dts / substeps, substeps), z, out=fine)
+        return fine[::substeps]
     raise TypeError(f"cannot simulate replicates from {type(model).__name__}")
 
 

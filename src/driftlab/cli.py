@@ -74,28 +74,36 @@ def _json_text(d: dict) -> str:
     return json.dumps(d, sort_keys=True, indent=2) + "\n"
 
 
+def _model_params(opts: dict, command: str):
+    """GbmParams, OuParams or TvGrowthParams from the ``model`` option and its
+    parameter options, as simulate and diagnose read them."""
+    model = opts["model"]
+    if model == "gbm":
+        return GbmParams(beta=opts.get("beta", 0.0), sigma=opts.get("sigma", 0.0),
+                         x0=opts.get("x0", 1.0))
+    if model == "ou":
+        return OuParams(gamma=opts.get("gamma", 1.0), beta_bar=opts.get("beta-bar", 0.0),
+                        sigma=opts.get("sigma", 0.0), b0=opts.get("b0", 0.0))
+    if model == "tv_growth":
+        return TvGrowthParams(gamma=opts.get("gamma", 1.0), beta_bar=opts.get("beta-bar", 0.0),
+                              sigma=opts.get("sigma", 0.0), b0=opts.get("b0", 0.0),
+                              x0=opts.get("x0", 1.0))
+    raise ConfigError(f"unknown model {model!r} for {command}")
+
+
 def _cmd_simulate(opts: dict) -> int:
     _require(opts, "model", "t-end", "steps", "out")
     grid = TimeGrid(opts.get("t-start", 0.0), opts["t-end"], opts["steps"])
     seed = opts.get("seed", 0)
-    model = opts["model"]
-    if model == "gbm":
-        p = GbmParams(beta=opts.get("beta", 0.0), sigma=opts.get("sigma", 0.0),
-                      x0=opts.get("x0", 1.0))
+    p = _model_params(opts, "simulate")
+    if isinstance(p, GbmParams):
         path = simulate_gbm_exact(p, grid, seed)
-    elif model == "ou":
-        p = OuParams(gamma=opts.get("gamma", 1.0), beta_bar=opts.get("beta-bar", 0.0),
-                     sigma=opts.get("sigma", 0.0), b0=opts.get("b0", 0.0))
+    elif isinstance(p, OuParams):
         path = simulate_ou(p, grid, seed)
-    elif model == "tv_growth":
-        p = TvGrowthParams(gamma=opts.get("gamma", 1.0), beta_bar=opts.get("beta-bar", 0.0),
-                           sigma=opts.get("sigma", 0.0), b0=opts.get("b0", 0.0),
-                           x0=opts.get("x0", 1.0))
+    else:
         beta_path, x_path = simulate_tv_growth(p.ou, p.x0, grid, seed)
         path = Path(times=x_path.times,
                     values=np.column_stack([x_path.values[:, 0], beta_path.values[:, 0]]))
-    else:
-        raise ConfigError(f"unknown model {model!r} for simulate")
     _write_csv(opts["out"], write_path_csv, path)
     return 0
 
@@ -248,20 +256,7 @@ def _cmd_diagnose(opts: dict) -> int:
     noisy = "obs-scale" in opts
     with open(_existing_file(opts["data"]), "r", encoding="utf-8") as fh:
         observed = read_noisy_csv(fh) if noisy else read_observations_csv(fh)
-    model_id = opts["model"]
-    if model_id == "gbm":
-        model = GbmParams(beta=opts.get("beta", 0.0), sigma=opts.get("sigma", 0.0),
-                          x0=opts.get("x0", 1.0))
-    elif model_id == "ou":
-        model = OuParams(gamma=opts.get("gamma", 1.0), beta_bar=opts.get("beta-bar", 0.0),
-                         sigma=opts.get("sigma", 0.0), b0=opts.get("b0", 0.0))
-    elif model_id == "tv_growth":
-        model = TvGrowthParams(gamma=opts.get("gamma", 1.0),
-                               beta_bar=opts.get("beta-bar", 0.0),
-                               sigma=opts.get("sigma", 0.0), b0=opts.get("b0", 0.0),
-                               x0=opts.get("x0", 1.0))
-    else:
-        raise ConfigError(f"unknown model {model_id!r} for diagnose")
+    model = _model_params(opts, "diagnose")
     om = _observation_model(opts) if noisy else None
     synthetic = synthetic_replicates(model, observed.times, k, seed, om=om)
     report = envelope_check(observed, synthetic)

@@ -28,6 +28,10 @@ class InsufficientDataError(DriftlabError):
     """Not enough data points for the requested computation."""
 
 
+class DataFormatError(DriftlabError):
+    """An input CSV is malformed: bad header, no data rows, or a bad row."""
+
+
 class DegenerateDensityError(DriftlabError):
     """Transition density requested for a model with zero diffusion."""
 

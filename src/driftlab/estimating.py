@@ -19,6 +19,7 @@ from .models import DiffusionSpec
 from .observe import ObservationSet
 from .results import FitResult
 from .rng import stream
+from .simulate import euler_advance
 
 MIN_SUBSTEPS = 20
 
@@ -50,24 +51,6 @@ def raw_moment_psi(orders=(1,)) -> Callable:
     return psi
 
 
-def _euler_terminal(spec: DiffusionSpec, x0, span, z) -> np.ndarray:
-    """Terminal values of scalar Euler paths from x0 driven by normals z.
-
-    ``x0`` broadcasts against ``z[..., 0]``; the substep is span / z.shape[-1].
-    Diverged paths propagate NaN/inf instead of raising.
-    """
-    n_sub = z.shape[-1]
-    delta = span / n_sub
-    sqd = np.sqrt(delta)
-    x = np.broadcast_to(np.asarray(x0, dtype=float), z.shape[:-1]).copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_sub):
-            mu = np.asarray(spec.drift(x, spec.theta), dtype=float)
-            sig = np.asarray(spec.diffusion(x, spec.theta), dtype=float)
-            x = x + mu * delta + sig * sqd * z[..., k]
-    return x
-
-
 def mc_conditional_expectation(spec: DiffusionSpec, ef: EstimatingFunction,
                                s: float, t: float, x: float, seed,
                                n_substeps: int = MIN_SUBSTEPS,
@@ -82,7 +65,7 @@ def mc_conditional_expectation(spec: DiffusionSpec, ef: EstimatingFunction,
         raise ValueError("t must exceed s")
     n_substeps = max(n_substeps, MIN_SUBSTEPS)
     z = stream(seed).standard_normal((ef.J, n_substeps))
-    y = _euler_terminal(spec, x, t - s, z)
+    y = euler_advance(spec, np.full(ef.J, float(x)), (t - s) / n_substeps, z.T)
     ok = np.isfinite(y)
     n_divergent = int(np.sum(~ok))
     if not np.any(ok):
@@ -92,6 +75,13 @@ def mc_conditional_expectation(spec: DiffusionSpec, ef: EstimatingFunction,
     if return_diagnostics:
         return est, {"divergent": n_divergent}
     return est
+
+
+def _seed_key(seed):
+    """The full stream key of ``seed`` in JSON form (a tuple key becomes a list)."""
+    if isinstance(seed, tuple):
+        return [p if isinstance(p, str) else int(p) for p in seed]
+    return int(seed)
 
 
 def ee_solve(spec: DiffusionSpec, ef: EstimatingFunction, obs: ObservationSet,
@@ -119,10 +109,14 @@ def ee_solve(spec: DiffusionSpec, ef: EstimatingFunction, obs: ObservationSet,
     k = len(theta0)
 
     if expectation_fn is None:
-        # one frozen normal block per observation pair; row j is MC sample j
-        z = np.empty((n_pairs, ef.J, max(n_substeps, MIN_SUBSTEPS)))
+        # one frozen (J, n_sub) normal block per observation pair, stored step
+        # axis first; every pair's J paths advance together in one kernel call
+        n_sub = max(n_substeps, MIN_SUBSTEPS)
+        z = np.empty((n_sub, n_pairs, ef.J))
         for i in range(n_pairs):
-            z[i] = stream(seed, "ee", i).standard_normal(z.shape[1:])
+            z[:, i] = stream(seed, "ee", i).standard_normal((ef.J, n_sub)).T
+        x_start = np.broadcast_to(x_s[:, None], (n_pairs, ef.J))
+        sub_dts = np.broadcast_to((dts / n_sub)[:, None], (n_sub, n_pairs, 1))
 
     divergent = 0
 
@@ -133,10 +127,7 @@ def ee_solve(spec: DiffusionSpec, ef: EstimatingFunction, obs: ObservationSet,
         if expectation_fn is not None:
             cond = np.asarray(expectation_fn(x_s, dts, theta), dtype=float).reshape(n_pairs, k)
         else:
-            y = np.empty((n_pairs, ef.J))
-            for dt in np.unique(dts):
-                m = dts == dt
-                y[m] = _euler_terminal(spec_th, x_s[m][:, None], dt, z[m])
+            y = euler_advance(spec_th, x_start, sub_dts, z)
             sim = np.asarray(
                 ef.psi(np.repeat(x_s, ef.J), y.reshape(-1), theta), dtype=float
             ).reshape(n_pairs, ef.J, k)
@@ -189,5 +180,6 @@ def ee_solve(spec: DiffusionSpec, ef: EstimatingFunction, obs: ObservationSet,
         seed=seed if isinstance(seed, int) else 0,
         standard_errors=None,
         diagnostics={"divergent_replicates": divergent, "residual_norm": nrm,
-                     "J": ef.J if expectation_fn is None else None},
+                     "J": ef.J if expectation_fn is None else None,
+                     "seed_key": _seed_key(seed)},
     )

@@ -285,15 +285,26 @@ def minimize_simplex(fun, x0, opts: SimplexOptions):
     return x, fval, nit, ok
 
 
-def _hessian_stderr(loglik, theta_hat):
-    """Standard errors from the observed information (central differences)."""
+def _hessian_stderr(loglik, theta_hat, positive_mask):
+    """Standard errors from the observed information (central differences).
+
+    Probes step by 1e-4 * max(|theta|, 1).  A positive parameter at or below
+    1e-4, which that step would push out of its domain, is differenced on the
+    log scale instead: se(theta) = theta * se(log theta) by the delta method.
+    Returns (stderr or None, log_scaled mask).
+    """
     k = len(theta_hat)
-    h = 1e-4 * np.maximum(np.abs(theta_hat), 1.0)
+    log_scaled = np.array(positive_mask, dtype=bool) & (theta_hat <= 1e-4)
+    u_hat = theta_hat.copy()
+    u_hat[log_scaled] = np.log(theta_hat[log_scaled])
+    h = 1e-4 * np.maximum(np.abs(u_hat), 1.0)
     hess = np.empty((k, k))
     f0 = loglik(theta_hat)
 
     def f(offsets):
-        return loglik(theta_hat + offsets)
+        u = u_hat + offsets
+        u[log_scaled] = np.exp(u[log_scaled])
+        return loglik(u)
 
     for i in range(k):
         ei = np.zeros(k)
@@ -309,11 +320,11 @@ def _hessian_stderr(loglik, theta_hat):
     try:
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError:
-        return None
+        return None, log_scaled
     diag = np.diag(cov)
     if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
-        return None
-    return np.sqrt(diag)
+        return None, log_scaled
+    return np.sqrt(diag) * np.where(log_scaled, theta_hat, 1.0), log_scaled
 
 
 def mle_fit(td: TransitionDensity, obs: ObservationSet, init_theta,
@@ -345,7 +356,12 @@ def mle_fit(td: TransitionDensity, obs: ObservationSet, init_theta,
 
     z_hat, fval, nit, ok = minimize_simplex(neg, z0, opts)
     theta_hat = from_working(z_hat, mask)
-    stderr = _hessian_stderr(loglik, theta_hat) if compute_stderr else None
+    diagnostics = {"optimizer": "nelder-mead", "kind": td.kind}
+    stderr = None
+    if compute_stderr:
+        stderr, log_scaled = _hessian_stderr(loglik, theta_hat, mask)
+        if np.any(log_scaled):
+            diagnostics["stderr_log_scale"] = [bool(v) for v in log_scaled]
     return FitResult(
         theta_hat=theta_hat,
         objective_value=-fval,
@@ -353,5 +369,5 @@ def mle_fit(td: TransitionDensity, obs: ObservationSet, init_theta,
         converged=ok,
         seed=seed,
         standard_errors=stderr,
-        diagnostics={"optimizer": "nelder-mead", "kind": td.kind},
+        diagnostics=diagnostics,
     )

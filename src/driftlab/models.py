@@ -126,30 +126,6 @@ def ou_spec(p: OuParams) -> DiffusionSpec:
     )
 
 
-_MODEL_REGISTRY: dict[str, Callable] = {}
-
-
-def register_model(name: str, factory: Callable) -> None:
-    """Register a model factory under a config-file identifier.
-
-    The factory takes keyword parameters and returns a model object
-    (GbmParams, OuParams, DiffusionSpec, ...).  Built-ins: ``gbm``, ``ou``,
-    ``tv_growth``.
-    """
-    _MODEL_REGISTRY[name] = factory
-
-
-def model_factory(name: str) -> Callable:
-    try:
-        return _MODEL_REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown model id {name!r}; known: {sorted(_MODEL_REGISTRY)}") from None
-
-
-register_model("gbm", GbmParams)
-register_model("ou", OuParams)
-
-
 @dataclass(frozen=True)
 class TvGrowthParams:
     """Growth model dX = b_t X dt whose rate b_t follows an OU process."""
@@ -168,5 +144,3 @@ class TvGrowthParams:
     def ou(self) -> OuParams:
         return OuParams(self.gamma, self.beta_bar, self.sigma, self.b0)
 
-
-register_model("tv_growth", TvGrowthParams)

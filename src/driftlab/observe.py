@@ -8,6 +8,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln
 
+from .paths import format_float, read_csv_table
+
 
 @dataclass(frozen=True)
 class ObservationSet:
@@ -97,14 +99,9 @@ class ObservationModel:
         states = np.asarray(states, dtype=float)
         return states if self.link is None else np.asarray(self.link(states), dtype=float)
 
-    def loglik(self, y, states: np.ndarray) -> np.ndarray:
-        """Log f(y | x) for each state row; y is one observation.
-
-        Far-tail evaluations may overflow to -inf, which is the correct
-        degenerate-weight value for the filter.
-        """
+    def _loglik_rows(self, y, states: np.ndarray) -> np.ndarray:
         m = np.atleast_2d(self.mean(np.atleast_2d(states)))
-        u = (np.atleast_1d(np.asarray(y, dtype=float))[None, :] - m) / self.scale
+        u = (y - m) / self.scale
         with np.errstate(over="ignore"):
             if self.kind == "gaussian":
                 lp = -0.5 * u**2 - 0.5 * np.log(2.0 * np.pi) - np.log(self.scale)
@@ -115,20 +112,18 @@ class ObservationModel:
                       - (nu + 1.0) / 2.0 * np.log1p(u**2 / nu))
         return lp.sum(axis=1)
 
+    def loglik(self, y, states: np.ndarray) -> np.ndarray:
+        """Log f(y | x) for each state row; y is one observation.
+
+        Far-tail evaluations may overflow to -inf, which is the correct
+        degenerate-weight value for the filter.
+        """
+        return self._loglik_rows(np.atleast_1d(np.asarray(y, dtype=float))[None, :], states)
+
     def loglik_series(self, y: np.ndarray, states: np.ndarray) -> np.ndarray:
         """Log f(y_i | x_i) for paired sequences: one observation per state row."""
-        m = np.atleast_2d(self.mean(np.atleast_2d(states)))
         y = np.asarray(y, dtype=float)
-        y = y[:, None] if y.ndim == 1 else y
-        u = (y - m) / self.scale
-        if self.kind == "gaussian":
-            lp = -0.5 * u**2 - 0.5 * np.log(2.0 * np.pi) - np.log(self.scale)
-        else:
-            nu = self.dof
-            lp = (gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0)
-                  - 0.5 * np.log(nu * np.pi) - np.log(self.scale)
-                  - (nu + 1.0) / 2.0 * np.log1p(u**2 / nu))
-        return lp.sum(axis=1)
+        return self._loglik_rows(y[:, None] if y.ndim == 1 else y, states)
 
     def sample(self, rng: np.random.Generator, states: np.ndarray) -> np.ndarray:
         m = self.mean(np.atleast_2d(states))
@@ -140,8 +135,6 @@ class ObservationModel:
 
 
 def write_observations_csv(obs, file) -> None:
-    from .paths import format_float
-
     if isinstance(obs, ObservationSet):
         vals = obs.values[:, None] if obs.values.ndim == 1 else obs.values
         header = ["t"] + (["x"] if vals.shape[1] == 1 else [f"x{i+1}" for i in range(vals.shape[1])])
@@ -153,22 +146,18 @@ def write_observations_csv(obs, file) -> None:
         file.write(",".join(format_float(v) for v in (t, *row)) + "\n")
 
 
-def _read_table(file, kind: str):
-    header = file.readline().strip().split(",")
-    if header[0] != "t":
-        raise ValueError(f"expected first column 't', got {header[0]!r}")
-    rows = [line.strip().split(",") for line in file if line.strip()]
-    data = np.array([[float(v) for v in row] for row in rows])
+def _read_table(file):
+    data = read_csv_table(file)
     vals = data[:, 1] if data.shape[1] == 2 else data[:, 1:]
     return data[:, 0], vals
 
 
 def read_observations_csv(file) -> ObservationSet:
     """Read exact observations; accepts `t,x` or simulator `t,x1` headers."""
-    times, vals = _read_table(file, "x")
+    times, vals = _read_table(file)
     return ObservationSet(times=times, values=vals)
 
 
 def read_noisy_csv(file) -> NoisyObservationSet:
-    times, vals = _read_table(file, "y")
+    times, vals = _read_table(file)
     return NoisyObservationSet(times=times, y_values=vals)

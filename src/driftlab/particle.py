@@ -18,12 +18,12 @@ from typing import Callable
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import FilterDegenerateError
+from .errors import FilterDegenerateError, SimulationDivergedError
 from .models import DiffusionSpec
 from .observe import NoisyObservationSet, ObservationModel
 from .paths import Path
 from .rng import stream
-from .simulate import euler_step_batch
+from .simulate import euler_advance
 
 
 def ess_of_weights(weights: np.ndarray) -> float:
@@ -139,10 +139,10 @@ def particle_filter(model, om: ObservationModel, obs: NoisyObservationSet,
                 x = np.asarray(model.propagate(x, stream(seed, "prop", i)), dtype=float)
             else:
                 gap = obs.times[i] - obs.times[i - 1]
-                delta = gap / substeps
                 z = stream(seed, "prop", i).standard_normal((substeps, n_particles, d))
-                for k in range(substeps):
-                    x = euler_step_batch(model, x, delta, z[k], step=i)
+                x = euler_advance(model, x, gap / substeps, z)
+                if not np.all(np.isfinite(x)):
+                    raise SimulationDivergedError(i, "non-finite particle state")
 
         log_g = om.loglik(y[i], x)
         if not np.any(np.isfinite(log_g)):

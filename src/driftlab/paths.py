@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import DataFormatError, InsufficientDataError
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,31 @@ def write_path_csv(path: Path, file) -> None:
         file.write(",".join(format_float(v) for v in (t, *row)) + "\n")
 
 
+def read_csv_table(file) -> np.ndarray:
+    """Rows of a CSV with a ``t,...`` header as an (n_rows, n_columns) array.
+
+    Blank lines are skipped.  A bad header, a row with the wrong field count
+    or a non-numeric field, or no data rows raises DataFormatError.
+    """
+    header = file.readline().strip().split(",")
+    if len(header) < 2 or header[0] != "t":
+        raise DataFormatError(f"line 1: expected a 't,...' header, got {','.join(header)!r}")
+    rows = []
+    for lineno, line in enumerate(file, start=2):
+        fields = line.strip().split(",")
+        if fields == [""]:
+            continue
+        try:
+            if len(fields) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(fields)}")
+            rows.append([float(v) for v in fields])
+        except ValueError as exc:
+            raise DataFormatError(f"line {lineno}: {exc}") from None
+    if not rows:
+        raise DataFormatError("no data rows after the header")
+    return np.array(rows)
+
+
 def read_path_csv(file) -> Path:
-    header = file.readline().strip()
-    if not header.startswith("t,"):
-        raise ValueError(f"expected a 't,...' header, got {header!r}")
-    rows = [line.strip().split(",") for line in file if line.strip()]
-    data = np.array([[float(v) for v in row] for row in rows])
+    data = read_csv_table(file)
     return Path(times=data[:, 0], values=data[:, 1:])

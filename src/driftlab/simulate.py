@@ -16,44 +16,37 @@ from .paths import Path, TimeGrid
 from .rng import stream
 
 
-def _stream_from(seed) -> np.random.Generator:
-    if isinstance(seed, tuple):
-        return stream(*seed)
-    return stream(seed)
+def euler_advance(spec: DiffusionSpec, x, dts, z: np.ndarray, out=None) -> np.ndarray:
+    """Advance states by Euler-Maruyama steps and return the final states.
 
-
-def _check_finite(arr, step: int, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise SimulationDivergedError(step, f"non-finite {what}")
+    x_{k+1} = x_k + mu(x_k) dt_k + sigma(x_k) sqrt(dt_k) z_k.  ``z`` has the
+    step axis first and each row broadcasts against ``x``; ``dts`` is one step
+    length or one row per step.  Non-finite states propagate instead of
+    raising, so callers decide whether divergence is an error.  ``out``, when
+    given, receives every state: out[0] = x and out[k + 1] after step k.
+    """
+    dts = np.broadcast_to(dts, (len(z),) + np.shape(dts)[1:])
+    sqdts = np.sqrt(dts)
+    if out is not None:
+        out[0] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(z)):
+            x = x + spec.drift_at(x) * dts[k] + spec.diffusion_at(x) * sqdts[k] * z[k]
+            if out is not None:
+                out[k + 1] = x
+    return x
 
 
 def simulate_euler(spec: DiffusionSpec, grid: TimeGrid, seed) -> Path:
-    """Euler-Maruyama: x_{k+1} = x_k + mu(x_k) dt + sigma(x_k) sqrt(dt) z_k."""
-    dt = grid.dt
-    sqdt = np.sqrt(dt)
-    z = _stream_from(seed).standard_normal((grid.n_steps, spec.state_dim))
+    """Euler-Maruyama path; raises SimulationDivergedError at the first
+    non-finite state, naming the step that produced it."""
+    z = stream(seed).standard_normal((grid.n_steps, spec.state_dim))
     values = np.empty((grid.n_steps + 1, spec.state_dim))
-    x = spec.x0.copy()
-    values[0] = x
-    for k in range(grid.n_steps):
-        mu = spec.drift_at(x)
-        sig = spec.diffusion_at(x)
-        _check_finite(mu, k, "drift")
-        _check_finite(sig, k, "diffusion")
-        x = x + mu * dt + sig * sqdt * z[k]
-        _check_finite(x, k, "state")
-        values[k + 1] = x
+    euler_advance(spec, spec.x0, grid.dt, z, out=values)
+    bad = ~np.all(np.isfinite(values), axis=1)
+    if np.any(bad):
+        raise SimulationDivergedError(int(np.argmax(bad)) - 1, "non-finite state")
     return Path(times=grid.times(), values=values)
-
-
-def euler_step_batch(spec: DiffusionSpec, x: np.ndarray, dt: float, z: np.ndarray,
-                     step: int = 0) -> np.ndarray:
-    """One Euler step applied to a batch of states of shape (n, state_dim)."""
-    mu = spec.drift_at(x)
-    sig = spec.diffusion_at(x)
-    _check_finite(mu, step, "drift")
-    _check_finite(sig, step, "diffusion")
-    return x + mu * dt + sig * np.sqrt(dt) * z
 
 
 def euler_endpoints(spec: DiffusionSpec, grid: TimeGrid, z: np.ndarray) -> np.ndarray:
@@ -61,21 +54,13 @@ def euler_endpoints(spec: DiffusionSpec, grid: TimeGrid, z: np.ndarray) -> np.nd
 
     ``z`` has shape (n_reps, n_steps, state_dim) (a trailing dim of 1 may be
     omitted for scalar models); drift and diffusion must be vectorizable.
-    Marks diverged replicates with NaN instead of raising, so replicate
+    Diverged replicates end non-finite instead of raising, so replicate
     studies can drop and count them.
     """
     if z.ndim == 2:
         z = z[:, :, None]
-    n_reps, n_steps, _ = z.shape
-    dt = grid.dt
-    sqdt = np.sqrt(dt)
-    x = np.broadcast_to(spec.x0, (n_reps, spec.state_dim)).copy()
-    for k in range(n_steps):
-        with np.errstate(over="ignore", invalid="ignore"):
-            mu = spec.drift_at(x)
-            sig = spec.diffusion_at(x)
-            x = x + mu * dt + sig * sqdt * z[:, k, :]
-    return x
+    x = np.broadcast_to(spec.x0, (len(z), spec.state_dim))
+    return euler_advance(spec, x, grid.dt, z.transpose(1, 0, 2))
 
 
 def simulate_gbm_exact(p: GbmParams, grid: TimeGrid, seed) -> Path:
@@ -84,7 +69,7 @@ def simulate_gbm_exact(p: GbmParams, grid: TimeGrid, seed) -> Path:
     Uses the same normal draws, in the same order, as ``simulate_euler`` on the
     GBM spec with the same seed, so the two are pathwise coupled.
     """
-    z = _stream_from(seed).standard_normal(grid.n_steps)
+    z = stream(seed).standard_normal(grid.n_steps)
     t = grid.times()
     b = np.concatenate([[0.0], np.cumsum(np.sqrt(grid.dt) * z)])
     values = p.x0 * np.exp((p.beta - 0.5 * p.sigma**2) * (t - t[0]) + p.sigma * b)
@@ -104,28 +89,26 @@ def ou_transition_moments(p: OuParams, dt) -> tuple:
     return phi, offset, var
 
 
+def ou_paths(p: OuParams, dts, z: np.ndarray) -> np.ndarray:
+    """Exact OU paths from b0 driven by normals ``z`` (step axis last).
+
+    ``dts`` is one step length or one per step; the result has one more
+    entry than ``z`` along the step axis.
+    """
+    n_steps = z.shape[-1]
+    phi, offset, var = (np.broadcast_to(v, (n_steps,)) for v in ou_transition_moments(p, dts))
+    sd = np.sqrt(var)
+    values = np.empty(z.shape[:-1] + (n_steps + 1,))
+    values[..., 0] = p.b0
+    for k in range(n_steps):
+        values[..., k + 1] = phi[k] * values[..., k] + offset[k] + sd[k] * z[..., k]
+    return values
+
+
 def simulate_ou(p: OuParams, grid: TimeGrid, seed) -> Path:
     """OU path sampled by its exact Gaussian transition (no discretization error)."""
-    z = _stream_from(seed).standard_normal(grid.n_steps)
-    phi, offset, var = ou_transition_moments(p, grid.dt)
-    sd = np.sqrt(var)
-    values = np.empty(grid.n_steps + 1)
-    values[0] = p.b0
-    for k in range(grid.n_steps):
-        values[k + 1] = phi * values[k] + offset + sd * z[k]
-    return Path(times=grid.times(), values=values)
-
-
-def ou_paths_batch(p: OuParams, grid: TimeGrid, z: np.ndarray) -> np.ndarray:
-    """Exact OU paths for a batch of normal draws of shape (n_reps, n_steps)."""
-    n_reps, n_steps = z.shape
-    phi, offset, var = ou_transition_moments(p, grid.dt)
-    sd = np.sqrt(var)
-    values = np.empty((n_reps, n_steps + 1))
-    values[:, 0] = p.b0
-    for k in range(n_steps):
-        values[:, k + 1] = phi * values[:, k] + offset + sd * z[:, k]
-    return values
+    z = stream(seed).standard_normal(grid.n_steps)
+    return Path(times=grid.times(), values=ou_paths(p, grid.dt, z))
 
 
 def simulate_tv_growth(ou: OuParams, x0: float, grid: TimeGrid, seed) -> tuple:

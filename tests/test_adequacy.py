@@ -9,7 +9,7 @@ from driftlab.adequacy import (
     synthetic_replicates,
 )
 from driftlab.errors import IncompleteContextError
-from driftlab.models import GbmParams, OuParams, TvGrowthParams
+from driftlab.models import GbmParams, OuParams, TvGrowthParams, gbm_spec
 from driftlab.movement import preset_integrated_rw_t
 from driftlab.observe import NoisyObservationSet, ObservationModel, ObservationSet
 from driftlab.rng import stream
@@ -57,6 +57,20 @@ def test_tv_growth_replicates_positive():
     reps = synthetic_replicates(model, TIMES, 5, seed=3)
     for r in reps:
         assert np.all(r.values > 0)
+
+
+def test_diffusion_spec_states_are_every_20th_fine_euler_state():
+    # irregular observation gaps, each split into 20 Euler substeps driven by
+    # the same stream, in order
+    times = np.concatenate([[0.0], np.cumsum(stream(16, "gaps").uniform(0.05, 0.3, 12))])
+    spec = gbm_spec(FITTED)
+    states = simulate_states_at(spec, times, stream(16, "euler"))
+    z = stream(16, "euler").standard_normal((20 * 12, 1))
+    x, fine = spec.x0, [spec.x0]
+    for delta, zk in zip(np.repeat(np.diff(times) / 20, 20), z):
+        x = x + spec.drift_at(x) * delta + spec.diffusion_at(x) * np.sqrt(delta) * zk
+        fine.append(x)
+    assert np.array_equal(states, np.array(fine)[::20])
 
 
 def test_observed_replicate_inside_min_max_envelope():

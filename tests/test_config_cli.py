@@ -52,6 +52,37 @@ def test_fit_round_trip(tmp_path):
     assert payload["stderr"] is not None
 
 
+def test_fit_tiny_sigma_keeps_estimate(tmp_path):
+    # sigma-hat near 4e-5 sits below the 1e-4 standard-error probe step;
+    # the fit must still exit 0 and write its estimate and standard errors
+    t = 0.1 * np.arange(21)
+    b = np.concatenate([[0.0], np.cumsum(np.sqrt(0.1) * np.random.default_rng(0).normal(size=20))])
+    data = tmp_path / "tiny.csv"
+    data.write_text("t,x\n" + "".join(
+        f"{ti!r},{xi!r}\n" for ti, xi in zip(t.tolist(), np.exp(0.1 * t + 5e-5 * b).tolist())))
+    out = tmp_path / "fit.json"
+    assert cli_run(["fit", "--method", "mle", "--model", "gbm", "--data", str(data),
+                    "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["theta_hat"][1] < 1e-4
+    assert payload["stderr"] is not None and all(v > 0 for v in payload["stderr"])
+    assert payload["diagnostics"]["stderr_log_scale"] == [False, True]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("t,x\n", "no data rows"),
+    ("t,x\n0,1\n0.1,1,2\n", "line 3: expected 2 fields, got 3"),
+])
+def test_malformed_csv_exits_2_with_message(tmp_path, capsys, text, message):
+    data = tmp_path / "bad.csv"
+    data.write_text(text)
+    code = cli_run(["fit", "--method", "mle", "--model", "gbm", "--data", str(data),
+                    "--out", str(tmp_path / "f.json")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "f.json").exists()
+
+
 def test_fit_ee_and_bridge(tmp_path):
     data = tmp_path / "obs.csv"
     cli_run(["simulate", "--model", "gbm", "--beta", "0.1", "--sigma", "0.1",

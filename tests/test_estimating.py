@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from driftlab import estimating
 from driftlab.adequacy import simulate_states_at
 from driftlab.errors import EstimationFailedError
 from driftlab.estimating import (
@@ -104,3 +105,40 @@ def test_ee_bit_identical_under_fixed_seed():
     b = ee_solve(spec, ef, obs, [0.1], seed=(33, "mc"))
     assert a.theta_hat[0] == b.theta_hat[0]
     assert a.objective_value == b.objective_value
+
+
+def test_ee_irregular_times_match_per_pair_loop(monkeypatch):
+    # the solve advances every pair in one kernel call; on irregular times it
+    # must agree bit for bit with a plain loop that draws each pair's normals
+    # from its own stream and advances that pair alone
+    times = np.concatenate([[0.0], np.cumsum(stream(34, "gaps").uniform(0.05, 0.3, 30))])
+    obs = _obs(times, (34, 0))
+    ef = EstimatingFunction(psi=raw_moment_psi((1,)), J=4)
+    spec = gbm_beta_spec(0.1, 0.2)
+    batched = ee_solve(spec, ef, obs, [0.1], seed=(34, "mc"))
+
+    def per_pair(spec_th, *_):
+        y = np.empty((len(obs) - 1, ef.J))
+        for i, gap in enumerate(np.diff(times)):
+            z = stream((34, "mc"), "ee", i).standard_normal((ef.J, 20))
+            x, delta = np.full(ef.J, obs.values[i]), gap / 20
+            for zk in z.T:
+                x = x + spec_th.drift_at(x) * delta + spec_th.diffusion_at(x) * np.sqrt(delta) * zk
+            y[i] = x
+        return y
+
+    monkeypatch.setattr(estimating, "euler_advance", per_pair)
+    looped = ee_solve(spec, ef, obs, [0.1], seed=(34, "mc"))
+    assert batched.theta_hat.tobytes() == looped.theta_hat.tobytes()
+    assert batched.objective_value == looped.objective_value
+    assert batched.iterations == looped.iterations > 0
+
+
+def test_ee_records_full_seed_key():
+    obs = _obs(0.1 * np.arange(11), (35, 0))
+    ef = EstimatingFunction(psi=raw_moment_psi((1,)), J=2)
+    spec = gbm_beta_spec(0.1, 0.2)
+    fit = ee_solve(spec, ef, obs, [0.1], seed=(35, "mc", 2))
+    assert fit.seed == 0
+    assert fit.to_json_dict()["diagnostics"]["seed_key"] == [35, "mc", 2]
+    assert ee_solve(spec, ef, obs, [0.1], seed=7).diagnostics["seed_key"] == 7

@@ -10,6 +10,7 @@ from driftlab.likelihood import (
     GbmDensity,
     OuDensity,
     SimplexOptions,
+    _hessian_stderr,
     discrete_loglikelihood,
     mle_fit,
 )
@@ -131,6 +132,32 @@ def test_mle_asymptotically_centered():
     assert abs(estimates.mean() - 0.1) < 2 * se
 
 
+def test_log_scale_stderr_matches_natural_scale_curvature():
+    # a Gaussian log-likelihood in theta with sd 1e-5 around 5e-5: the natural
+    # probe (step 1e-4) would leave theta > 0, the log-scale probe plus the
+    # delta method still recovers the sd
+    def loglik(th):
+        assert th[0] > 0
+        return -0.5 * ((th[0] - 5e-5) / 1e-5) ** 2
+
+    se, log_scaled = _hessian_stderr(loglik, np.array([5e-5]), (True,))
+    assert log_scaled.tolist() == [True]
+    assert se[0] == pytest.approx(1e-5, rel=1e-3)
+
+
+def test_mle_tiny_sigma_returns_standard_errors():
+    times = 0.1 * np.arange(21)
+    p = GbmParams(beta=0.1, sigma=5e-5, x0=1.0)
+    obs = _gbm_obs(p, times, (90, 0))
+    fit = mle_fit(GbmDensity(p), obs, [0.1, 5e-5])
+    sigma_hat = fit.theta_hat[1]
+    assert fit.converged and sigma_hat < 1e-4
+    assert fit.diagnostics["stderr_log_scale"] == [False, True]
+    # Gaussian-increment theory: se(beta) = sigma / sqrt(T), se(sigma) = sigma / sqrt(2 n)
+    assert fit.standard_errors[0] == pytest.approx(sigma_hat / np.sqrt(2.0), rel=0.05)
+    assert fit.standard_errors[1] == pytest.approx(sigma_hat / np.sqrt(40.0), rel=0.05)
+
+
 def test_fit_result_json_schema():
     times = 0.1 * np.arange(101)
     obs = _gbm_obs(P_GBM, times, (89, 0))
@@ -139,6 +166,7 @@ def test_fit_result_json_schema():
     assert set(d) == {"theta_hat", "objective", "converged", "iterations",
                       "seed", "stderr", "diagnostics"}
     assert d["seed"] == 5
+    assert d["diagnostics"] == {"optimizer": "nelder-mead", "kind": "closed_form_gbm"}
     from driftlab.results import FitResult
     back = FitResult.from_json(fit.to_json())
     assert np.array_equal(back.theta_hat, fit.theta_hat)

@@ -7,9 +7,7 @@ from driftlab.models import (
     OuParams,
     TvGrowthParams,
     gbm_spec,
-    model_factory,
     ou_spec,
-    register_model,
 )
 
 
@@ -49,17 +47,3 @@ def test_builtin_drift_diffusion():
     assert o.drift_at(np.array([1.0]))[0] == pytest.approx(-1.0)
     assert o.diffusion_at(np.array([1.0]))[0] == pytest.approx(0.3)
 
-
-def test_registry_builtins_and_custom():
-    assert model_factory("gbm")(beta=0.1, sigma=0.2) == GbmParams(0.1, 0.2)
-    assert model_factory("ou")(gamma=1.0, beta_bar=0.0, sigma=0.1).gamma == 1.0
-    assert model_factory("tv_growth")(gamma=1.0, beta_bar=0.1, sigma=0.0).x0 == 1.0
-
-    register_model("double_well", lambda a=1.0: DiffusionSpec(
-        drift=lambda x, th: th[0] * (x - x**3),
-        diffusion=lambda x, th: np.ones_like(x),
-        theta=[a], x0=[0.0]))
-    spec = model_factory("double_well")(a=2.0)
-    assert spec.drift_at(np.array([0.5]))[0] == pytest.approx(2.0 * (0.5 - 0.125))
-    with pytest.raises(KeyError):
-        model_factory("no_such_model")

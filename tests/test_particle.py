@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from driftlab.errors import FilterDegenerateError
+from driftlab.errors import FilterDegenerateError, SimulationDivergedError
 from driftlab.kalman import kalman_loglik, ou_to_ssm
 from driftlab.models import DiffusionSpec, OuParams, ou_spec
 from driftlab.observe import NoisyObservationSet, ObservationModel
@@ -165,6 +165,24 @@ def test_degenerate_weights_raise_with_step():
     with pytest.raises(FilterDegenerateError) as err:
         particle_filter(ou_spec(OU), om, obs, 50, seed=0)
     assert err.value.step == 1
+
+
+def test_exploding_drift_raises_with_observation_index():
+    # dx = x^2 dt from x0 = 1, one Euler step of 0.5 per gap: the recursion
+    # x + x^2 * 0.5 first overflows on the gap into observation `first_bad`
+    blowup = DiffusionSpec(drift=lambda x, th: x * x,
+                           diffusion=lambda x, th: np.zeros_like(x),
+                           theta=[0.0], x0=[1.0])
+    x, first_bad = np.float64(1.0), 0
+    with np.errstate(over="ignore"):
+        while np.isfinite(x):
+            x, first_bad = x + x * x * 0.5, first_bad + 1
+    n = first_bad + 3
+    obs = NoisyObservationSet(times=0.5 * np.arange(n), y_values=np.zeros(n))
+    om = ObservationModel(kind="gaussian", scale=1e300)
+    with pytest.raises(SimulationDivergedError) as err:
+        particle_filter(blowup, om, obs, 20, seed=0)
+    assert err.value.step == first_bad > 5
 
 
 def test_profile_search_peaks_near_truth():

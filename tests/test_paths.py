@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from driftlab.errors import InsufficientDataError
+from driftlab.errors import DataFormatError, InsufficientDataError
 from driftlab.models import DiffusionSpec
-from driftlab.paths import Path, TimeGrid, quadratic_variation, read_path_csv, write_path_csv
+from driftlab.observe import read_noisy_csv, read_observations_csv
+from driftlab.paths import (
+    Path,
+    TimeGrid,
+    quadratic_variation,
+    read_csv_table,
+    read_path_csv,
+    write_path_csv,
+)
 from driftlab.simulate import simulate_euler
 
 
@@ -81,3 +89,44 @@ def test_csv_header_names_columns():
     buf = io.StringIO()
     write_path_csv(path, buf)
     assert buf.getvalue().splitlines()[0] == "t,x1,x2"
+
+
+READERS = (read_csv_table, read_path_csv, read_observations_csv, read_noisy_csv)
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_header_only_csv_is_a_typed_error(reader):
+    with pytest.raises(DataFormatError, match="no data rows"):
+        reader(io.StringIO("t,x\n\n"))
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("text, line", [
+    ("t,x\n0,1\n1,2,3\n", 3),      # ragged row
+    ("t,x\n0,1\n\n2,abc\n", 4),    # non-numeric field after a blank line
+])
+def test_bad_row_names_its_line(reader, text, line):
+    with pytest.raises(DataFormatError, match=f"line {line}:"):
+        reader(io.StringIO(text))
+
+
+@pytest.mark.parametrize("header", ["", "x,t", "t"])
+def test_bad_header_is_a_typed_error(header):
+    with pytest.raises(DataFormatError, match="line 1:"):
+        read_csv_table(io.StringIO(header + "\n0,1\n"))
+
+
+@given(st.sampled_from(["t,x", "t,x,y", "t", ""]),
+       st.lists(st.text(alphabet=",0123456789.-e nx", max_size=12), max_size=6))
+def test_csv_readers_fail_only_with_typed_errors(header, rows):
+    # arbitrary rows either parse or raise DataFormatError; a plain ValueError
+    # may come only from the Path / observation-set validators, after the
+    # table itself parsed (never numpy's shape errors or an IndexError)
+    text = "\n".join([header] + rows)
+    for reader in READERS:
+        try:
+            reader(io.StringIO(text))
+        except DataFormatError:
+            pass
+        except ValueError:
+            read_csv_table(io.StringIO(text))

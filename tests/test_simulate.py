@@ -8,8 +8,9 @@ from driftlab.models import DiffusionSpec, GbmParams, OuParams, gbm_spec
 from driftlab.paths import TimeGrid
 from driftlab.rng import replicate_normals
 from driftlab.simulate import (
+    euler_advance,
     euler_endpoints,
-    ou_paths_batch,
+    ou_paths,
     simulate_euler,
     simulate_gbm_exact,
     simulate_ou,
@@ -68,6 +69,20 @@ def test_euler_endpoints_batch_matches_serial():
     for r in range(4):
         serial = simulate_euler(spec, GRID, (5, "batch", r)).values[-1]
         assert np.array_equal(batch[r], serial)
+
+
+def test_euler_advance_propagates_nonfinite_and_records_states():
+    # per-step lengths; the replicate whose state overflows stays non-finite
+    # while the other advances normally
+    spec = DiffusionSpec(drift=lambda x, th: x * x, diffusion=lambda x, th: np.ones_like(x),
+                         theta=[0.0], x0=[0.0])
+    dts = np.array([0.1, 0.2, 0.3])
+    z = np.zeros((3, 2, 1))
+    out = np.empty((4, 2, 1))
+    end = euler_advance(spec, np.array([[1.0], [1e200]]), dts, z, out=out)
+    assert np.array_equal(out[-1], end)
+    assert out[1, 0, 0] == 1.0 + 0.1 and not np.isfinite(end[1, 0])
+    assert np.array_equal(out[0], [[1.0], [1e200]])
 
 
 def test_gbm_exact_noise_free():
@@ -134,7 +149,7 @@ def test_ou_marginal_matches_closed_form():
     p = OuParams(gamma=1.0, beta_bar=0.3, sigma=0.4, b0=1.0)
     grid = TimeGrid(0.0, 0.5, 5)
     z = replicate_normals(4321, 10_000, grid.n_steps, "ks")
-    ends = ou_paths_batch(p, grid, z)[:, -1]
+    ends = ou_paths(p, grid.dt, z)[:, -1]
     mean = 0.3 + 0.7 * np.exp(-0.5)
     var = 0.16 * (1 - np.exp(-1.0)) / 2.0
     _, pvalue = stats.kstest(ends, stats.norm(mean, np.sqrt(var)).cdf)
@@ -145,10 +160,16 @@ def test_ou_batch_matches_serial():
     p = OuParams(gamma=1.0, beta_bar=0.3, sigma=0.4, b0=1.0)
     grid = TimeGrid(0.0, 1.0, 10)
     z = replicate_normals(9, 3, grid.n_steps, "oubatch")
-    batch = ou_paths_batch(p, grid, z)
+    batch = ou_paths(p, grid.dt, z)
     for r in range(3):
         serial = simulate_ou(p, grid, (9, "oubatch", r)).values[:, 0]
         assert np.array_equal(batch[r], serial)
+
+
+def test_ou_paths_per_step_dt_matches_scalar_dt():
+    p = OuParams(gamma=1.0, beta_bar=0.3, sigma=0.4, b0=1.0)
+    z = replicate_normals(10, 3, 8, "oudt")
+    assert np.array_equal(ou_paths(p, np.full(8, 0.125), z), ou_paths(p, 0.125, z))
 
 
 def test_tv_growth_deterministic_limit():
@@ -175,7 +196,7 @@ def test_tv_growth_log_identity_and_mean():
     assert np.log(x_path.values[-1, 0]) == pytest.approx(np.sum(b[:-1]) * grid.dt, rel=1e-12)
 
     z = replicate_normals(4055, 100_000, grid.n_steps, "tvg")
-    betas = ou_paths_batch(ou, grid, z)
+    betas = ou_paths(ou, grid.dt, z)
     log_growth = betas[:, :-1].sum(axis=1) * grid.dt
     se = log_growth.std(ddof=1) / np.sqrt(len(log_growth))
     assert abs(log_growth.mean() - 0.1 * 3.0) < 4 * se
