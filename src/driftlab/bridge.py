@@ -5,10 +5,11 @@ gap is estimated by imputing latent values on a fine grid between the
 endpoints: interior points are proposed sequentially from a Brownian-bridge
 style kernel (mean linearly interpolated toward the right endpoint, variance
 sigma(u)^2 * d * (1 - d/s) for substep d and remaining span s) and weighted by
-the product of Euler substep densities over the proposal density.  Proposal
-noise is redrawn from streams keyed by (seed, pair) on every call, so the
-estimate is a deterministic function of (inputs, seed) and can be optimized
-over theta with common random numbers.
+the product of Euler substep densities over the proposal density.
+``logdensities`` estimates every observation pair of a record; pair i redraws
+its proposal noise from the stream keyed (seed, "bridge", i) on every call, so
+the estimate is a deterministic function of (inputs, seed) and can be
+optimized over theta with common random numbers.
 """
 
 from __future__ import annotations
@@ -57,6 +58,13 @@ def bridge_pair_logdensity(spec: DiffusionSpec, dt: float, x: float, y: float,
     return float(logsumexp(logw) - np.log(j_samples))
 
 
+def logdensities(spec: DiffusionSpec, dts, x, y, m_sub: int, j_samples: int,
+                 seed) -> np.ndarray:
+    """Bridge estimates of log p(dts[i], x[i], y[i]), one per observation pair i."""
+    return np.array([bridge_pair_logdensity(spec, dt, xi, yi, m_sub, j_samples, seed, pair=i)
+                     for i, (dt, xi, yi) in enumerate(zip(dts, x, y))])
+
+
 def bridge_loglikelihood(spec: DiffusionSpec, obs: ObservationSet, m_sub: int,
                          j_samples: int, seed) -> float:
     """Sum of bridge-sampled transition log-densities over consecutive pairs."""
@@ -65,10 +73,7 @@ def bridge_loglikelihood(spec: DiffusionSpec, obs: ObservationSet, m_sub: int,
     if len(obs) < 2:
         raise ValueError("need at least two observations")
     values = np.asarray(obs.values, dtype=float).reshape(len(obs), -1)[:, 0]
-    total = 0.0
-    for i in range(len(obs) - 1):
-        total += bridge_pair_logdensity(
-            spec, obs.times[i + 1] - obs.times[i], values[i], values[i + 1],
-            m_sub, j_samples, seed, pair=i,
-        )
-    return total
+    terms = logdensities(spec, np.diff(obs.times), values[:-1], values[1:],
+                         m_sub, j_samples, seed)
+    # a running sum, left to right; terms.sum() adds pairwise and rounds differently
+    return float(np.cumsum(terms)[-1])

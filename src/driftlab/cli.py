@@ -21,7 +21,7 @@ from . import acceptance
 from .adequacy import envelope_check, synthetic_replicates
 from .collocation import BasisConfig, CollocationOptions, PenaltySpec, collocation_fit
 from .config import OPTIONS, load_config, merge_options
-from .errors import ConfigError, DriftlabError
+from .errors import ConfigError, DriftlabError, InsufficientDataError
 from .estimating import EstimatingFunction, ee_solve, raw_moment_psi
 from .likelihood import BridgeDensity, GbmDensity, OuDensity, mle_fit
 from .ioutil import atomic_write_text
@@ -108,11 +108,18 @@ def _cmd_simulate(opts: dict) -> int:
     return 0
 
 
+def _spread(v, scale: float = 1.0) -> float:
+    """Sample standard deviation of ``v`` over ``scale``, or the default 0.1
+    when that is 0, not finite, or undefined (fewer than two values)."""
+    sd = float(np.std(v, ddof=1) / scale) if len(v) > 1 else 0.0
+    return sd if np.isfinite(sd) and sd > 0 else 0.1
+
+
 def _gbm_init_from_data(obs) -> tuple:
     values = np.asarray(obs.values, dtype=float).reshape(len(obs), -1)[:, 0]
     dts = np.diff(obs.times)
     r = np.diff(np.log(values))
-    sigma0 = float(np.std(r / np.sqrt(dts), ddof=1)) or 0.1
+    sigma0 = _spread(r / np.sqrt(dts))
     beta0 = float(np.mean(r / dts) + 0.5 * sigma0**2)
     return beta0, sigma0
 
@@ -125,7 +132,7 @@ def _ou_init_from_data(obs) -> tuple:
     denom = float(np.sum(centered**2))
     ac = float(np.sum(centered[:-1] * centered[1:]) / denom) if denom > 0 else 0.5
     gamma0 = -np.log(min(max(ac, 0.01), 0.99)) / mean_dt
-    sigma0 = float(np.std(np.diff(values), ddof=1) / np.sqrt(mean_dt)) or 0.1
+    sigma0 = _spread(np.diff(values), np.sqrt(mean_dt))
     return float(gamma0), float(values.mean()), sigma0
 
 
@@ -134,6 +141,8 @@ def _cmd_fit(opts: dict) -> int:
     seed = opts.get("seed", 0)
     with open(_existing_file(opts["data"]), "r", encoding="utf-8") as fh:
         obs = read_observations_csv(fh)
+    if len(obs) < 2:
+        raise InsufficientDataError(f"fit needs at least two observations, got {len(obs)}")
     method = opts["method"]
     model = opts["model"]
 

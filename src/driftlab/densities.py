@@ -1,5 +1,5 @@
 """Transition log-densities p(t, x, y) for the built-in models and the Euler
-approximation.  All functions broadcast over numpy arrays in x and y.
+approximation.  All functions broadcast over numpy arrays in dt, x and y.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ def normal_logpdf(y, mean, var):
     return -0.5 * (LOG_2PI + np.log(var)) - (np.asarray(y) - mean) ** 2 / (2.0 * var)
 
 
-def gbm_transition_logdensity(p: GbmParams, dt: float, x, y):
+def gbm_transition_logdensity(p: GbmParams, dt, x, y):
     """Lognormal transition: log(y/x) ~ Normal((beta - sigma^2/2) dt, sigma^2 dt)."""
-    if not dt > 0:
+    if not np.all(np.asarray(dt) > 0):
         raise ValueError("dt must be positive")
     if p.sigma == 0:
         raise DegenerateDensityError("GBM transition density degenerate at sigma = 0")
@@ -33,9 +33,9 @@ def gbm_transition_logdensity(p: GbmParams, dt: float, x, y):
     return normal_logpdf(r, mean, var) - np.log(y)
 
 
-def ou_transition_logdensity(p: OuParams, dt: float, x, y):
+def ou_transition_logdensity(p: OuParams, dt, x, y):
     """Gaussian transition with the exact OU mean and variance."""
-    if not dt > 0:
+    if not np.all(np.asarray(dt) > 0):
         raise ValueError("dt must be positive")
     if p.sigma == 0:
         raise DegenerateDensityError("OU transition density degenerate at sigma = 0")
@@ -44,12 +44,12 @@ def ou_transition_logdensity(p: OuParams, dt: float, x, y):
     return normal_logpdf(y, mean, var)
 
 
-def euler_transition_logdensity(spec: DiffusionSpec, dt: float, x, y):
+def euler_transition_logdensity(spec: DiffusionSpec, dt, x, y):
     """One-step Euler approximation: y ~ Normal(x + mu(x) dt, sigma(x)^2 dt).
 
     For scalar models only; x and y may be arrays of evaluation points.
     """
-    if not dt > 0:
+    if not np.all(np.asarray(dt) > 0):
         raise ValueError("dt must be positive")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -44,10 +44,9 @@ class LinearGaussianSSM:
             raise ValueError("per-step arrays must have matching lengths")
         for name in ("Q", "P0", "R"):
             mats = getattr(self, name)
-            mats = mats if mats.ndim == 3 else mats[None]
-            for m in mats:
-                if np.any(np.linalg.eigvalsh(0.5 * (m + m.T)) < -1e-10):
-                    raise ValueError(f"{name} must be positive semi-definite")
+            sym = 0.5 * (mats + np.swapaxes(mats, -1, -2))
+            if np.any(np.linalg.eigvalsh(sym) < -1e-10):
+                raise ValueError(f"{name} must be positive semi-definite")
 
     @property
     def state_dim(self) -> int:

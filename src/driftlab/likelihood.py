@@ -13,8 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize
 
-from . import densities
-from .bridge import bridge_pair_logdensity
+from . import bridge, densities
 from .errors import InvalidStartError, NonFiniteTermError
 from .fokker_planck import fokker_planck_transition_density
 from .models import DiffusionSpec, GbmParams, OuParams
@@ -23,7 +22,13 @@ from .results import FitResult
 
 
 class TransitionDensity:
-    """Base class: evaluates log p_theta(dt, x, y) and exposes free parameters."""
+    """A model's transition density and the free parameters an optimizer moves.
+
+    ``logdensities(dts, x, y)`` returns log p_theta(dts[i], x[i], y[i]) for
+    every pair i in one call, so irregular observation times cost no extra
+    calls; ``pair_logdensities`` is the one place an ObservationSet becomes
+    such pairs.
+    """
 
     kind: str
 
@@ -38,27 +43,18 @@ class TransitionDensity:
     def with_theta(self, theta) -> "TransitionDensity":
         raise NotImplementedError
 
-    def logpdf(self, dt: float, x: float, y: float, pair: int = 0) -> float:
+    def logdensities(self, dts, x, y) -> np.ndarray:
         raise NotImplementedError
 
     def pair_logdensities(self, obs: ObservationSet) -> np.ndarray:
         """One log-density per consecutive observation pair."""
         values = np.asarray(obs.values, dtype=float).reshape(len(obs), -1)[:, 0]
-        dts = np.diff(obs.times)
-        return np.array([
-            self.logpdf(dts[i], values[i], values[i + 1], pair=i)
-            for i in range(len(dts))
-        ])
+        return self.logdensities(np.diff(obs.times), values[:-1], values[1:])
 
 
-class GbmDensity(TransitionDensity):
-    """Closed-form lognormal GBM transition; free parameters a subset of (beta, sigma)."""
-
-    kind = "closed_form_gbm"
-
-    def __init__(self, params: GbmParams, free=("beta", "sigma")):
-        self.params = params
-        self.free = tuple(free)
+class _ClosedFormDensity(TransitionDensity):
+    """Closed-form density of a params dataclass: theta is its ``free`` fields,
+    and those named in ``positive`` are optimized on the log scale."""
 
     @property
     def theta(self):
@@ -66,162 +62,101 @@ class GbmDensity(TransitionDensity):
 
     @property
     def positive_mask(self):
-        return tuple(f == "sigma" for f in self.free)
+        return tuple(f in self.positive for f in self.free)
 
     def with_theta(self, theta):
-        updates = dict(zip(self.free, np.atleast_1d(theta)))
-        return GbmDensity(replace(self.params, **{k: float(v) for k, v in updates.items()}),
-                          free=self.free)
-
-    def logpdf(self, dt, x, y, pair=0):
-        return float(densities.gbm_transition_logdensity(self.params, dt, x, y))
-
-    def pair_logdensities(self, obs):
-        values = np.asarray(obs.values, dtype=float).reshape(len(obs), -1)[:, 0]
-        out = np.empty(len(obs) - 1)
-        dts = np.diff(obs.times)
-        for dt in np.unique(dts):
-            m = dts == dt
-            out[m] = densities.gbm_transition_logdensity(
-                self.params, dt, values[:-1][m], values[1:][m])
-        return out
+        updates = {f: float(v) for f, v in zip(self.free, np.atleast_1d(theta))}
+        return replace(self, params=replace(self.params, **updates))
 
 
-class OuDensity(TransitionDensity):
+@dataclass(frozen=True)
+class GbmDensity(_ClosedFormDensity):
+    """Closed-form lognormal GBM transition; free parameters a subset of (beta, sigma)."""
+
+    params: GbmParams
+    free: tuple = ("beta", "sigma")
+    kind = "closed_form_gbm"
+    positive = ("sigma",)
+
+    def logdensities(self, dts, x, y):
+        return densities.gbm_transition_logdensity(self.params, dts, x, y)
+
+
+@dataclass(frozen=True)
+class OuDensity(_ClosedFormDensity):
     """Closed-form Gaussian OU transition; free parameters a subset of
     (gamma, beta_bar, sigma)."""
 
+    params: OuParams
+    free: tuple = ("gamma", "beta_bar", "sigma")
     kind = "closed_form_ou"
+    positive = ("gamma", "sigma")
 
-    def __init__(self, params: OuParams, free=("gamma", "beta_bar", "sigma")):
-        self.params = params
-        self.free = tuple(free)
+    def logdensities(self, dts, x, y):
+        return densities.ou_transition_logdensity(self.params, dts, x, y)
+
+
+@dataclass(frozen=True)
+class _SpecDensity(TransitionDensity):
+    """Density of a DiffusionSpec model: theta and its positivity mask are the spec's."""
+
+    spec: DiffusionSpec
 
     @property
     def theta(self):
-        return np.array([getattr(self.params, f) for f in self.free])
+        return self.spec.theta
 
     @property
     def positive_mask(self):
-        return tuple(f in ("gamma", "sigma") for f in self.free)
+        return self.spec.positive or tuple(False for _ in self.spec.theta)
 
     def with_theta(self, theta):
-        updates = dict(zip(self.free, np.atleast_1d(theta)))
-        return OuDensity(replace(self.params, **{k: float(v) for k, v in updates.items()}),
-                         free=self.free)
-
-    def logpdf(self, dt, x, y, pair=0):
-        return float(densities.ou_transition_logdensity(self.params, dt, x, y))
-
-    def pair_logdensities(self, obs):
-        values = np.asarray(obs.values, dtype=float).reshape(len(obs), -1)[:, 0]
-        out = np.empty(len(obs) - 1)
-        dts = np.diff(obs.times)
-        for dt in np.unique(dts):
-            m = dts == dt
-            out[m] = densities.ou_transition_logdensity(
-                self.params, dt, values[:-1][m], values[1:][m])
-        return out
+        return replace(self, spec=self.spec.with_theta(theta))
 
 
-class EulerDensity(TransitionDensity):
+class EulerDensity(_SpecDensity):
     """One-step Euler Gaussian approximation for an arbitrary scalar spec."""
 
     kind = "euler"
 
-    def __init__(self, spec: DiffusionSpec):
-        self.spec = spec
-
-    @property
-    def theta(self):
-        return self.spec.theta
-
-    @property
-    def positive_mask(self):
-        return self.spec.positive or tuple(False for _ in self.spec.theta)
-
-    def with_theta(self, theta):
-        return EulerDensity(self.spec.with_theta(theta))
-
-    def logpdf(self, dt, x, y, pair=0):
-        return float(densities.euler_transition_logdensity(self.spec, dt, x, y))
-
-    def pair_logdensities(self, obs):
-        values = np.asarray(obs.values, dtype=float).reshape(len(obs), -1)[:, 0]
-        out = np.empty(len(obs) - 1)
-        dts = np.diff(obs.times)
-        for dt in np.unique(dts):
-            m = dts == dt
-            out[m] = densities.euler_transition_logdensity(
-                self.spec, dt, values[:-1][m], values[1:][m])
-        return out
+    def logdensities(self, dts, x, y):
+        return densities.euler_transition_logdensity(self.spec, dts, x, y)
 
 
-class FokkerPlanckDensity(TransitionDensity):
-    """Transition density from a Crank-Nicolson forward-equation solve.
+@dataclass(frozen=True)
+class FokkerPlanckDensity(_SpecDensity):
+    """Transition density from a Crank-Nicolson forward-equation solve, one
+    solve per observation pair on one spatial grid; the density at y is
+    interpolated linearly on the grid and floored at 1e-300 to stay finite."""
 
-    The solve runs per observation pair on the configured spatial grid; the
-    log-density at y is linearly interpolated on the grid with a small floor
-    to keep it finite.
-    """
-
+    y_min: float
+    y_max: float
+    n_cells: int = 400
+    n_time_steps: int = 200
     kind = "fokker_planck"
 
-    def __init__(self, spec: DiffusionSpec, y_min: float, y_max: float,
-                 n_cells: int = 400, n_time_steps: int = 200):
-        self.spec = spec
-        self.y_min = y_min
-        self.y_max = y_max
-        self.n_cells = n_cells
-        self.n_time_steps = n_time_steps
-
-    @property
-    def theta(self):
-        return self.spec.theta
-
-    @property
-    def positive_mask(self):
-        return self.spec.positive or tuple(False for _ in self.spec.theta)
-
-    def with_theta(self, theta):
-        return FokkerPlanckDensity(self.spec.with_theta(theta), self.y_min, self.y_max,
-                                   self.n_cells, self.n_time_steps)
-
-    def logpdf(self, dt, x, y, pair=0):
+    def logdensities(self, dts, x, y):
         grid = np.linspace(self.y_min, self.y_max, self.n_cells + 1)
-        result = fokker_planck_transition_density(self.spec, dt, x, grid,
-                                                  n_time_steps=self.n_time_steps)
-        dens = float(np.interp(y, grid, result.density))
-        return float(np.log(max(dens, 1e-300)))
+        dens = np.array([
+            np.interp(yi, grid, fokker_planck_transition_density(
+                self.spec, dt, xi, grid, n_time_steps=self.n_time_steps).density)
+            for dt, xi, yi in zip(dts, x, y)
+        ])
+        return np.log(np.maximum(dens, 1e-300))
 
 
-class BridgeDensity(TransitionDensity):
+@dataclass(frozen=True)
+class BridgeDensity(_SpecDensity):
     """Importance-sampled transition density on a latent fine grid."""
 
+    m_sub: int = 8
+    j_samples: int = 200
+    seed: int = 0
     kind = "bridge_mc"
 
-    def __init__(self, spec: DiffusionSpec, m_sub: int = 8, j_samples: int = 200,
-                 seed: int = 0):
-        self.spec = spec
-        self.m_sub = m_sub
-        self.j_samples = j_samples
-        self.seed = seed
-
-    @property
-    def theta(self):
-        return self.spec.theta
-
-    @property
-    def positive_mask(self):
-        return self.spec.positive or tuple(False for _ in self.spec.theta)
-
-    def with_theta(self, theta):
-        return BridgeDensity(self.spec.with_theta(theta), self.m_sub, self.j_samples,
-                             self.seed)
-
-    def logpdf(self, dt, x, y, pair=0):
-        return bridge_pair_logdensity(self.spec, dt, x, y, self.m_sub, self.j_samples,
-                                      self.seed, pair=pair)
+    def logdensities(self, dts, x, y):
+        return bridge.logdensities(self.spec, dts, x, y, self.m_sub, self.j_samples,
+                                   self.seed)
 
 
 def discrete_loglikelihood(td: TransitionDensity, obs: ObservationSet) -> float:

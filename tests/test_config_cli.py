@@ -83,6 +83,37 @@ def test_malformed_csv_exits_2_with_message(tmp_path, capsys, text, message):
     assert not (tmp_path / "f.json").exists()
 
 
+FIT_METHODS = [
+    ["--method", "mle", "--model", "gbm"],
+    ["--method", "mle", "--model", "ou"],
+    ["--method", "ee", "--model", "gbm", "--sigma", "0.3"],
+    ["--method", "bridge-mle", "--model", "gbm", "--j-samples", "50"],
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", FIT_METHODS, ids=lambda m: "-".join(m[1:4:2]))
+def test_fit_one_row_csv_exits_2_naming_the_count(tmp_path, capsys, method):
+    data = tmp_path / "one.csv"
+    data.write_text("t,x\n0,1.0\n")
+    out = tmp_path / "f.json"
+    assert cli_run(["fit", *method, "--data", str(data), "--out", str(out)]) == 2
+    assert "fit needs at least two observations, got 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", FIT_METHODS, ids=lambda m: "-".join(m[1:4:2]))
+def test_fit_two_row_csv_writes_a_result(tmp_path, capsys, method):
+    # one increment has no sample spread; the start value falls back to its default
+    data = tmp_path / "two.csv"
+    data.write_text("t,x\n0,1.0\n0.5,1.2\n")
+    out = tmp_path / "f.json"
+    assert cli_run(["fit", *method, "--data", str(data), "--out", str(out)]) in (0, 3)
+    assert "nan" not in capsys.readouterr().err
+    assert "theta_hat" in json.loads(out.read_text())
+
+
 def test_fit_ee_and_bridge(tmp_path):
     data = tmp_path / "obs.csv"
     cli_run(["simulate", "--model", "gbm", "--beta", "0.1", "--sigma", "0.1",

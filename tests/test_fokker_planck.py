@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from driftlab.densities import gbm_transition_logdensity
@@ -62,3 +63,20 @@ def test_grid_refinement_converges():
         exact = np.exp(gbm_transition_logdensity(p, 0.5, 1.0, grid))
         errs.append(np.max(np.abs(res.density - exact)))
     assert errs[0] > errs[1] > errs[2]
+
+
+@settings(max_examples=30)
+@given(mu=st.floats(-1.0, 1.0), sigma=st.floats(0.2, 2.0), dt=st.floats(0.005, 2.0),
+       x=st.floats(-1.0, 1.0))
+def test_mass_conserved_on_a_grid_wide_enough(mu, sigma, dt, x):
+    # Brownian motion with drift; the 400-cell grid spans 10 transition sds
+    # beyond both the start and the transition mean
+    spec = DiffusionSpec(drift=lambda y, th: th[0] * np.ones_like(y),
+                         diffusion=lambda y, th: th[1] * np.ones_like(y),
+                         theta=[mu, sigma], x0=[x])
+    sd = sigma * np.sqrt(dt)
+    lo, hi = min(x, x + mu * dt) - 10 * sd, max(x, x + mu * dt) + 10 * sd
+    res = fokker_planck_transition_density(spec, dt, x, np.linspace(lo, hi, 401),
+                                           n_time_steps=200)
+    assert res.boundary_warning is None
+    assert res.mass == pytest.approx(1.0, abs=1e-3)

@@ -106,6 +106,14 @@ def test_filtered_means_beat_raw_observations():
 def test_psd_validation():
     with pytest.raises(ValueError):
         _scalar_ssm(phi=1.0, b=0.0, q=-0.1, r=0.1, m0=0.0, p0=0.0, n=2)
+    # a later transition, not the first, carries the bad Q
+    Q = np.full((50, 2, 2), 0.1 * np.eye(2))
+    Q[37] = [[0.1, 0.0], [0.0, -0.2]]
+    with pytest.raises(ValueError, match="Q must be positive semi-definite"):
+        LinearGaussianSSM(F=np.ones((50, 2, 2)), b=np.zeros((50, 2)), Q=Q,
+                          H=np.eye(2), R=0.1 * np.eye(2), m0=np.zeros(2), P0=np.eye(2))
+    with pytest.raises(ValueError, match="P0 must be positive semi-definite"):
+        _scalar_ssm(phi=1.0, b=0.0, q=0.1, r=0.1, m0=0.0, p0=-1.0, n=5)
 
 
 def test_mismatched_block_lengths_rejected():

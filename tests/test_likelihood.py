@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from driftlab import densities
 from driftlab.adequacy import simulate_states_at
 from driftlab.densities import gbm_transition_logdensity
 from driftlab.errors import InvalidStartError, NonFiniteTermError
@@ -14,7 +16,7 @@ from driftlab.likelihood import (
     discrete_loglikelihood,
     mle_fit,
 )
-from driftlab.models import DiffusionSpec, GbmParams, OuParams, gbm_spec
+from driftlab.models import DiffusionSpec, GbmParams, OuParams, gbm_spec, ou_spec
 from driftlab.observe import ObservationSet
 from driftlab.rng import stream
 
@@ -56,6 +58,55 @@ def test_time_reversal_invariance_for_bm():
     rev = ObservationSet(times=times[-1] - times[::-1], values=values[::-1])
     assert discrete_loglikelihood(td, fwd) == pytest.approx(
         discrete_loglikelihood(td, rev), rel=1e-12)
+
+
+POSITIVE = st.floats(0.05, 2.0)
+
+
+@st.composite
+def irregular_records(draw, low, high):
+    """An ObservationSet on random strictly increasing, irregularly spaced times."""
+    gaps = draw(st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=40))
+    values = draw(st.lists(st.floats(low, high), min_size=len(gaps) + 1,
+                           max_size=len(gaps) + 1))
+    return ObservationSet(times=np.concatenate([[0.0], np.cumsum(gaps)]), values=values)
+
+
+def _assert_equals_per_pair_loop(td, obs, scalar_logdensity):
+    dts = np.diff(obs.times)
+    looped = np.array([scalar_logdensity(dts[i], obs.values[i], obs.values[i + 1])
+                       for i in range(len(dts))])
+    assert np.array_equal(td.pair_logdensities(obs), looped)
+
+
+@settings(max_examples=40)
+@given(obs=irregular_records(0.05, 20.0), beta=st.floats(-1.0, 1.0), sigma=POSITIVE)
+def test_gbm_pairs_in_one_call_equal_per_pair_loop(obs, beta, sigma):
+    p = GbmParams(beta=beta, sigma=sigma)
+    _assert_equals_per_pair_loop(GbmDensity(p), obs, lambda dt, x, y:
+                                 densities.gbm_transition_logdensity(p, dt, x, y))
+
+
+@settings(max_examples=40)
+@given(obs=irregular_records(-5.0, 5.0), gamma=POSITIVE, beta_bar=st.floats(-2.0, 2.0),
+       sigma=POSITIVE)
+def test_ou_and_euler_pairs_in_one_call_equal_per_pair_loop(obs, gamma, beta_bar, sigma):
+    p = OuParams(gamma=gamma, beta_bar=beta_bar, sigma=sigma)
+    _assert_equals_per_pair_loop(OuDensity(p), obs, lambda dt, x, y:
+                                 densities.ou_transition_logdensity(p, dt, x, y))
+    spec = ou_spec(p)
+    _assert_equals_per_pair_loop(EulerDensity(spec), obs, lambda dt, x, y:
+                                 densities.euler_transition_logdensity(spec, dt, x, y))
+
+
+def test_dt_array_with_a_zero_entry_rejected():
+    dts, x, y = np.array([0.5, 0.0, 0.2]), np.ones(3), np.full(3, 1.1)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        densities.gbm_transition_logdensity(P_GBM, dts, x, y)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        densities.ou_transition_logdensity(OuParams(1.0, 0.0, 0.5), dts, x, y)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        densities.euler_transition_logdensity(gbm_spec(P_GBM), dts, x, y)
 
 
 def test_nonfinite_term_reports_pair():
