@@ -8,7 +8,6 @@ import numpy as np
 
 from driftlab import (
     BasisConfig,
-    CollocationOptions,
     NoisyObservationSet,
     ObservationModel,
     PenaltySpec,
@@ -41,8 +40,7 @@ def main():
           f"{'MAP sigma':>9}")
     for lam in (float(v) for v in args.lambdas.split(",")):
         fit, _ = collocation_fit(obs, om, gbm_beta_spec(0.5, 1.0), basis,
-                                 PenaltySpec(lam=lam),
-                                 opts=CollocationOptions(max_outer=80))
+                                 PenaltySpec(lam=lam), max_outer=80)
         print(f"{lam:>10.4g}  {fit.theta_hat[0]:>9.5f}  "
               f"{fit.diagnostics['data_term']:>10.4g}  "
               f"{fit.diagnostics['penalty_term']:>10.4g}  "

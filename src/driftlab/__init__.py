@@ -6,11 +6,10 @@ estimating functions, a bootstrap particle filter with a Kalman oracle,
 penalized spline collocation, and synthetic-data adequacy checks.
 """
 
-from .adequacy import AdequacyReport, envelope_check, register_statistic, synthetic_replicates
+from .adequacy import AdequacyReport, envelope_check, synthetic_replicates
 from .bridge import bridge_loglikelihood, bridge_pair_logdensity
 from .collocation import (
     BasisConfig,
-    CollocationOptions,
     CollocationState,
     PenaltySpec,
     collocation_fit,
@@ -32,7 +31,6 @@ from .likelihood import (
     FokkerPlanckDensity,
     GbmDensity,
     OuDensity,
-    SimplexOptions,
     TransitionDensity,
     discrete_loglikelihood,
     mle_fit,

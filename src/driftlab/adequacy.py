@@ -18,13 +18,13 @@ import numpy as np
 from .errors import IncompleteContextError
 from .models import DiffusionSpec, GbmParams, OuParams, TvGrowthParams
 from .observe import NoisyObservationSet, ObservationModel, ObservationSet
-from .parallel import map_replicates
 from .particle import DiscreteKernel
 from .paths import Path
 from .rng import stream
 from .simulate import euler_advance, ou_paths
 
 DEFAULT_K = 50
+BAND = (0.05, 0.95)  # quantile envelope of the synthetic statistics
 
 
 def _mean_increment(v):
@@ -51,17 +51,6 @@ DEFAULT_STATISTICS = {
     "min": lambda v: float(np.min(v)),
     "max": lambda v: float(np.max(v)),
 }
-
-_STAT_REGISTRY = dict(DEFAULT_STATISTICS)
-
-
-def register_statistic(name: str, fn) -> None:
-    """Add a named statistic (callable on a 1-d value series) to the registry."""
-    _STAT_REGISTRY[name] = fn
-
-
-def statistic(name: str):
-    return _STAT_REGISTRY[name]
 
 
 def dataset_series(ds) -> np.ndarray:
@@ -129,7 +118,7 @@ def synthetic_replicates(model, times, k: int, seed: int,
         y = om.sample(rng, states)
         return NoisyObservationSet(times=times, y_values=y[:, 0] if y.shape[1] == 1 else y)
 
-    return map_replicates(one, k)
+    return [one(r) for r in range(k)]
 
 
 @dataclass(frozen=True)
@@ -148,7 +137,6 @@ class StatEnvelope:
 class AdequacyReport:
     statistics: tuple
     n_replicates: int
-    band: tuple = (0.05, 0.95)
 
     @property
     def flagged(self) -> list:
@@ -156,7 +144,7 @@ class AdequacyReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "band": list(self.band),
+            "band": list(BAND),
             "n_replicates": self.n_replicates,
             "statistics": [
                 {
@@ -177,24 +165,23 @@ class AdequacyReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def envelope_check(observed, synthetic, stats=None, band=(0.05, 0.95)) -> AdequacyReport:
+def envelope_check(observed, synthetic, stats=None) -> AdequacyReport:
     """Compare statistics of the observed dataset against the synthetic envelope.
 
-    ``stats`` is a list of registered statistic names (default: the built-in
-    five).  A statistic that is constant across replicates is reported as
-    indeterminate rather than failed.
+    ``stats`` maps names to statistics, each a callable on a 1-d value series
+    (default: DEFAULT_STATISTICS).  A statistic that is constant across
+    replicates is reported as indeterminate rather than failed.
     """
     if len(synthetic) < 20:
         raise ValueError("quantile envelopes need at least 20 synthetic replicates")
-    names = list(stats) if stats is not None else list(DEFAULT_STATISTICS)
+    stats = DEFAULT_STATISTICS if stats is None else stats
     obs_series = dataset_series(observed)
     syn_series = [dataset_series(ds) for ds in synthetic]
     rows = []
-    for name in names:
-        fn = statistic(name)
+    for name, fn in stats.items():
         obs_val = fn(obs_series)
         syn_vals = np.array([fn(s) for s in syn_series])
-        q_lo, q_hi = np.quantile(syn_vals, band)
+        q_lo, q_hi = np.quantile(syn_vals, BAND)
         spread = float(syn_vals.max() - syn_vals.min())
         indeterminate = spread <= 1e-12 * max(1.0, abs(float(syn_vals.mean())))
         inside = bool(q_lo <= obs_val <= q_hi) or indeterminate
@@ -204,4 +191,4 @@ def envelope_check(observed, synthetic, stats=None, band=(0.05, 0.95)) -> Adequa
             q_lo=float(q_lo), q_hi=float(q_hi),
             inside_band=inside, indeterminate=indeterminate,
         ))
-    return AdequacyReport(statistics=tuple(rows), n_replicates=len(synthetic), band=band)
+    return AdequacyReport(statistics=tuple(rows), n_replicates=len(synthetic))

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import acceptance
 from .adequacy import envelope_check, synthetic_replicates
-from .collocation import BasisConfig, CollocationOptions, PenaltySpec, collocation_fit
-from .config import OPTIONS, load_config, merge_options
+from .collocation import BasisConfig, PenaltySpec, collocation_fit
+from .config import OPTIONS, load_config, typed_options
 from .errors import ConfigError, DriftlabError, InsufficientDataError
 from .estimating import EstimatingFunction, ee_solve, raw_moment_psi
 from .likelihood import BridgeDensity, GbmDensity, OuDensity, mle_fit
@@ -239,9 +239,8 @@ def _cmd_collocate(opts: dict) -> int:
     om = ObservationModel(kind="gaussian", scale=opts["obs-scale"])
     basis = BasisConfig.from_times(obs.times)
     pen = PenaltySpec(lam=opts["lambda"], weight_mode=opts.get("weight-mode", "unweighted"))
-    fit, fitted = collocation_fit(
-        obs, om, spec, basis, pen,
-        opts=CollocationOptions(max_outer=opts.get("max-outer", 200)))
+    fit, fitted = collocation_fit(obs, om, spec, basis, pen,
+                                  max_outer=opts.get("max-outer", 200))
     payload = fit.to_json_dict()
     payload.update({
         "lambda": fit.diagnostics["lambda"],
@@ -310,16 +309,15 @@ def cli_run(argv) -> int:
     if ns.command is None:
         parser.print_usage(sys.stderr)
         return 2
-    flag_options = {
-        key: getattr(ns, key.replace("-", "_"))
-        for key in OPTIONS[ns.command]
-    }
     try:
-        file_options = {}
+        options = {}
         if ns.config is not None:
-            file_options = load_config(_existing_file(ns.config)).get(ns.command, {})
-        cfg = merge_options(ns.command, file_options, flag_options)
-        return _DISPATCH[ns.command](cfg.typed())
+            options = load_config(_existing_file(ns.config)).get(ns.command, {})
+        for key in OPTIONS[ns.command]:
+            flag = getattr(ns, key.replace("-", "_"))
+            if flag is not None:
+                options[key] = flag
+        return _DISPATCH[ns.command](typed_options(ns.command, options))
     except (ConfigError, DriftlabError, ValueError, OSError) as exc:
         print(f"driftlab {ns.command}: error: {exc}", file=sys.stderr)
         return 2

@@ -27,6 +27,12 @@ from .results import FitResult
 
 CUBIC_ORDER = 4  # polynomial degree 3
 QUAD_SUBDIVISIONS = 10  # Simpson subintervals per inter-knot interval
+OUTER_TOL = 1e-9  # outer loop stops once the objective decreases by less
+INNER_GTOL = 1e-8  # L-BFGS-B gradient tolerance of the coefficient pass
+INNER_MAXITER = 500
+THETA_XATOL = 1e-9  # Nelder-Mead tolerances of the theta pass
+THETA_FATOL = 1e-10
+REPORT_POINTS = 201  # evenly spaced times of the returned fitted trajectory
 
 
 @dataclass(frozen=True)
@@ -36,13 +42,10 @@ class BasisConfig:
     observation time."""
 
     knots: np.ndarray
-    kind: str = "cubic_bspline"
 
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=float)
         object.__setattr__(self, "knots", knots)
-        if self.kind != "cubic_bspline":
-            raise ValueError("only cubic B-spline bases are supported")
         if len(knots) < 2 or np.any(np.diff(knots) <= 0):
             raise ValueError("knots must be strictly increasing with at least 2 entries")
 
@@ -61,34 +64,26 @@ class BasisConfig:
 
     def design(self, x, derivative: int = 0) -> np.ndarray:
         """Dense design matrix of basis (or basis-derivative) values at x."""
-        t = self.augmented_knots()
-        x = np.asarray(x, dtype=float)
-        out = np.empty((len(x), self.n_basis))
-        for i in range(self.n_basis):
-            coef = np.zeros(self.n_basis)
-            coef[i] = 1.0
-            spl = BSpline(t, coef, 3)
-            if derivative:
-                spl = spl.derivative(derivative)
-            out[:, i] = spl(x)
-        return out
+        # identity coefficients: column i of the spline's value is basis function i
+        spl = BSpline(self.augmented_knots(), np.eye(self.n_basis), 3)
+        if derivative:
+            spl = spl.derivative(derivative)
+        return spl(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
 class PenaltySpec:
-    """Penalty weight, weighting mode, and integration horizon [0, t_end]."""
+    """Penalty weight and weighting mode; the penalty integrates over the
+    basis's knot span."""
 
     lam: float
     weight_mode: str = "unweighted"
-    t_end: float | None = None
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
         if self.weight_mode not in ("unweighted", "sigma_weighted"):
             raise ValueError(f"unknown weight_mode {self.weight_mode!r}")
-        if self.t_end is not None and not self.t_end > 0:
-            raise ValueError("t_end must be positive")
 
 
 @dataclass
@@ -103,19 +98,13 @@ class CollocationState:
         return self.data_term + self.penalty_term
 
 
-def _quadrature_nodes(basis: BasisConfig, t_end: float | None,
-                      n_sub: int = QUAD_SUBDIVISIONS):
-    """Composite-Simpson nodes and weights over the penalty horizon,
-    subdividing each inter-knot interval into ``n_sub`` (even) pieces."""
+def _quadrature_nodes(basis: BasisConfig, n_sub: int = QUAD_SUBDIVISIONS):
+    """Composite-Simpson nodes and weights over the knot span, subdividing
+    each inter-knot interval into ``n_sub`` (even) pieces."""
     if n_sub % 2:
         raise ValueError("Simpson subdivisions must be even")
-    lo = basis.knots[0]
-    hi = basis.knots[-1] if t_end is None else min(t_end, basis.knots[-1])
     nodes, weights = [], []
     for a, b in zip(basis.knots[:-1], basis.knots[1:]):
-        a, b = max(a, lo), min(b, hi)
-        if b <= a:
-            continue
         xs = np.linspace(a, b, n_sub + 1)
         h = (b - a) / n_sub
         w = np.full(n_sub + 1, 2.0)
@@ -142,7 +131,7 @@ class CollocationProblem:
         self.pen = pen
         self.basis = basis
         self.B_obs = basis.design(obs.times)
-        q_nodes, q_weights = _quadrature_nodes(basis, pen.t_end, n_quad)
+        q_nodes, q_weights = _quadrature_nodes(basis, n_quad)
         self.q_nodes = q_nodes
         self.q_weights = q_weights
         self.Bq = basis.design(q_nodes)
@@ -189,31 +178,19 @@ def collocation_objective(c, theta, basis: BasisConfig, obs: NoisyObservationSet
     return CollocationProblem(basis, obs, om, spec, pen).objective(c, theta)
 
 
-@dataclass(frozen=True)
-class CollocationOptions:
-    max_outer: int = 200
-    outer_tol: float = 1e-9
-    inner_gtol: float = 1e-8
-    inner_maxiter: int = 500
-    theta_xatol: float = 1e-9
-    theta_fatol: float = 1e-10
-    report_points: int = 201
-
-
 def collocation_fit(obs: NoisyObservationSet, om: ObservationModel, spec: DiffusionSpec,
                     basis: BasisConfig, pen: PenaltySpec,
                     init: CollocationState | None = None,
-                    opts: CollocationOptions | None = None) -> tuple:
+                    max_outer: int = 200) -> tuple:
     """Minimize the penalized objective jointly over (c, theta).
 
     Alternates an inner quasi-Newton pass over the spline coefficients with a
     simplex pass over theta until the objective decrease drops below
-    ``outer_tol`` (or the outer-iteration cap is hit, reported as
+    OUTER_TOL (or ``max_outer`` outer iterations pass, reported as
     ``converged=False``).  Returns (FitResult, fitted Path); the Path carries
     the fitted trajectory and its time derivative as two columns, and the fit
     diagnostics record the separate data and penalty terms.
     """
-    opts = opts or CollocationOptions()
     prob = CollocationProblem(basis, obs, om, spec, pen)
 
     if init is None:
@@ -230,27 +207,27 @@ def collocation_fit(obs: NoisyObservationSet, om: ObservationModel, spec: Diffus
     current = prob.objective(c, theta)
     converged = False
     outer = 0
-    for outer in range(1, opts.max_outer + 1):
+    for outer in range(1, max_outer + 1):
         res_t = minimize(lambda th: prob.objective(c, th), theta, method="Nelder-Mead",
-                         options={"xatol": opts.theta_xatol, "fatol": opts.theta_fatol,
+                         options={"xatol": THETA_XATOL, "fatol": THETA_FATOL,
                                   "maxiter": 400})
         if res_t.fun <= current:
             theta = res_t.x
         res_c = minimize(lambda cc: prob.objective(cc, theta), c, method="L-BFGS-B",
                          jac=lambda cc: prob.working_gradient_c(cc, theta),
-                         options={"gtol": opts.inner_gtol, "ftol": 1e-14,
-                                  "maxiter": opts.inner_maxiter})
+                         options={"gtol": INNER_GTOL, "ftol": 1e-14,
+                                  "maxiter": INNER_MAXITER})
         if res_c.fun <= current:
             c = res_c.x
         new = prob.objective(c, theta)
-        if current - new < opts.outer_tol:
+        if current - new < OUTER_TOL:
             converged = True
             current = min(current, new)
             break
         current = new
 
     data_term, penalty_term = prob.terms(c, theta)
-    t_rep = np.linspace(basis.knots[0], basis.knots[-1], opts.report_points)
+    t_rep = np.linspace(basis.knots[0], basis.knots[-1], REPORT_POINTS)
     x_rep = basis.design(t_rep) @ c
     dx_rep = basis.design(t_rep, derivative=1) @ c
     fitted = Path(times=t_rep, values=np.column_stack([x_rep, dx_rep]))

@@ -2,13 +2,12 @@
 subcommand, merged with command-line flag overrides.
 
 Unknown sections or keys are hard errors so typos cannot silently change a
-run.  A RunConfig round-trips through its text form unchanged.
+run.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
@@ -111,49 +110,19 @@ OPTIONS: dict[str, dict] = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """A validated subcommand run: the command name plus string-valued options."""
-
-    command: str
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.command not in OPTIONS:
-            raise ConfigError(f"unknown command {self.command!r}")
-        unknown = sorted(set(self.options) - set(OPTIONS[self.command]))
-        if unknown:
-            raise ConfigError(
-                f"unknown keys in [{self.command}]: {', '.join(unknown)}")
-        object.__setattr__(self, "options", dict(self.options))
-
-    def typed(self) -> dict:
-        """Options converted to their declared types."""
-        table = OPTIONS[self.command]
-        out = {}
-        for key, raw in self.options.items():
-            typ = table[key][0]
-            try:
-                out[key] = typ(raw) if isinstance(raw, str) else raw
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r}: {exc}") from exc
-        if "seed" in out and not (0 <= out["seed"] <= MAX_SEED):
-            raise ConfigError("seed must be a 64-bit unsigned integer")
-        return out
-
-    def to_text(self) -> str:
-        lines = [f"[{self.command}]"]
-        for key in sorted(self.options):
-            lines.append(f"{key} = {self.options[key]}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "RunConfig":
-        sections = parse_config_text(text)
-        if len(sections) != 1:
-            raise ConfigError("expected exactly one section")
-        command, options = next(iter(sections.items()))
-        return cls(command=command, options=options)
+def typed_options(command: str, options: dict) -> dict:
+    """``options`` of ``command`` with each string value converted to its
+    declared type; values that are not strings (typed flags) pass through."""
+    table = OPTIONS[command]
+    out = {}
+    for key, raw in options.items():
+        try:
+            out[key] = table[key][0](raw) if isinstance(raw, str) else raw
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+    if "seed" in out and not (0 <= out["seed"] <= MAX_SEED):
+        raise ConfigError("seed must be a 64-bit unsigned integer")
+    return out
 
 
 def parse_config_text(text: str) -> dict:
@@ -178,12 +147,3 @@ def parse_config_text(text: str) -> dict:
 def load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read())
-
-
-def merge_options(command: str, file_options: dict, flag_options: dict) -> RunConfig:
-    """Config-file values overridden by explicitly set flags."""
-    merged = dict(file_options)
-    for key, val in flag_options.items():
-        if val is not None:
-            merged[key] = val if isinstance(val, str) else repr(val)
-    return RunConfig(command=command, options=merged)

@@ -21,7 +21,8 @@ from .results import FitResult
 from .rng import stream
 from .simulate import euler_advance
 
-MIN_SUBSTEPS = 20
+EULER_SUBSTEPS = 20  # Euler substeps per observation gap in the Monte Carlo expectation
+NEWTON_MAX_ITER = 80
 
 
 @dataclass(frozen=True)
@@ -53,19 +54,17 @@ def raw_moment_psi(orders=(1,)) -> Callable:
 
 def mc_conditional_expectation(spec: DiffusionSpec, ef: EstimatingFunction,
                                s: float, t: float, x: float, seed,
-                               n_substeps: int = MIN_SUBSTEPS,
                                return_diagnostics: bool = False):
-    """Estimate E[psi(x, X_t, theta) | X_s = x] by J Euler fine paths.
+    """Estimate E[psi(x, X_t, theta) | X_s = x] by J Euler fine paths of
+    EULER_SUBSTEPS steps each.
 
-    The internal substep is at most (t - s)/20.  Diverged replicates are
-    dropped and counted; if every replicate diverges an EstimationFailedError
-    is raised.
+    Diverged replicates are dropped and counted; if every replicate diverges
+    an EstimationFailedError is raised.
     """
     if not t > s:
         raise ValueError("t must exceed s")
-    n_substeps = max(n_substeps, MIN_SUBSTEPS)
-    z = stream(seed).standard_normal((ef.J, n_substeps))
-    y = euler_advance(spec, np.full(ef.J, float(x)), (t - s) / n_substeps, z.T)
+    z = stream(seed).standard_normal((ef.J, EULER_SUBSTEPS))
+    y = euler_advance(spec, np.full(ef.J, float(x)), (t - s) / EULER_SUBSTEPS, z.T)
     ok = np.isfinite(y)
     n_divergent = int(np.sum(~ok))
     if not np.any(ok):
@@ -85,9 +84,8 @@ def _seed_key(seed):
 
 
 def ee_solve(spec: DiffusionSpec, ef: EstimatingFunction, obs: ObservationSet,
-             init_theta, seed, n_substeps: int = MIN_SUBSTEPS,
-             expectation_fn: Callable | None = None,
-             tol: float = 1e-6, max_iter: int = 80) -> FitResult:
+             init_theta, seed, expectation_fn: Callable | None = None,
+             tol: float = 1e-6) -> FitResult:
     """Solve the martingale estimating equation sum_i psi~(x_i, x_{i+1}, theta) = 0,
     where psi~ centers psi by its (estimated) conditional expectation.
 
@@ -97,7 +95,7 @@ def ee_solve(spec: DiffusionSpec, ef: EstimatingFunction, obs: ObservationSet,
     ``expectation_fn(x, dts, theta) -> (n, k)`` substitutes an exact
     conditional expectation for the Monte Carlo one (the J = infinity
     baseline).  Root-finding is damped Newton on the residual with a
-    finite-difference Jacobian.
+    finite-difference Jacobian, at most NEWTON_MAX_ITER steps.
     """
     if len(obs) < 2:
         raise ValueError("need at least two observations")
@@ -109,14 +107,14 @@ def ee_solve(spec: DiffusionSpec, ef: EstimatingFunction, obs: ObservationSet,
     k = len(theta0)
 
     if expectation_fn is None:
-        # one frozen (J, n_sub) normal block per observation pair, stored step
-        # axis first; every pair's J paths advance together in one kernel call
-        n_sub = max(n_substeps, MIN_SUBSTEPS)
-        z = np.empty((n_sub, n_pairs, ef.J))
+        # one frozen (J, EULER_SUBSTEPS) normal block per observation pair,
+        # stored step axis first; every pair's J paths advance together in one
+        # kernel call
+        z = np.empty((EULER_SUBSTEPS, n_pairs, ef.J))
         for i in range(n_pairs):
-            z[:, i] = stream(seed, "ee", i).standard_normal((ef.J, n_sub)).T
+            z[:, i] = stream(seed, "ee", i).standard_normal((ef.J, EULER_SUBSTEPS)).T
         x_start = np.broadcast_to(x_s[:, None], (n_pairs, ef.J))
-        sub_dts = np.broadcast_to((dts / n_sub)[:, None], (n_sub, n_pairs, 1))
+        sub_dts = np.broadcast_to((dts / EULER_SUBSTEPS)[:, None], (EULER_SUBSTEPS, n_pairs, 1))
 
     divergent = 0
 
@@ -144,7 +142,7 @@ def ee_solve(spec: DiffusionSpec, ef: EstimatingFunction, obs: ObservationSet,
     nrm = float(np.linalg.norm(r))
     nit = 0
     converged = nrm <= tol
-    while not converged and nit < max_iter:
+    while not converged and nit < NEWTON_MAX_ITER:
         nit += 1
         jac = np.empty((k, k))
         for j in range(k):

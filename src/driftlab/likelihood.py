@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import bridge, densities
-from .errors import InvalidStartError, NonFiniteTermError
+from .errors import InsufficientDataError, InvalidStartError, NonFiniteTermError
 from .fokker_planck import fokker_planck_transition_density
 from .models import DiffusionSpec, GbmParams, OuParams
 from .observe import ObservationSet
@@ -176,12 +176,8 @@ def discrete_loglikelihood(td: TransitionDensity, obs: ObservationSet) -> float:
     return float(terms.sum())
 
 
-@dataclass(frozen=True)
-class SimplexOptions:
-    f_tol: float = 1e-8
-    x_tol: float = 1e-8
-    max_iter: int = 2000
-    restarts: int = 1
+SIMPLEX_TOL = 1e-8  # Nelder-Mead fatol and xatol on the working scale
+SIMPLEX_MAX_ITER = 2000  # iteration budget shared by the first pass and the restart
 
 
 def to_working(theta, positive_mask):
@@ -202,13 +198,13 @@ def from_working(z, positive_mask):
     return theta
 
 
-def minimize_simplex(fun, x0, opts: SimplexOptions):
+def minimize_simplex(fun, x0):
     """Nelder-Mead with one restart from the incumbent; returns (x, f, nit, ok)."""
     x, fval, nit, ok = np.asarray(x0, dtype=float), np.inf, 0, False
-    budget = opts.max_iter
-    for _ in range(opts.restarts + 1):
+    budget = SIMPLEX_MAX_ITER
+    for _ in range(2):
         res = minimize(fun, x, method="Nelder-Mead",
-                       options={"fatol": opts.f_tol, "xatol": opts.x_tol,
+                       options={"fatol": SIMPLEX_TOL, "xatol": SIMPLEX_TOL,
                                 "maxiter": budget, "disp": False})
         nit += res.nit
         budget -= res.nit
@@ -262,16 +258,15 @@ def _hessian_stderr(loglik, theta_hat, positive_mask):
     return np.sqrt(diag) * np.where(log_scaled, theta_hat, 1.0), log_scaled
 
 
-def mle_fit(td: TransitionDensity, obs: ObservationSet, init_theta,
-            opts: SimplexOptions | None = None, seed: int = 0,
+def mle_fit(td: TransitionDensity, obs: ObservationSet, init_theta, seed: int = 0,
             compute_stderr: bool = True) -> FitResult:
     """Maximize the discrete-observation log-likelihood over the free parameters.
 
     Positivity-constrained parameters are optimized on the log scale.
     Non-convergence is reported through ``converged=False``, not an exception;
-    a non-finite objective at the start raises InvalidStartError.
+    a non-finite objective at the start raises InvalidStartError, and fewer
+    observation pairs than free parameters raises InsufficientDataError.
     """
-    opts = opts or SimplexOptions()
     mask = td.positive_mask
     init_theta = np.atleast_1d(np.asarray(init_theta, dtype=float))
 
@@ -288,8 +283,12 @@ def mle_fit(td: TransitionDensity, obs: ObservationSet, init_theta,
     z0 = to_working(init_theta, mask)
     if not np.isfinite(neg(z0)):
         raise InvalidStartError(f"log-likelihood non-finite at init_theta={init_theta}")
+    k = len(init_theta)
+    if len(obs) - 1 < k:
+        raise InsufficientDataError(f"mle needs at least {k} observation pairs for "
+                                    f"{k} free parameters, got {len(obs) - 1}")
 
-    z_hat, fval, nit, ok = minimize_simplex(neg, z0, opts)
+    z_hat, fval, nit, ok = minimize_simplex(neg, z0)
     theta_hat = from_working(z_hat, mask)
     diagnostics = {"optimizer": "nelder-mead", "kind": td.kind}
     stderr = None

@@ -25,6 +25,8 @@ from .paths import Path
 from .rng import stream
 from .simulate import euler_advance
 
+RESAMPLE_ESS_FRACTION = 0.5  # resample when ESS drops below this share of the particles
+
 
 def ess_of_weights(weights: np.ndarray) -> float:
     """Effective sample size 1 / sum(w^2) of normalized weights."""
@@ -106,8 +108,7 @@ class FilterResult:
 
 
 def particle_filter(model, om: ObservationModel, obs: NoisyObservationSet,
-                    n_particles: int, substeps: int = 1, seed: int = 0,
-                    resample_threshold: float = 0.5) -> FilterResult:
+                    n_particles: int, substeps: int = 1, seed: int = 0) -> FilterResult:
     """Bootstrap filter returning the log-likelihood estimate, the filtered
     posterior means at observation times, and the ESS trace.
 
@@ -157,7 +158,7 @@ def particle_filter(model, om: ObservationModel, obs: NoisyObservationSet,
         ess_trace[i] = ess
         means[i] = w @ x
 
-        if ess < resample_threshold * n_particles and i < n - 1:
+        if ess < RESAMPLE_ESS_FRACTION * n_particles and i < n - 1:
             u = float(stream(seed, "resample", i).random())
             idx = systematic_resample(w, u)
             x = x[idx]

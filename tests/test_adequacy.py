@@ -4,7 +4,6 @@ import pytest
 from driftlab.adequacy import (
     dataset_series,
     envelope_check,
-    register_statistic,
     simulate_states_at,
     synthetic_replicates,
 )
@@ -12,6 +11,7 @@ from driftlab.errors import IncompleteContextError
 from driftlab.models import GbmParams, OuParams, TvGrowthParams, gbm_spec
 from driftlab.movement import preset_integrated_rw_t
 from driftlab.observe import NoisyObservationSet, ObservationModel, ObservationSet
+from driftlab.parallel import map_replicates
 from driftlab.rng import stream
 
 TIMES = 0.1 * np.arange(51)
@@ -122,9 +122,8 @@ def test_constant_statistic_reported_indeterminate():
 
 
 def test_custom_statistic_registration():
-    register_statistic("median", lambda v: float(np.median(v)))
     reps = synthetic_replicates(FITTED, TIMES, 25, seed=6)
-    report = envelope_check(reps[0], reps, stats=["median", "min"])
+    report = envelope_check(reps[0], reps, stats={"median": np.median, "min": np.min})
     assert [s.name for s in report.statistics] == ["median", "min"]
 
 
@@ -138,12 +137,16 @@ def test_report_json_shape():
 
 
 def test_thread_cap_does_not_change_results(monkeypatch):
+    def one(r):
+        return simulate_states_at(FITTED, TIMES, stream(21, "synthetic", r))
+
     monkeypatch.setenv("DRIFTLAB_THREADS", "1")
-    serial = synthetic_replicates(FITTED, TIMES, 24, seed=21)
+    serial = map_replicates(one, 24)
     monkeypatch.setenv("DRIFTLAB_THREADS", "3")
-    threaded = synthetic_replicates(FITTED, TIMES, 24, seed=21)
+    threaded = map_replicates(one, 24)
     for a, b in zip(serial, threaded):
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
+    assert not np.array_equal(serial[0], serial[1])
 
 
 def test_dataset_series_types():

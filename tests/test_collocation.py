@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from driftlab.collocation import (
     BasisConfig,
-    CollocationOptions,
     CollocationProblem,
     CollocationState,
     PenaltySpec,
@@ -122,7 +121,7 @@ def test_lambda_sweep_penalty_nonincreasing():
     for lam in (1e-2, 1.0, 1e2, 1e4):
         fit, _ = collocation_fit(obs, om, gbm_beta_spec(0.4, 1.0),
                                  BasisConfig.from_times(times), PenaltySpec(lam=lam),
-                                 opts=CollocationOptions(max_outer=60))
+                                 max_outer=60)
         # the raw integral, with the lambda factor divided back out
         penalties.append(fit.diagnostics["penalty_term"] / lam)
         data_terms.append(fit.diagnostics["data_term"])
@@ -152,12 +151,10 @@ def test_basis_nesting_never_hurts():
     om = ObservationModel(kind="gaussian", scale=0.03)
     pen = PenaltySpec(lam=10.0)
     fit_small, _ = collocation_fit(obs, om, gbm_beta_spec(0.4, 1.0),
-                                   BasisConfig.from_times(times), pen,
-                                   opts=CollocationOptions(max_outer=60))
+                                   BasisConfig.from_times(times), pen, max_outer=60)
     refined = np.sort(np.concatenate([times, 0.5 * (times[:-1] + times[1:])]))
     fit_big, _ = collocation_fit(obs, om, gbm_beta_spec(0.4, 1.0),
-                                 BasisConfig(knots=refined), pen,
-                                 opts=CollocationOptions(max_outer=60))
+                                 BasisConfig(knots=refined), pen, max_outer=60)
     assert fit_big.objective_value <= fit_small.objective_value + 1e-6
 
 
@@ -191,12 +188,11 @@ def test_weighted_and_unweighted_fits_agree_with_rescaled_lambda():
                          diffusion=lambda x, th: sig * np.ones_like(x),
                          theta=[0.4], x0=[1.0])
     basis = BasisConfig.from_times(times)
-    opts = CollocationOptions(max_outer=80)
     fit_w, _ = collocation_fit(obs, om, spec, basis,
                                PenaltySpec(lam=50.0, weight_mode="sigma_weighted"),
-                               opts=opts)
+                               max_outer=80)
     fit_u, _ = collocation_fit(obs, om, spec, basis,
-                               PenaltySpec(lam=50.0 / sig**2), opts=opts)
+                               PenaltySpec(lam=50.0 / sig**2), max_outer=80)
     assert fit_w.theta_hat[0] == pytest.approx(fit_u.theta_hat[0], abs=1e-4)
     assert fit_w.objective_value == pytest.approx(fit_u.objective_value, rel=1e-6)
 
