@@ -6,10 +6,11 @@ endpoints: interior points are proposed sequentially from a Brownian-bridge
 style kernel (mean linearly interpolated toward the right endpoint, variance
 sigma(u)^2 * d * (1 - d/s) for substep d and remaining span s) and weighted by
 the product of Euler substep densities over the proposal density.
-``logdensities`` estimates every observation pair of a record; pair i redraws
-its proposal noise from the stream keyed (seed, "bridge", i) on every call, so
-the estimate is a deterministic function of (inputs, seed) and can be
-optimized over theta with common random numbers.
+``logdensities`` estimates every observation pair of a record in one pass over
+(n_pairs, J) arrays; pair i redraws its proposal noise from the stream keyed
+(seed, "bridge", i) on every call, so the estimate is a deterministic function
+of (inputs, seed) and can be optimized over theta with common random numbers.
+``bridge_pair_logdensity`` is the same pass over one pair.
 """
 
 from __future__ import annotations
@@ -21,30 +22,36 @@ from .densities import normal_logpdf
 from .errors import DegenerateImportanceError, UnsupportedDimensionError
 from .models import DiffusionSpec
 from .observe import ObservationSet
-from .rng import stream
+from .rng import replicate_normals, stream
 
 
-def bridge_pair_logdensity(spec: DiffusionSpec, dt: float, x: float, y: float,
-                           m_sub: int, j_samples: int, seed, pair: int = 0) -> float:
-    """Importance-sampling estimate of log p(dt, x, y) for one observation pair."""
+def _logdensities(spec: DiffusionSpec, dts, x, y, m_sub: int, j_samples: int, seed,
+                  pair: int | None = None) -> np.ndarray:
+    """Importance-sampling estimates of log p(dts[i], x[i], y[i]), every pair
+    in one pass over (n_pairs, J) arrays.  Pair i draws from the stream keyed
+    (seed, "bridge", i); given ``pair``, the single pair draws from
+    (seed, "bridge", pair) and errors name it ``pair``."""
     if m_sub < 2:
         raise ValueError("m_sub must be at least 2")
     if j_samples < 1:
         raise ValueError("j_samples must be at least 1")
-    delta = dt / m_sub
-    z = stream(seed, "bridge", pair).standard_normal((j_samples, m_sub - 1))
-
-    u = np.full(j_samples, float(x))
-    logw = np.zeros(j_samples)
+    if pair is None:
+        z = replicate_normals(seed, len(dts), (j_samples, m_sub - 1), "bridge")
+    else:
+        z = stream(seed, "bridge", pair).standard_normal((1, j_samples, m_sub - 1))
+    dts = np.asarray(dts, dtype=float)[:, None]
+    y = np.asarray(y, dtype=float)[:, None]
+    delta = dts / m_sub
+    u = np.repeat(np.asarray(x, dtype=float)[:, None], j_samples, axis=1)
+    logw = np.zeros(u.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(1, m_sub):
-            remaining = dt - (k - 1) * delta
-            frac = delta / remaining
+            frac = delta / (dts - (k - 1) * delta)
             sig = np.asarray(spec.diffusion(u, spec.theta), dtype=float)
             mu = np.asarray(spec.drift(u, spec.theta), dtype=float)
             prop_var = sig**2 * delta * (1.0 - frac)
             prop_mean = u + (y - u) * frac
-            u_next = prop_mean + np.sqrt(prop_var) * z[:, k - 1]
+            u_next = prop_mean + np.sqrt(prop_var) * z[:, :, k - 1]
             logw += normal_logpdf(u_next, u + mu * delta, sig**2 * delta)
             logw -= normal_logpdf(u_next, prop_mean, prop_var)
             u = u_next
@@ -53,16 +60,22 @@ def bridge_pair_logdensity(spec: DiffusionSpec, dt: float, x: float, y: float,
         logw += normal_logpdf(y, u + mu * delta, sig**2 * delta)
 
     logw = np.where(np.isnan(logw), -np.inf, logw)
-    if not np.any(logw > -np.inf):
-        raise DegenerateImportanceError(pair)
-    return float(logsumexp(logw) - np.log(j_samples))
+    degenerate = ~np.any(logw > -np.inf, axis=1)
+    if np.any(degenerate):
+        raise DegenerateImportanceError((pair or 0) + int(np.argmax(degenerate)))
+    return logsumexp(logw, axis=1) - np.log(j_samples)
+
+
+def bridge_pair_logdensity(spec: DiffusionSpec, dt: float, x: float, y: float,
+                           m_sub: int, j_samples: int, seed, pair: int = 0) -> float:
+    """Importance-sampling estimate of log p(dt, x, y) for one observation pair."""
+    return float(_logdensities(spec, [dt], [x], [y], m_sub, j_samples, seed, pair)[0])
 
 
 def logdensities(spec: DiffusionSpec, dts, x, y, m_sub: int, j_samples: int,
                  seed) -> np.ndarray:
     """Bridge estimates of log p(dts[i], x[i], y[i]), one per observation pair i."""
-    return np.array([bridge_pair_logdensity(spec, dt, xi, yi, m_sub, j_samples, seed, pair=i)
-                     for i, (dt, xi, yi) in enumerate(zip(dts, x, y))])
+    return _logdensities(spec, dts, x, y, m_sub, j_samples, seed)
 
 
 def bridge_loglikelihood(spec: DiffusionSpec, obs: ObservationSet, m_sub: int,

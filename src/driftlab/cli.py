@@ -273,11 +273,14 @@ def _cmd_diagnose(opts: dict) -> int:
 
 
 def _cmd_accept(opts: dict) -> int:
-    out_dir = opts.get("out-dir", "acceptance_out")
-    os.makedirs(out_dir, exist_ok=True)
     selected = None
     if "criteria" in opts:
         selected = {int(v) for v in opts["criteria"].split(",")}
+        unknown = sorted(selected - set(range(1, 11)))
+        if unknown:
+            raise ConfigError(f"unknown acceptance criteria {unknown}: numbers run from 1 to 10")
+    out_dir = opts.get("out-dir", "acceptance_out")
+    os.makedirs(out_dir, exist_ok=True)
     results = acceptance.run_all(selected)
     all_ok = True
     for res in results:

@@ -191,6 +191,8 @@ def collocation_fit(obs: NoisyObservationSet, om: ObservationModel, spec: Diffus
     the fitted trajectory and its time derivative as two columns, and the fit
     diagnostics record the separate data and penalty terms.
     """
+    if max_outer < 1:
+        raise ValueError(f"max_outer must be at least 1, got {max_outer}")
     prob = CollocationProblem(basis, obs, om, spec, pen)
 
     if init is None:

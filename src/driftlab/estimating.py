@@ -18,7 +18,7 @@ from .errors import EstimationFailedError
 from .models import DiffusionSpec
 from .observe import ObservationSet
 from .results import FitResult
-from .rng import stream
+from .rng import replicate_normals, stream
 from .simulate import euler_advance
 
 EULER_SUBSTEPS = 20  # Euler substeps per observation gap in the Monte Carlo expectation
@@ -52,28 +52,41 @@ def raw_moment_psi(orders=(1,)) -> Callable:
     return psi
 
 
+def _mc_expectations(spec: DiffusionSpec, psi: Callable, x_s, dts, z: np.ndarray) -> tuple:
+    """(rows of E[psi(x_s[i], X_{s+dts[i]}, theta) | X_s = x_s[i]], dropped count)
+    for every pair i: J Euler paths of EULER_SUBSTEPS steps per pair, driven
+    by z[i] of shape (J, EULER_SUBSTEPS), advance in one kernel call.
+    Replicates whose psi is non-finite are dropped; a pair that loses all J
+    raises EstimationFailedError."""
+    n_pairs, n_reps = z.shape[:2]
+    sub_dts = np.broadcast_to((dts / EULER_SUBSTEPS)[:, None], (EULER_SUBSTEPS, n_pairs, 1))
+    y = euler_advance(spec, np.broadcast_to(x_s[:, None], (n_pairs, n_reps)), sub_dts,
+                      z.transpose(2, 0, 1))
+    sim = np.asarray(psi(np.repeat(x_s, n_reps), y.reshape(-1), spec.theta),
+                     dtype=float).reshape(n_pairs, n_reps, -1)
+    ok = np.all(np.isfinite(sim), axis=2)
+    failed = ~ok.any(axis=1)
+    if np.any(failed):
+        raise EstimationFailedError(
+            f"all {n_reps} replicates diverged for observation pair {int(np.argmax(failed))}")
+    sim = np.where(ok[:, :, None], sim, 0.0)
+    return sim.sum(axis=1) / ok.sum(axis=1)[:, None], int(np.sum(~ok))
+
+
 def mc_conditional_expectation(spec: DiffusionSpec, ef: EstimatingFunction,
                                s: float, t: float, x: float, seed,
                                return_diagnostics: bool = False):
     """Estimate E[psi(x, X_t, theta) | X_s = x] by J Euler fine paths of
     EULER_SUBSTEPS steps each.
 
-    Diverged replicates are dropped and counted; if every replicate diverges
-    an EstimationFailedError is raised.
+    Replicates whose psi is non-finite are dropped and counted; if every
+    replicate diverges an EstimationFailedError is raised.
     """
     if not t > s:
         raise ValueError("t must exceed s")
-    z = stream(seed).standard_normal((ef.J, EULER_SUBSTEPS))
-    y = euler_advance(spec, np.full(ef.J, float(x)), (t - s) / EULER_SUBSTEPS, z.T)
-    ok = np.isfinite(y)
-    n_divergent = int(np.sum(~ok))
-    if not np.any(ok):
-        raise EstimationFailedError(f"all {ef.J} replicates diverged")
-    vals = np.asarray(ef.psi(np.full(ok.sum(), float(x)), y[ok], spec.theta), dtype=float)
-    est = vals.mean(axis=0)
-    if return_diagnostics:
-        return est, {"divergent": n_divergent}
-    return est
+    z = stream(seed).standard_normal((1, ef.J, EULER_SUBSTEPS))
+    est, n_divergent = _mc_expectations(spec, ef.psi, np.array([float(x)]), np.array([t - s]), z)
+    return (est[0], {"divergent": n_divergent}) if return_diagnostics else est[0]
 
 
 def _seed_key(seed):
@@ -89,7 +102,7 @@ def ee_solve(spec: DiffusionSpec, ef: EstimatingFunction, obs: ObservationSet,
     """Solve the martingale estimating equation sum_i psi~(x_i, x_{i+1}, theta) = 0,
     where psi~ centers psi by its (estimated) conditional expectation.
 
-    The Monte Carlo draws are keyed per observation pair and frozen across
+    The Monte Carlo draws of pair i are keyed (seed, "ee", i) and frozen across
     theta evaluations (common random numbers), so the residual is a smooth
     deterministic function of theta and the whole solve is reproducible.
     ``expectation_fn(x, dts, theta) -> (n, k)`` substitutes an exact
@@ -107,15 +120,7 @@ def ee_solve(spec: DiffusionSpec, ef: EstimatingFunction, obs: ObservationSet,
     k = len(theta0)
 
     if expectation_fn is None:
-        # one frozen (J, EULER_SUBSTEPS) normal block per observation pair,
-        # stored step axis first; every pair's J paths advance together in one
-        # kernel call
-        z = np.empty((EULER_SUBSTEPS, n_pairs, ef.J))
-        for i in range(n_pairs):
-            z[:, i] = stream(seed, "ee", i).standard_normal((ef.J, EULER_SUBSTEPS)).T
-        x_start = np.broadcast_to(x_s[:, None], (n_pairs, ef.J))
-        sub_dts = np.broadcast_to((dts / EULER_SUBSTEPS)[:, None], (EULER_SUBSTEPS, n_pairs, 1))
-
+        z = replicate_normals(seed, n_pairs, (ef.J, EULER_SUBSTEPS), "ee")
     divergent = 0
 
     def residual(theta):
@@ -125,16 +130,7 @@ def ee_solve(spec: DiffusionSpec, ef: EstimatingFunction, obs: ObservationSet,
         if expectation_fn is not None:
             cond = np.asarray(expectation_fn(x_s, dts, theta), dtype=float).reshape(n_pairs, k)
         else:
-            y = euler_advance(spec_th, x_start, sub_dts, z)
-            sim = np.asarray(
-                ef.psi(np.repeat(x_s, ef.J), y.reshape(-1), theta), dtype=float
-            ).reshape(n_pairs, ef.J, k)
-            ok = np.all(np.isfinite(sim), axis=2)
-            divergent = int(np.sum(~ok))
-            if np.any(~ok.any(axis=1)):
-                raise EstimationFailedError("all replicates diverged for some pair")
-            sim = np.where(ok[:, :, None], sim, 0.0)
-            cond = sim.sum(axis=1) / ok.sum(axis=1)[:, None]
+            cond, divergent = _mc_expectations(spec_th, ef.psi, x_s, dts, z)
         return (psi_data - cond).sum(axis=0)
 
     theta = theta0.copy()

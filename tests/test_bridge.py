@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from driftlab.adequacy import simulate_states_at
-from driftlab.bridge import bridge_loglikelihood, bridge_pair_logdensity
+from driftlab.bridge import bridge_loglikelihood, bridge_pair_logdensity, logdensities
 from driftlab.densities import gbm_transition_logdensity
 from driftlab.errors import DegenerateImportanceError, UnsupportedDimensionError
+from driftlab.likelihood import BridgeDensity
 from driftlab.models import DiffusionSpec, GbmParams, gbm_spec
 from driftlab.observe import ObservationSet
 from driftlab.rng import stream
@@ -101,3 +103,50 @@ def test_validation():
         bridge_pair_logdensity(spec, 0.5, 1.0, 1.1, m_sub=1, j_samples=10, seed=0)
     with pytest.raises(ValueError):
         bridge_pair_logdensity(spec, 0.5, 1.0, 1.1, m_sub=4, j_samples=0, seed=0)
+
+
+@st.composite
+def irregular_gbm_pairs(draw):
+    """(dts, x, y) for the consecutive pairs of a positive record on random
+    irregular times, at least two pairs."""
+    gaps = np.array(draw(st.lists(st.floats(1e-3, 2.0), min_size=2, max_size=40)))
+    values = np.array(draw(st.lists(st.floats(0.05, 20.0), min_size=len(gaps) + 1,
+                                    max_size=len(gaps) + 1)))
+    return gaps, values[:-1], values[1:]
+
+
+@settings(max_examples=50)
+@given(gaps=st.lists(st.floats(0.01, 2.0), min_size=2, max_size=40), data=st.data(),
+       mu=st.floats(-1.0, 1.0), sigma=st.floats(0.1, 2.0), m_sub=st.integers(2, 16),
+       j_samples=st.integers(1, 50), seed=st.integers(0, 2**32))
+def test_arithmetic_bm_bridge_equals_closed_form(gaps, data, mu, sigma, m_sub, j_samples, seed):
+    # constant drift and sigma: the bridge proposal is the exact conditional
+    # law and each Euler substep density is exact, so every importance weight
+    # equals the transition density whatever m_sub, J and the draws.  Pairs
+    # start in [-1, 1] and end within 3 sd of their mean, so rounding stays
+    # small against the substep sd; atol covers exact values near zero.
+    dts = np.array(gaps)
+    n = len(dts)
+    x = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    z = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    y = x + mu * dts + sigma * np.sqrt(dts) * z
+    abm = DiffusionSpec(drift=lambda u, th: th[0] * np.ones_like(u),
+                        diffusion=lambda u, th: th[1] * np.ones_like(u),
+                        theta=[mu, sigma], x0=[0.0])
+    est = BridgeDensity(abm, m_sub=m_sub, j_samples=j_samples, seed=seed).logdensities(dts, x, y)
+    exact = stats.norm.logpdf(y, x + mu * dts, sigma * np.sqrt(dts))
+    np.testing.assert_allclose(est, exact, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=50)
+@given(pairs=irregular_gbm_pairs(), beta=st.floats(-1.0, 1.0), sigma=st.floats(0.05, 2.0),
+       m_sub=st.integers(2, 16), j_samples=st.integers(1, 50), seed=st.integers(0, 2**32))
+def test_all_pairs_in_one_call_equal_per_pair_loop(pairs, beta, sigma, m_sub, j_samples, seed):
+    # the batched pass gives pair i the draws keyed (seed, "bridge", i), as
+    # the one-pair function does, and rounds every term the same way
+    dts, x, y = pairs
+    spec = gbm_spec(GbmParams(beta=beta, sigma=sigma))
+    batched = logdensities(spec, dts, x, y, m_sub, j_samples, seed)
+    looped = np.array([bridge_pair_logdensity(spec, dts[i], x[i], y[i], m_sub, j_samples,
+                                              seed, pair=i) for i in range(len(dts))])
+    assert np.array_equal(batched, looped)

@@ -278,3 +278,24 @@ def test_module_entry_point(tmp_path):
 
 def test_no_subcommand_usage_error(capsys):
     assert cli_run([]) == 2
+
+
+@pytest.mark.parametrize("max_outer", ["0", "-5"])
+def test_collocate_max_outer_below_one_rejected(tmp_path, capsys, max_outer):
+    data = tmp_path / "obs.csv"
+    data.write_text("t,y\n" + "\n".join(f"{t},{np.exp(0.3 * t)}" for t in range(5)) + "\n")
+    out = tmp_path / "fit.json"
+    code = cli_run(["collocate", "--data", str(data), "--lambda", "100",
+                    "--obs-scale", "1e-4", "--max-outer", max_outer, "--out", str(out)])
+    assert code == 2
+    assert "max_outer must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("criteria, named", [("11", "[11]"), ("0,12", "[0, 12]")])
+def test_accept_rejects_criteria_outside_one_to_ten(tmp_path, capsys, criteria, named):
+    out_dir = tmp_path / "acc"
+    code = cli_run(["accept", "--criteria", criteria, "--out-dir", str(out_dir)])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not out_dir.exists()
