@@ -10,7 +10,6 @@ envelope itself needs a few dozen.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,9 +159,6 @@ class AdequacyReport:
                 for s in self.statistics
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def envelope_check(observed, synthetic, stats=None) -> AdequacyReport:

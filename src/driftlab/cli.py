@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import sys
 
@@ -21,10 +20,10 @@ from . import acceptance
 from .adequacy import envelope_check, synthetic_replicates
 from .collocation import BasisConfig, PenaltySpec, collocation_fit
 from .config import OPTIONS, load_config, typed_options
-from .errors import ConfigError, DriftlabError, InsufficientDataError
+from .errors import ConfigError, DataFormatError, DriftlabError, InsufficientDataError
 from .estimating import EstimatingFunction, ee_solve, raw_moment_psi
 from .likelihood import BridgeDensity, GbmDensity, OuDensity, mle_fit
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, write_json
 from .models import GbmParams, OuParams, TvGrowthParams, gbm_beta_spec, gbm_spec, ou_spec
 from .movement import gaussian_position_model, preset_integrated_rw_t
 from .observe import (
@@ -43,12 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
     for command, table in OPTIONS.items():
         p = sub.add_parser(command)
-        p.add_argument("--config", type=str, default=None,
-                       help="config file with a [%s] section" % command)
-        for key, (typ, help_text) in table.items():
-            argtype = str if typ is not float and typ is not int else typ
-            p.add_argument(f"--{key}", type=argtype, default=None, help=help_text,
-                           dest=key.replace("-", "_"))
+        p.add_argument("--config", help="config file with a [%s] section" % command)
+        for key, (_typ, help_text) in table.items():
+            p.add_argument(f"--{key}", help=help_text, dest=key.replace("-", "_"))
     return parser
 
 
@@ -64,19 +60,20 @@ def _existing_file(path: str) -> str:
     return path
 
 
+def _read_data(opts: dict, reader):
+    with open(_existing_file(opts["data"]), "r", encoding="utf-8") as fh:
+        return reader(fh)
+
+
 def _write_csv(path: str, writer, payload) -> None:
     buf = io.StringIO()
     writer(payload, buf)
     atomic_write_text(path, buf.getvalue())
 
 
-def _json_text(d: dict) -> str:
-    return json.dumps(d, sort_keys=True, indent=2) + "\n"
-
-
 def _model_params(opts: dict, command: str):
     """GbmParams, OuParams or TvGrowthParams from the ``model`` option and its
-    parameter options, as simulate and diagnose read them."""
+    parameter options, as simulate, filter and diagnose read them."""
     model = opts["model"]
     if model == "gbm":
         return GbmParams(beta=opts.get("beta", 0.0), sigma=opts.get("sigma", 0.0),
@@ -116,7 +113,12 @@ def _spread(v, scale: float = 1.0) -> float:
 
 
 def _gbm_init_from_data(obs) -> tuple:
+    """Start values (beta, sigma) of a gbm fit; a non-positive value is an error."""
     values = np.asarray(obs.values, dtype=float).reshape(len(obs), -1)[:, 0]
+    if np.any(values <= 0):
+        i = int(np.argmax(values <= 0))
+        raise DataFormatError(f"the gbm model needs positive values: x={float(values[i])!r} "
+                              f"at t={float(obs.times[i])!r}")
     dts = np.diff(obs.times)
     r = np.diff(np.log(values))
     sigma0 = _spread(r / np.sqrt(dts))
@@ -139,8 +141,7 @@ def _ou_init_from_data(obs) -> tuple:
 def _cmd_fit(opts: dict) -> int:
     _require(opts, "method", "model", "data", "out")
     seed = opts.get("seed", 0)
-    with open(_existing_file(opts["data"]), "r", encoding="utf-8") as fh:
-        obs = read_observations_csv(fh)
+    obs = _read_data(opts, read_observations_csv)
     if len(obs) < 2:
         raise InsufficientDataError(f"fit needs at least two observations, got {len(obs)}")
     method = opts["method"]
@@ -183,7 +184,7 @@ def _cmd_fit(opts: dict) -> int:
     else:
         raise ConfigError(f"unknown fit method {method!r}")
 
-    atomic_write_text(opts["out"], fit.to_json())
+    write_json(opts["out"], fit.to_json_dict())
     return 0 if fit.converged else 3
 
 
@@ -198,19 +199,12 @@ def _observation_model(opts: dict, default_scale=None) -> ObservationModel:
 def _cmd_filter(opts: dict) -> int:
     _require(opts, "model", "data", "out")
     seed = opts.get("seed", 0)
-    with open(_existing_file(opts["data"]), "r", encoding="utf-8") as fh:
-        obs = read_noisy_csv(fh)
+    obs = _read_data(opts, read_noisy_csv)
     model_id = opts["model"]
-    if model_id == "ou":
-        spec = ou_spec(OuParams(gamma=opts.get("gamma", 1.0),
-                                beta_bar=opts.get("beta-bar", 0.0),
-                                sigma=opts.get("sigma", 1.0),
-                                b0=opts.get("b0", 0.0)))
-        om = _observation_model(opts)
-    elif model_id == "gbm":
-        spec = gbm_spec(GbmParams(beta=opts.get("beta", 0.0),
-                                  sigma=opts.get("sigma", 0.0),
-                                  x0=opts.get("x0", 1.0)))
+    if model_id in ("ou", "gbm"):
+        # the filter's OU state noise defaults to 1, not 0
+        p = _model_params({"sigma": 1.0, **opts} if model_id == "ou" else opts, "filter")
+        spec = ou_spec(p) if model_id == "ou" else gbm_spec(p)
         om = _observation_model(opts)
     elif model_id == "irw":
         _require(opts, "step-sd", "t-scale", "t-dof")
@@ -224,14 +218,13 @@ def _cmd_filter(opts: dict) -> int:
         raise ConfigError(f"unknown model {model_id!r} for filter")
     result = particle_filter(spec, om, obs, n_particles=opts.get("particles", 1000),
                              substeps=opts.get("substeps", 5), seed=seed)
-    atomic_write_text(opts["out"], result.to_json())
+    write_json(opts["out"], result.to_json_dict())
     return 0
 
 
 def _cmd_collocate(opts: dict) -> int:
     _require(opts, "data", "out", "lambda", "obs-scale")
-    with open(_existing_file(opts["data"]), "r", encoding="utf-8") as fh:
-        obs = read_noisy_csv(fh)
+    obs = _read_data(opts, read_noisy_csv)
     if opts.get("model", "gbm") != "gbm":
         raise ConfigError("collocate currently supports the gbm drift model")
     # theta for the fit is the drift rate only; sigma stays fixed
@@ -248,7 +241,7 @@ def _cmd_collocate(opts: dict) -> int:
         "data_term": fit.diagnostics["data_term"],
         "penalty_term": fit.diagnostics["penalty_term"],
     })
-    atomic_write_text(opts["out"], _json_text(payload))
+    write_json(opts["out"], payload)
     if "traj-out" in opts:
         lines = ["t,x_fit,dxdt_fit"]
         for t, (x, dx) in zip(fitted.times, fitted.values):
@@ -261,14 +254,13 @@ def _cmd_diagnose(opts: dict) -> int:
     _require(opts, "data", "out", "model")
     seed = opts.get("seed", 0)
     k = opts.get("k", 50)
-    noisy = "obs-scale" in opts
-    with open(_existing_file(opts["data"]), "r", encoding="utf-8") as fh:
-        observed = read_noisy_csv(fh) if noisy else read_observations_csv(fh)
-    model = _model_params(opts, "diagnose")
+    noisy = any(key.startswith("obs-") for key in opts)
     om = _observation_model(opts) if noisy else None
+    observed = _read_data(opts, read_noisy_csv if noisy else read_observations_csv)
+    model = _model_params(opts, "diagnose")
     synthetic = synthetic_replicates(model, observed.times, k, seed, om=om)
     report = envelope_check(observed, synthetic)
-    atomic_write_text(opts["out"], report.to_json())
+    write_json(opts["out"], report.to_json_dict())
     return 0
 
 
@@ -286,10 +278,9 @@ def _cmd_accept(opts: dict) -> int:
     for res in results:
         all_ok &= res.passed
         print(acceptance.format_result(res))
-        atomic_write_text(os.path.join(out_dir, f"{res.name}.json"),
-                          _json_text(res.to_json_dict()))
+        write_json(os.path.join(out_dir, f"{res.name}.json"), res.to_json_dict())
     summary = {"all_passed": bool(all_ok), "criteria": [r.name for r in results]}
-    atomic_write_text(os.path.join(out_dir, "summary.json"), _json_text(summary))
+    write_json(os.path.join(out_dir, "summary.json"), summary)
     return 0 if all_ok else 1
 
 

@@ -23,16 +23,27 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
+# options shared by several commands: the model parameters of simulate, filter
+# and diagnose, and the observation noise of filter and diagnose
+_MODEL_PARAMETERS = {
+    "beta": (float, "GBM growth rate"),
+    "sigma": (float, "volatility / OU noise scale"),
+    "x0": (float, "initial state"),
+    "gamma": (float, "OU mean-reversion rate"),
+    "beta-bar": (float, "OU long-run mean"),
+    "b0": (float, "OU initial value"),
+}
+_OBSERVATION_NOISE = {
+    "obs-kind": (str, "observation noise: gaussian | student_t"),
+    "obs-scale": (float, "observation noise scale"),
+    "obs-dof": (float, "observation t degrees of freedom"),
+}
+
 # per-subcommand option tables: key -> (type, help)
 OPTIONS: dict[str, dict] = {
     "simulate": {
         "model": (str, "model id: gbm | ou | tv_growth"),
-        "beta": (float, "GBM growth rate"),
-        "sigma": (float, "volatility / OU noise scale"),
-        "x0": (float, "initial state"),
-        "gamma": (float, "OU mean-reversion rate"),
-        "beta-bar": (float, "OU long-run mean"),
-        "b0": (float, "OU initial value"),
+        **_MODEL_PARAMETERS,
         "t-start": (float, "grid start time (default 0)"),
         "t-end": (float, "grid end time"),
         "steps": (int, "number of grid steps"),
@@ -59,18 +70,11 @@ OPTIONS: dict[str, dict] = {
         "data": (str, "noisy observations CSV (t,y)"),
         "out": (str, "output filter JSON path"),
         "seed": (int, "random seed"),
-        "gamma": (float, "OU mean-reversion rate"),
-        "beta-bar": (float, "OU long-run mean"),
-        "sigma": (float, "state noise scale"),
-        "b0": (float, "OU initial value"),
-        "beta": (float, "GBM growth rate"),
-        "x0": (float, "GBM initial state"),
+        **_MODEL_PARAMETERS,
         "step-sd": (float, "irw velocity increment sd"),
         "t-scale": (float, "irw observation t scale"),
         "t-dof": (float, "irw observation t degrees of freedom"),
-        "obs-kind": (str, "observation noise: gaussian | student_t"),
-        "obs-scale": (float, "observation noise scale"),
-        "obs-dof": (float, "observation t degrees of freedom"),
+        **_OBSERVATION_NOISE,
         "particles": (int, "number of particles"),
         "substeps": (int, "Euler substeps between observations"),
     },
@@ -92,16 +96,9 @@ OPTIONS: dict[str, dict] = {
         "out": (str, "output report JSON path"),
         "seed": (int, "random seed"),
         "model": (str, "fitted model id: gbm | ou | tv_growth"),
-        "beta": (float, "fitted beta"),
-        "sigma": (float, "fitted sigma"),
-        "gamma": (float, "fitted gamma"),
-        "beta-bar": (float, "fitted long-run mean"),
-        "b0": (float, "fitted OU initial value"),
-        "x0": (float, "fitted initial state"),
+        **_MODEL_PARAMETERS,
         "k": (int, "number of synthetic replicates"),
-        "obs-kind": (str, "observation noise: gaussian | student_t"),
-        "obs-scale": (float, "observation noise scale"),
-        "obs-dof": (float, "observation t degrees of freedom"),
+        **_OBSERVATION_NOISE,
     },
     "accept": {
         "out-dir": (str, "directory for acceptance result files"),
@@ -111,13 +108,13 @@ OPTIONS: dict[str, dict] = {
 
 
 def typed_options(command: str, options: dict) -> dict:
-    """``options`` of ``command`` with each string value converted to its
-    declared type; values that are not strings (typed flags) pass through."""
+    """``options`` of ``command`` (raw strings from flags or a config file)
+    with each value converted to its declared type."""
     table = OPTIONS[command]
     out = {}
     for key, raw in options.items():
         try:
-            out[key] = table[key][0](raw) if isinstance(raw, str) else raw
+            out[key] = table[key][0](raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from exc
     if "seed" in out and not (0 <= out["seed"] <= MAX_SEED):

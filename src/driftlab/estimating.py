@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EstimationFailedError
+from .ioutil import seed_key
 from .models import DiffusionSpec
 from .observe import ObservationSet
 from .results import FitResult
@@ -87,13 +88,6 @@ def mc_conditional_expectation(spec: DiffusionSpec, ef: EstimatingFunction,
     z = stream(seed).standard_normal((1, ef.J, EULER_SUBSTEPS))
     est, n_divergent = _mc_expectations(spec, ef.psi, np.array([float(x)]), np.array([t - s]), z)
     return (est[0], {"divergent": n_divergent}) if return_diagnostics else est[0]
-
-
-def _seed_key(seed):
-    """The full stream key of ``seed`` in JSON form (a tuple key becomes a list)."""
-    if isinstance(seed, tuple):
-        return [p if isinstance(p, str) else int(p) for p in seed]
-    return int(seed)
 
 
 def ee_solve(spec: DiffusionSpec, ef: EstimatingFunction, obs: ObservationSet,
@@ -175,5 +169,5 @@ def ee_solve(spec: DiffusionSpec, ef: EstimatingFunction, obs: ObservationSet,
         standard_errors=None,
         diagnostics={"divergent_replicates": divergent, "residual_norm": nrm,
                      "J": ef.J if expectation_fn is None else None,
-                     "seed_key": _seed_key(seed)},
+                     "seed_key": seed_key(seed)},
     )

@@ -1,7 +1,9 @@
-"""Atomic file output: write to a temp file in the target directory, then rename."""
+"""Result output: the one JSON format of every result file, written
+atomically (temp file in the target directory, then rename)."""
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 
@@ -17,3 +19,16 @@ def atomic_write_text(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json(path: str, payload: dict) -> None:
+    """Write ``payload`` atomically as key-sorted, 2-space-indented JSON."""
+    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def seed_key(seed):
+    """The full stream key of ``seed`` in JSON form: an int, or a list for a
+    tuple key (and for a list key read back from JSON)."""
+    if isinstance(seed, (tuple, list)):
+        return [p if isinstance(p, str) else int(p) for p in seed]
+    return int(seed)

@@ -1,8 +1,10 @@
-"""Replicate-loop parallelism capped by the DRIFTLAB_THREADS environment variable.
+"""Replicate-loop parallelism, opt-in through the DRIFTLAB_THREADS environment
+variable.
 
 Each replicate derives its random stream from (seed, replicate index), so the
-result of mapping over replicates is the same for any worker count; the env
-var only bounds resource use.
+result of mapping over replicates is the same for any worker count.  Without
+DRIFTLAB_THREADS the loop runs serially in the caller's thread: the replicate
+work holds the GIL, so on a few CPUs a pool adds overhead and no speed.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ def thread_limit() -> int:
         if n < 1:
             raise ValueError("DRIFTLAB_THREADS must be a positive integer")
         return n
-    return os.cpu_count() or 1
+    return 1
 
 
 def map_replicates(fn, n: int) -> list:

@@ -11,7 +11,6 @@ uniform (always true right after a resampling step).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -19,6 +18,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import FilterDegenerateError, SimulationDivergedError
+from .ioutil import seed_key
 from .models import DiffusionSpec
 from .observe import NoisyObservationSet, ObservationModel
 from .paths import Path
@@ -89,7 +89,7 @@ class FilterResult:
     filtered_means: Path
     ess_trace: np.ndarray
     resample_steps: list = field(default_factory=list)
-    seed: int = 0
+    seed: int | tuple = 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -100,11 +100,8 @@ class FilterResult:
                 for t, row in zip(self.filtered_means.times, self.filtered_means.values)
             ],
             "resample_steps": [int(i) for i in self.resample_steps],
-            "seed": int(self.seed),
+            "seed": seed_key(self.seed),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def particle_filter(model, om: ObservationModel, obs: NoisyObservationSet,

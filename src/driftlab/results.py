@@ -1,11 +1,12 @@
-"""Fit results and their JSON serialization."""
+"""Fit results and their JSON form."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .ioutil import seed_key
 
 
 @dataclass
@@ -14,7 +15,7 @@ class FitResult:
     objective_value: float
     iterations: int
     converged: bool
-    seed: int
+    seed: int | tuple
     standard_errors: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
 
@@ -29,14 +30,11 @@ class FitResult:
             "objective": float(self.objective_value),
             "converged": bool(self.converged),
             "iterations": int(self.iterations),
-            "seed": int(self.seed),
+            "seed": seed_key(self.seed),
             "stderr": None if self.standard_errors is None
             else [float(v) for v in self.standard_errors],
             "diagnostics": self.diagnostics,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FitResult":
@@ -50,7 +48,3 @@ class FitResult:
             else np.asarray(d["stderr"], dtype=float),
             diagnostics=d.get("diagnostics", {}),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FitResult":
-        return cls.from_json_dict(json.loads(text))

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from driftlab.errors import IncompleteContextError
 from driftlab.models import GbmParams, OuParams, TvGrowthParams, gbm_spec
 from driftlab.movement import preset_integrated_rw_t
 from driftlab.observe import NoisyObservationSet, ObservationModel, ObservationSet
-from driftlab.parallel import map_replicates
+from driftlab.parallel import map_replicates, thread_limit
 from driftlab.rng import stream
 
 TIMES = 0.1 * np.arange(51)
@@ -147,6 +149,13 @@ def test_thread_cap_does_not_change_results(monkeypatch):
     for a, b in zip(serial, threaded):
         assert np.array_equal(a, b)
     assert not np.array_equal(serial[0], serial[1])
+
+
+def test_thread_limit_is_one_without_env(monkeypatch):
+    # the pool is opt-in: however many CPUs, no DRIFTLAB_THREADS means serial
+    monkeypatch.delenv("DRIFTLAB_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert thread_limit() == 1
 
 
 def test_dataset_series_types():

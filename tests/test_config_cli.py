@@ -222,6 +222,52 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(out.read_text().splitlines()) == 22  # flag override wins
 
 
+def test_bad_values_exit_2_through_one_typing_path(tmp_path, capsys):
+    # flags and config values are typed by the same code and fail the same way
+    data = tmp_path / "obs.csv"
+    data.write_text("t,x\n0,1.0\n0.5,1.2\n1,1.1\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[simulate]\nmodel = gbm\nt-end = 1\nsteps = abc\n")
+    cases = [
+        (["simulate", "--model", "gbm", "--t-end", "1", "--steps", "abc"], "steps"),
+        (["simulate", "--config", cfg], "steps"),
+        (["fit", "--method", "mle", "--model", "gbm", "--fix-sigma", "maybe",
+          "--data", data], "fix-sigma"),
+    ]
+    for argv, key in cases:
+        out = tmp_path / "out"
+        assert run(tmp_path, *argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"driftlab {argv[0]}: error: bad value for {key!r}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", [m for m in FIT_METHODS if m[3] == "gbm"],
+                         ids=lambda m: m[1])
+def test_fit_gbm_non_positive_value_exits_2(tmp_path, capsys, method):
+    data = tmp_path / "neg.csv"
+    data.write_text("t,x\n0,1.0\n0.5,1.2\n1.5,-0.25\n2,0\n")
+    out = tmp_path / "f.json"
+    assert cli_run(["fit", *method, "--data", str(data), "--out", str(out)]) == 2
+    assert "positive values: x=-0.25 at t=1.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("obs_flags", [["--obs-kind", "student_t"], ["--obs-dof", "4"]],
+                         ids=lambda f: f[0][2:])
+def test_diagnose_observation_options_need_obs_scale(tmp_path, capsys, obs_flags):
+    data = tmp_path / "obs.csv"
+    data.write_text("t,y\n0,1.0\n0.5,1.2\n1,1.1\n")
+    out = tmp_path / "report.json"
+    code = cli_run(["diagnose", "--model", "gbm", "--beta", "0.1", "--sigma", "0.2",
+                    *obs_flags, "--data", str(data), "--out", str(out)])
+    assert code == 2
+    assert "obs-scale is required" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_must_be_64_bit():
     with pytest.raises(ConfigError):
         typed_options("simulate", {"seed": str(2**64)})
@@ -266,12 +312,18 @@ def test_module_entry_point(tmp_path):
     import subprocess
     import sys
 
+    import driftlab
+
+    # the subprocess imports the driftlab this test imported, wherever that is
+    src = os.path.dirname(os.path.dirname(driftlab.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = tmp_path / "p.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "driftlab", "simulate", "--model", "gbm",
          "--beta", "0.1", "--sigma", "0", "--x0", "1", "--t-end", "1",
          "--steps", "5", "--seed", "0", "--out", str(out)],
-        capture_output=True)
+        capture_output=True, env=env)
     assert proc.returncode == 0
     assert len(out.read_text().splitlines()) == 7
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,7 +211,7 @@ def test_mle_tiny_sigma_returns_standard_errors():
     assert fit.standard_errors[1] == pytest.approx(sigma_hat / np.sqrt(40.0), rel=0.05)
 
 
-def test_fit_result_json_schema():
+def test_fit_result_json_schema(tmp_path):
     times = 0.1 * np.arange(101)
     obs = _gbm_obs(P_GBM, times, (89, 0))
     fit = mle_fit(GbmDensity(P_GBM), obs, [0.1, 0.2], seed=5)
@@ -218,10 +220,20 @@ def test_fit_result_json_schema():
                       "seed", "stderr", "diagnostics"}
     assert d["seed"] == 5
     assert d["diagnostics"] == {"optimizer": "nelder-mead", "kind": "closed_form_gbm"}
+    from driftlab.ioutil import write_json
     from driftlab.results import FitResult
-    back = FitResult.from_json(fit.to_json())
+    write_json(str(tmp_path / "fit.json"), d)
+    back = FitResult.from_json_dict(json.loads((tmp_path / "fit.json").read_text()))
     assert np.array_equal(back.theta_hat, fit.theta_hat)
     assert back.converged == fit.converged
+
+
+def test_fit_result_with_tuple_seed_key_serialises(tmp_path):
+    obs = _gbm_obs(P_GBM, 0.1 * np.arange(21), (88, 0))
+    d = mle_fit(GbmDensity(P_GBM), obs, [0.1, 0.2], seed=(3, "x")).to_json_dict()
+    from driftlab.ioutil import write_json
+    write_json(str(tmp_path / "fit.json"), d)
+    assert json.loads((tmp_path / "fit.json").read_text())["seed"] == [3, "x"]
 
 
 def test_fokker_planck_density_close_to_closed_form_loglik():

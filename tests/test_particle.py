@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -205,3 +207,12 @@ def test_json_output_fields():
     d = res.to_json_dict()
     assert set(d) == {"loglik", "ess_trace", "filtered_means", "resample_steps", "seed"}
     assert len(d["filtered_means"]) == 10
+
+
+def test_json_seed_is_the_full_tuple_key(tmp_path):
+    obs, _ = _ou_dataset(scale=0.3, key=96, n=10)
+    om = ObservationModel(kind="gaussian", scale=0.3)
+    d = particle_filter(ou_spec(OU), om, obs, 100, seed=(3, "pf", 1)).to_json_dict()
+    from driftlab.ioutil import write_json
+    write_json(str(tmp_path / "filter.json"), d)
+    assert json.loads((tmp_path / "filter.json").read_text())["seed"] == [3, "pf", 1]
