@@ -19,7 +19,7 @@ from .models import DiffusionSpec, GbmParams, OuParams, TvGrowthParams
 from .observe import NoisyObservationSet, ObservationModel, ObservationSet
 from .particle import DiscreteKernel
 from .paths import Path
-from .rng import stream
+from .rng import StreamRows
 from .simulate import euler_advance, ou_paths
 
 DEFAULT_K = 50
@@ -102,15 +102,18 @@ def synthetic_replicates(model, times, k: int, seed: int,
 
     With an observation model the result is a list of NoisyObservationSet
     (states sampled, then noised); otherwise exact-observation ObservationSet.
-    Replicate r draws from the stream keyed (seed, "synthetic", r).
+    Replicate r draws from the stream keyed (seed, "synthetic", r); the k
+    keys are derived in one pass.
     """
     times = np.asarray(times, dtype=float)
     if isinstance(model, DiscreteKernel) and om is None:
         raise IncompleteContextError(
             "a state-space model context requires an observation model")
 
+    rows = StreamRows(seed, k, "synthetic")
+
     def one(r: int):
-        rng = stream(seed, "synthetic", r)
+        rng = rows[r]
         states = simulate_states_at(model, times, rng)
         if om is None:
             return ObservationSet(times=times, values=states[:, 0])

@@ -7,9 +7,11 @@ style kernel (mean linearly interpolated toward the right endpoint, variance
 sigma(u)^2 * d * (1 - d/s) for substep d and remaining span s) and weighted by
 the product of Euler substep densities over the proposal density.
 ``logdensities`` estimates every observation pair of a record in one pass over
-(n_pairs, J) arrays; pair i redraws its proposal noise from the stream keyed
-(seed, "bridge", i) on every call, so the estimate is a deterministic function
-of (inputs, seed) and can be optimized over theta with common random numbers.
+(n_pairs, J) arrays; pair i's proposal noise comes from the stream keyed
+(seed, "bridge", i), so the estimate is a deterministic function of
+(inputs, seed) and can be optimized over theta with common random numbers.
+``BridgeDensity`` draws a record's noise (``proposal_normals``) once, on its
+first evaluation, and keeps it frozen across theta for the rest of the fit.
 ``bridge_pair_logdensity`` is the same pass over one pair.
 """
 
@@ -25,20 +27,25 @@ from .observe import ObservationSet
 from .rng import replicate_normals, stream
 
 
-def _logdensities(spec: DiffusionSpec, dts, x, y, m_sub: int, j_samples: int, seed,
-                  pair: int | None = None) -> np.ndarray:
-    """Importance-sampling estimates of log p(dts[i], x[i], y[i]), every pair
-    in one pass over (n_pairs, J) arrays.  Pair i draws from the stream keyed
-    (seed, "bridge", i); given ``pair``, the single pair draws from
-    (seed, "bridge", pair) and errors name it ``pair``."""
+def _check_sizes(m_sub: int, j_samples: int) -> None:
     if m_sub < 2:
         raise ValueError("m_sub must be at least 2")
     if j_samples < 1:
         raise ValueError("j_samples must be at least 1")
-    if pair is None:
-        z = replicate_normals(seed, len(dts), (j_samples, m_sub - 1), "bridge")
-    else:
-        z = stream(seed, "bridge", pair).standard_normal((1, j_samples, m_sub - 1))
+
+
+def proposal_normals(n_pairs: int, m_sub: int, j_samples: int, seed) -> np.ndarray:
+    """The (n_pairs, J, m_sub - 1) proposal normals of a record; pair i's come
+    from the stream keyed (seed, "bridge", i)."""
+    _check_sizes(m_sub, j_samples)
+    return replicate_normals(seed, n_pairs, (j_samples, m_sub - 1), "bridge")
+
+
+def _logdensities(spec: DiffusionSpec, dts, x, y, z: np.ndarray, pair: int = 0) -> np.ndarray:
+    """Importance-sampling estimates of log p(dts[i], x[i], y[i]), every pair
+    in one pass over (n_pairs, J) arrays driven by the proposal normals
+    z[i] of shape (J, m_sub - 1); errors name pair ``pair + i``."""
+    j_samples, m_sub = z.shape[1], z.shape[2] + 1
     dts = np.asarray(dts, dtype=float)[:, None]
     y = np.asarray(y, dtype=float)[:, None]
     delta = dts / m_sub
@@ -62,20 +69,29 @@ def _logdensities(spec: DiffusionSpec, dts, x, y, m_sub: int, j_samples: int, se
     logw = np.where(np.isnan(logw), -np.inf, logw)
     degenerate = ~np.any(logw > -np.inf, axis=1)
     if np.any(degenerate):
-        raise DegenerateImportanceError((pair or 0) + int(np.argmax(degenerate)))
+        raise DegenerateImportanceError(pair + int(np.argmax(degenerate)))
     return logsumexp(logw, axis=1) - np.log(j_samples)
 
 
 def bridge_pair_logdensity(spec: DiffusionSpec, dt: float, x: float, y: float,
                            m_sub: int, j_samples: int, seed, pair: int = 0) -> float:
-    """Importance-sampling estimate of log p(dt, x, y) for one observation pair."""
-    return float(_logdensities(spec, [dt], [x], [y], m_sub, j_samples, seed, pair)[0])
+    """Importance-sampling estimate of log p(dt, x, y) for one observation pair,
+    with the draws of pair ``pair`` of a record."""
+    _check_sizes(m_sub, j_samples)
+    z = stream(seed, "bridge", pair).standard_normal((1, j_samples, m_sub - 1))
+    return float(_logdensities(spec, [dt], [x], [y], z, pair)[0])
 
 
 def logdensities(spec: DiffusionSpec, dts, x, y, m_sub: int, j_samples: int,
-                 seed) -> np.ndarray:
-    """Bridge estimates of log p(dts[i], x[i], y[i]), one per observation pair i."""
-    return _logdensities(spec, dts, x, y, m_sub, j_samples, seed)
+                 seed, z: np.ndarray | None = None) -> np.ndarray:
+    """Bridge estimates of log p(dts[i], x[i], y[i]), one per observation pair i.
+
+    ``z`` is the record's ``proposal_normals(len(dts), m_sub, j_samples, seed)``
+    for a caller that keeps them across evaluations; drawn here when omitted.
+    """
+    if z is None:
+        z = proposal_normals(len(dts), m_sub, j_samples, seed)
+    return _logdensities(spec, dts, x, y, z)
 
 
 def bridge_loglikelihood(spec: DiffusionSpec, obs: ObservationSet, m_sub: int,

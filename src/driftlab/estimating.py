@@ -165,7 +165,7 @@ def ee_solve(spec: DiffusionSpec, ef: EstimatingFunction, obs: ObservationSet,
         objective_value=nrm,
         iterations=nit,
         converged=converged,
-        seed=seed if isinstance(seed, int) else 0,
+        seed=seed,
         standard_errors=None,
         diagnostics={"divergent_replicates": divergent, "residual_norm": nrm,
                      "J": ef.J if expectation_fn is None else None,

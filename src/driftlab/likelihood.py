@@ -8,7 +8,7 @@ resulting log-likelihood by a derivative-free simplex search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -147,16 +147,30 @@ class FokkerPlanckDensity(_SpecDensity):
 
 @dataclass(frozen=True)
 class BridgeDensity(_SpecDensity):
-    """Importance-sampled transition density on a latent fine grid."""
+    """Importance-sampled transition density on a latent fine grid.
+
+    The first evaluation on a record draws its proposal normals and keeps
+    them in ``draws``, which ``with_theta`` copies share, so a fit draws them
+    once and every later evaluation reuses the same (frozen) draws.  Two
+    threads evaluating one density at once may both draw; both get the same
+    numbers.
+    """
 
     m_sub: int = 8
     j_samples: int = 200
     seed: int = 0
+    draws: dict = field(default_factory=dict, compare=False, repr=False)
     kind = "bridge_mc"
 
     def logdensities(self, dts, x, y):
+        key = (len(dts), self.m_sub, self.j_samples, self.seed)
+        z = self.draws.get(key)
+        if z is None:
+            z = bridge.proposal_normals(*key)
+            self.draws.clear()  # keep the draws of the latest record only
+            self.draws[key] = z
         return bridge.logdensities(self.spec, dts, x, y, self.m_sub, self.j_samples,
-                                   self.seed)
+                                   self.seed, z)
 
 
 def discrete_loglikelihood(td: TransitionDensity, obs: ObservationSet) -> float:

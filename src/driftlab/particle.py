@@ -22,7 +22,7 @@ from .ioutil import seed_key
 from .models import DiffusionSpec
 from .observe import NoisyObservationSet, ObservationModel
 from .paths import Path
-from .rng import stream
+from .rng import StreamRows
 from .simulate import euler_advance
 
 RESAMPLE_ESS_FRACTION = 0.5  # resample when ESS drops below this share of the particles
@@ -111,8 +111,9 @@ def particle_filter(model, om: ObservationModel, obs: NoisyObservationSet,
 
     ``model`` is a DiffusionSpec (Euler substeps between observations) or a
     DiscreteKernel (one transition per observation).  The latent state equals
-    the model's x0 at the first observation time.  All randomness is drawn
-    from streams keyed by (seed, step), one array per step, so the result is
+    the model's x0 at the first observation time.  Step i propagates with the
+    stream keyed (seed, "prop", i) and resamples with (seed, "resample", i),
+    both taken from keys derived once per filter, so the result is
     deterministic for any worker count.
     """
     if n_particles < 2:
@@ -130,14 +131,16 @@ def particle_filter(model, om: ObservationModel, obs: NoisyObservationSet,
     means = np.empty((n, d))
     ess_trace = np.empty(n)
     resample_steps: list[int] = []
+    prop_rows = StreamRows(seed, n, "prop")
+    resample_rows = StreamRows(seed, n, "resample")
 
     for i in range(n):
         if i > 0:
             if is_kernel:
-                x = np.asarray(model.propagate(x, stream(seed, "prop", i)), dtype=float)
+                x = np.asarray(model.propagate(x, prop_rows[i]), dtype=float)
             else:
                 gap = obs.times[i] - obs.times[i - 1]
-                z = stream(seed, "prop", i).standard_normal((substeps, n_particles, d))
+                z = prop_rows[i].standard_normal((substeps, n_particles, d))
                 x = euler_advance(model, x, gap / substeps, z)
                 if not np.all(np.isfinite(x)):
                     raise SimulationDivergedError(i, "non-finite particle state")
@@ -156,7 +159,7 @@ def particle_filter(model, om: ObservationModel, obs: NoisyObservationSet,
         means[i] = w @ x
 
         if ess < RESAMPLE_ESS_FRACTION * n_particles and i < n - 1:
-            u = float(stream(seed, "resample", i).random())
+            u = float(resample_rows[i].random())
             idx = systematic_resample(w, u)
             x = x[idx]
             log_w = np.full(n_particles, -np.log(n_particles))

@@ -5,24 +5,55 @@ generator keyed by ``(seed, *ids)``, where the ids identify the replicate,
 observation pair, filter step, etc.  Streams for distinct key tuples are
 independent, and a given key always yields the same numbers, so serial and
 parallel replicate loops produce bit-identical results.
+
+``stream`` builds one generator through numpy's ``SeedSequence``.  Loops over
+rows ``(seed, *ids, r)``, r = 0..n-1, use ``StreamRows`` instead: it derives
+all n Philox keys in one vectorised uint32 pass that reproduces
+``SeedSequence``'s mixing (shared prefix words, then the row index as the last
+word, then ``generate_state(2, uint64)``), and serves row r by setting one
+reused Philox to ``{key: k[r], counter: 0}``.  Row r is therefore bit-identical
+to ``stream(seed, *ids, r)``.  The generator a row hands out is re-keyed by the
+next row taken, so it is valid only until then and must stay in the thread
+that took it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 
 import numpy as np
 
 _U64 = 2**64
+_U32 = 0xFFFFFFFF
+
+# numpy's SeedSequence constants (after O'Neill's seed_seq_fe)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+
+
+@functools.lru_cache(maxsize=1024)
+def _encode_str(part: str) -> int:
+    digest = hashlib.blake2s(part.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
 
 
 def _encode(part) -> int:
     if isinstance(part, (int, np.integer)):
         return int(part) % _U64
     if isinstance(part, str):
-        digest = hashlib.blake2s(part.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "little")
+        return _encode_str(part)
     raise TypeError(f"stream ids must be int or str, got {type(part).__name__}")
+
+
+def _entropy(seed, ids) -> list:
+    """The key ``(seed, *ids)`` as SeedSequence entropy; a tuple seed is flattened."""
+    parts = (list(seed) if isinstance(seed, tuple) else [seed]) + list(ids)
+    return [_encode(p) for p in parts]
 
 
 def stream(seed, *ids) -> np.random.Generator:
@@ -32,9 +63,86 @@ def stream(seed, *ids) -> np.random.Generator:
     thread composite keys like ``(seed, replicate)`` through APIs that take a
     single seed argument.
     """
-    parts = (list(seed) if isinstance(seed, tuple) else [seed]) + list(ids)
-    entropy = [_encode(p) for p in parts]
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(_entropy(seed, ids))))
+
+
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k = 0..n-1, as a column of uint32."""
+    out = [init]
+    for _ in range(n - 1):
+        out.append(out[-1] * mult & _U32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray, k: int, m: int) -> np.ndarray:
+    """SeedSequence's hashmix for its hash calls k..k+m-1, one per row of the result."""
+    value = (value ^ consts[k:k + m]) * consts[k + 1:k + m + 1]
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> _XSHIFT)
+
+
+def seed_sequence_keys(prefix, n: int) -> np.ndarray:
+    """``SeedSequence(list(prefix) + [r]).generate_state(2, np.uint64)`` for
+    r = 0..n-1, as an (n, 2) uint64 array, in one pass over all rows.
+
+    ``prefix`` holds uint32 entropy words.  The pass follows numpy's
+    ``SeedSequence.mix_entropy`` and ``generate_state`` step for step (pool of
+    four words, hashmix constants in the same order); each step acts on every
+    row at once.
+    """
+    prefix = np.asarray(prefix, dtype=np.uint32)
+    n_words = len(prefix) + 1
+    words = np.empty((max(n_words, _POOL_SIZE), n), dtype=np.uint32)
+    words[:len(prefix)] = prefix[:, None]
+    words[len(prefix)] = np.arange(n, dtype=np.uint32)
+    words[n_words:] = 0  # the pool outgrows the entropy: hash zeros
+
+    n_calls = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(n_words - _POOL_SIZE, 0)
+    consts = _hash_consts(_INIT_A, _MULT_A, n_calls + 1)
+    pool = _hashmix(words[:_POOL_SIZE], consts, 0, _POOL_SIZE)
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts, k, _POOL_SIZE - 1))
+        k += _POOL_SIZE - 1
+    for src in range(_POOL_SIZE, n_words):
+        pool = _mix(pool, _hashmix(words[src], consts, k, _POOL_SIZE))
+        k += _POOL_SIZE
+
+    state = _hashmix(pool, _hash_consts(_INIT_B, _MULT_B, _POOL_SIZE + 1), 0, _POOL_SIZE)
+    state = state.astype(np.uint64)
+    return np.stack([state[0] | state[1] << np.uint64(32),
+                     state[2] | state[3] << np.uint64(32)], axis=1)
+
+
+class StreamRows:
+    """The streams ``stream(seed, *ids, r)``, r = 0..n-1, from keys derived in one pass.
+
+    ``rows[r]`` re-keys one Philox generator to row r's key at counter 0 and
+    returns it, so its draws equal a fresh ``stream(seed, *ids, r)``'s.  The
+    generator is shared by all rows: it is valid only until the next row is
+    taken, and must not leave the thread that took it.
+    """
+
+    def __init__(self, seed, n: int, *ids):
+        prefix = []
+        for v in _entropy(seed, ids):  # SeedSequence's words of an int: 32-bit limbs, 0 as one
+            prefix.append(v & _U32)
+            if v >> 32:
+                prefix.append(v >> 32)
+        self._keys = seed_sequence_keys(prefix, n)
+        self._bitgen = np.random.Philox(0)
+        self._gen = np.random.Generator(self._bitgen)
+        self._state = self._bitgen.state  # a fresh generator's: empty buffer, no cached word
+
+    def __getitem__(self, r: int) -> np.random.Generator:
+        self._state["state"] = {"key": self._keys[r], "counter": (0, 0, 0, 0)}
+        self._bitgen.state = self._state
+        return self._gen
 
 
 def replicate_normals(seed: int, n_reps: int, shape, *ids) -> np.ndarray:
@@ -46,6 +154,8 @@ def replicate_normals(seed: int, n_reps: int, shape, *ids) -> np.ndarray:
     """
     shape = (shape,) if isinstance(shape, int) else tuple(shape)
     out = np.empty((n_reps,) + shape)
+    flat = out.reshape(n_reps, math.prod(shape))
+    rows = StreamRows(seed, n_reps, *ids)
     for r in range(n_reps):
-        out[r] = stream(seed, *ids, r).standard_normal(shape)
+        rows[r].standard_normal(out=flat[r])
     return out

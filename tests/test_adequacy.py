@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 
 import numpy as np
@@ -164,3 +166,15 @@ def test_dataset_series_types():
                                                                      [2.0, 6.0]]))
     assert np.array_equal(dataset_series(obs), [1.0, 2.0])
     assert np.array_equal(dataset_series(noisy), [1.0, 2.0])
+
+
+def test_synthetic_replicates_keep_their_pinned_digest():
+    # replicate r's states and observation noise both come from the stream
+    # (seed, "synthetic", r); the digest was taken when each replicate still
+    # built that stream itself
+    ou = OuParams(gamma=1.0, beta_bar=0.2, sigma=0.5, b0=0.1)
+    om = ObservationModel(kind="gaussian", scale=0.3)
+    reps = synthetic_replicates(ou, 0.25 * np.arange(30), 6, seed=(3, "syn"), om=om)
+    payload = json.dumps([[float(v) for v in r.y_values] for r in reps], sort_keys=True)
+    assert (hashlib.sha256(payload.encode()).hexdigest()
+            == "1ed410328c72e85820c4a47d9b99fb6b52b2c291557277e2d7b63802474807d3")

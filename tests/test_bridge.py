@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from driftlab import bridge
 from driftlab.adequacy import simulate_states_at
 from driftlab.bridge import bridge_loglikelihood, bridge_pair_logdensity, logdensities
 from driftlab.densities import gbm_transition_logdensity
 from driftlab.errors import DegenerateImportanceError, UnsupportedDimensionError
-from driftlab.likelihood import BridgeDensity
+from driftlab.likelihood import BridgeDensity, mle_fit
 from driftlab.models import DiffusionSpec, GbmParams, gbm_spec
 from driftlab.observe import ObservationSet
 from driftlab.rng import stream
@@ -150,3 +151,51 @@ def test_all_pairs_in_one_call_equal_per_pair_loop(pairs, beta, sigma, m_sub, j_
     looped = np.array([bridge_pair_logdensity(spec, dts[i], x[i], y[i], m_sub, j_samples,
                                               seed, pair=i) for i in range(len(dts))])
     assert np.array_equal(batched, looped)
+
+
+def _gbm_record(n_pairs, key):
+    times = np.cumsum(np.concatenate([[0.0], 0.2 + 0.3 * stream(key, "dt").random(n_pairs)]))
+    states = simulate_states_at(P, times, stream(key, "x"))[:, 0]
+    return ObservationSet(times=times, values=states)
+
+
+def test_bridge_fit_draws_its_noise_once(monkeypatch):
+    obs = _gbm_record(6, 41)
+    calls = []
+    draw = bridge.replicate_normals
+
+    def counting(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(bridge, "replicate_normals", counting)
+    td = BridgeDensity(gbm_spec(P), m_sub=4, j_samples=50, seed=(7, "fit"))
+    fit = mle_fit(td, obs, td.theta)
+    assert fit.converged and fit.standard_errors is not None
+    assert len(calls) == 1  # simplex, restart and Hessian probes share one draw
+
+    # the frozen draws are the ones a fresh evaluation draws
+    dts, x, y = np.diff(obs.times), obs.values[:-1], obs.values[1:]
+    fitted = td.with_theta(fit.theta_hat)
+    frozen = fitted.logdensities(dts, x, y)
+    fresh = logdensities(fitted.spec, dts, x, y, 4, 50, (7, "fit"))
+    assert np.array_equal(frozen, fresh)
+
+    # and redrawing on every evaluation gives the same fit, byte for byte
+    monkeypatch.setattr(BridgeDensity, "logdensities", lambda self, dts, x, y: logdensities(
+        self.spec, dts, x, y, self.m_sub, self.j_samples, self.seed))
+    redrawn = mle_fit(td, obs, td.theta)
+    assert fit.theta_hat.tobytes() == redrawn.theta_hat.tobytes()
+    assert fit.standard_errors.tobytes() == redrawn.standard_errors.tobytes()
+    assert len(calls) > 100
+
+
+def test_frozen_draws_follow_the_record():
+    # a density evaluated on a second record of another length draws that
+    # record's noise instead of reusing the first record's
+    td = BridgeDensity(gbm_spec(P), m_sub=3, j_samples=20, seed=2)
+    for obs in (_gbm_record(5, 1), _gbm_record(8, 2), _gbm_record(5, 1)):
+        dts, x, y = np.diff(obs.times), obs.values[:-1], obs.values[1:]
+        assert np.array_equal(td.logdensities(dts, x, y),
+                              logdensities(td.spec, dts, x, y, 3, 20, 2))
+    assert len(td.draws) == 1

@@ -139,6 +139,7 @@ def test_ee_records_full_seed_key():
     ef = EstimatingFunction(psi=raw_moment_psi((1,)), J=2)
     spec = gbm_beta_spec(0.1, 0.2)
     fit = ee_solve(spec, ef, obs, [0.1], seed=(35, "mc", 2))
-    assert fit.seed == 0
+    assert fit.seed == (35, "mc", 2)
+    assert fit.to_json_dict()["seed"] == [35, "mc", 2]
     assert fit.to_json_dict()["diagnostics"]["seed_key"] == [35, "mc", 2]
     assert ee_solve(spec, ef, obs, [0.1], seed=7).diagnostics["seed_key"] == 7

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from driftlab.errors import FilterDegenerateError, SimulationDivergedError
 from driftlab.kalman import kalman_loglik, ou_to_ssm
 from driftlab.models import DiffusionSpec, OuParams, ou_spec
+from driftlab.movement import preset_integrated_rw_t
 from driftlab.observe import NoisyObservationSet, ObservationModel
 from driftlab.particle import (
     ParticleCloud,
@@ -216,3 +218,29 @@ def test_json_seed_is_the_full_tuple_key(tmp_path):
     from driftlab.ioutil import write_json
     write_json(str(tmp_path / "filter.json"), d)
     assert json.loads((tmp_path / "filter.json").read_text())["seed"] == [3, "pf", 1]
+
+
+def _digest(res) -> str:
+    return hashlib.sha256(json.dumps(res.to_json_dict(), sort_keys=True).encode()).hexdigest()
+
+
+def test_filter_outputs_keep_their_pinned_digests():
+    # the per-step streams (seed, "prop", i) and (seed, "resample", i) come
+    # from keys derived once per filter; these digests were taken when each
+    # step still built its own stream, so any change to a draw shows here.
+    # Both filters resample (11 and 6 times), so both stream families count.
+    ou = OuParams(gamma=1.0, beta_bar=0.2, sigma=0.5, b0=0.1)
+    times = 0.25 * np.arange(30)
+    obs = NoisyObservationSet(times=times, y_values=np.sin(times) + 0.1 * np.cos(3 * times))
+    om = ObservationModel(kind="gaussian", scale=0.3)
+    res = particle_filter(ou_spec(ou), om, obs, n_particles=200, substeps=4, seed=(5, "pf"))
+    assert len(res.resample_steps) == 11
+    assert _digest(res) == "d5075e48a8c9f45278ce600d8a692d47c867898744e1ba5b9ecabbf5f7e3fc22"
+
+    kernel, om_t = preset_integrated_rw_t(0.1, 0.5, 3.0)
+    t = np.arange(25, dtype=float)
+    y = 0.05 * t**1.5
+    y[12] += 5.0
+    res = particle_filter(kernel, om_t, NoisyObservationSet(times=t, y_values=y), 300, seed=9)
+    assert len(res.resample_steps) == 6
+    assert _digest(res) == "8f76898a504881bbef2b997cd7d720311ca486bab89a82012a00547353e9fdd8"

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from driftlab.rng import replicate_normals, stream
+from driftlab.rng import StreamRows, replicate_normals, seed_sequence_keys, stream
 
 
 def test_same_key_same_draws():
@@ -46,3 +46,46 @@ def test_replicate_normals_rows_match_per_replicate_streams():
 @given(st.integers(min_value=0, max_value=2**63), st.integers(min_value=0, max_value=1000))
 def test_streams_reproducible_for_any_key(seed, rep):
     assert stream(seed, rep).standard_normal() == stream(seed, rep).standard_normal()
+
+
+@given(st.lists(st.integers(0, 2**32 - 1), max_size=9), st.integers(1, 20))
+def test_key_pass_equals_numpy_seed_sequence(prefix, n):
+    # the vectorised pass re-implements numpy's SeedSequence mixing; if numpy
+    # ever changes it, this fails instead of the draws changing silently.
+    # Prefixes of 0-3 words mix the row word in the pool's first pass, longer
+    # ones in the trailing pass.
+    keys = seed_sequence_keys(prefix, n)
+    assert keys.dtype == np.uint64 and keys.shape == (n, 2)
+    for r in range(n):
+        expected = np.random.SeedSequence(prefix + [r]).generate_state(2, np.uint64)
+        assert np.array_equal(keys[r], expected)
+
+
+_id = st.one_of(st.sampled_from([0, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1),
+                st.text(max_size=6))
+
+
+@settings(max_examples=60)
+@given(seed=st.one_of(st.integers(0, 2**64 - 1),
+                      st.tuples(st.integers(0, 2**40), _id)),
+       ids=st.lists(_id, max_size=3), n=st.integers(1, 50))
+def test_batched_rows_equal_per_row_streams(seed, ids, n):
+    # row r of replicate_normals and of StreamRows draws what a fresh
+    # stream(seed, *ids, r) draws, whatever the key layout
+    z = replicate_normals(seed, n, (2, 3), *ids)
+    expected = np.stack([stream(seed, *ids, r).standard_normal((2, 3)) for r in range(n)])
+    assert np.array_equal(z, expected)
+    rows = StreamRows(seed, n, *ids)
+    for r in reversed(range(n)):
+        gen, ref = rows[r], stream(seed, *ids, r)
+        assert gen.random() == ref.random()
+        assert np.array_equal(gen.integers(0, 100, 3, dtype=np.int32),
+                              ref.integers(0, 100, 3, dtype=np.int32))
+        assert np.array_equal(gen.standard_normal(4), ref.standard_normal(4))
+
+
+def test_replicate_normals_handles_empty_and_scalar_shapes():
+    assert replicate_normals(3, 0, (4, 2), "x").shape == (0, 4, 2)
+    z = replicate_normals(3, 4, (), "x")
+    assert z.shape == (4,)
+    assert np.array_equal(z, [stream(3, "x", r).standard_normal() for r in range(4)])
