@@ -14,8 +14,13 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import bridge, densities
-from .errors import InsufficientDataError, InvalidStartError, NonFiniteTermError
-from .fokker_planck import fokker_planck_transition_density
+from .errors import (
+    InsufficientDataError,
+    InvalidGridError,
+    InvalidStartError,
+    NonFiniteTermError,
+)
+from .fokker_planck import check_time_steps, fokker_planck_solve, require_per_pair
 from .models import DiffusionSpec, GbmParams, OuParams
 from .observe import ObservationSet
 from .results import FitResult
@@ -125,9 +130,10 @@ class EulerDensity(_SpecDensity):
 
 @dataclass(frozen=True)
 class FokkerPlanckDensity(_SpecDensity):
-    """Transition density from a Crank-Nicolson forward-equation solve, one
-    solve per observation pair on one spatial grid; the density at y is
-    interpolated linearly on the grid and floored at 1e-300 to stay finite."""
+    """Transition density from a Crank-Nicolson forward-equation solve on one
+    spatial grid, all observation pairs in one stacked solve; the density at y
+    is interpolated linearly on the grid and floored at 1e-300 to stay finite.
+    Every observation y must lie on the grid, in [y_min, y_max]."""
 
     y_min: float
     y_max: float
@@ -135,13 +141,17 @@ class FokkerPlanckDensity(_SpecDensity):
     n_time_steps: int = 200
     kind = "fokker_planck"
 
+    def __post_init__(self):
+        check_time_steps(self.n_time_steps)
+
     def logdensities(self, dts, x, y):
         grid = np.linspace(self.y_min, self.y_max, self.n_cells + 1)
-        dens = np.array([
-            np.interp(yi, grid, fokker_planck_transition_density(
-                self.spec, dt, xi, grid, n_time_steps=self.n_time_steps).density)
-            for dt, xi, yi in zip(dts, x, y)
-        ])
+        y = np.asarray(y, dtype=float).reshape(-1)
+        require_per_pair((grid[0] <= y) & (y <= grid[-1]), InvalidGridError,
+                         f"observation y must lie inside the grid [{self.y_min:g}, "
+                         f"{self.y_max:g}]", "y", y)
+        rows = np.clip(fokker_planck_solve(self.spec, dts, x, grid, self.n_time_steps), 0.0, None)
+        dens = np.array([np.interp(yi, grid, row) for yi, row in zip(y, rows)])
         return np.log(np.maximum(dens, 1e-300))
 
 

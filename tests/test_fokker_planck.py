@@ -1,12 +1,24 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
+from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf
 
+from driftlab import fokker_planck
 from driftlab.densities import gbm_transition_logdensity
 from driftlab.errors import InvalidGridError
-from driftlab.fokker_planck import fokker_planck_transition_density
-from driftlab.models import DiffusionSpec, GbmParams, gbm_spec
+from driftlab.fokker_planck import (
+    _spatial_operator,
+    fokker_planck_solve,
+    fokker_planck_transition_density,
+)
+from driftlab.likelihood import FokkerPlanckDensity, mle_fit
+from driftlab.models import DiffusionSpec, GbmParams, gbm_beta_spec, gbm_spec
+from driftlab.observe import ObservationSet
 
 BM = DiffusionSpec(drift=lambda x, th: 0.0 * x,
                    diffusion=lambda x, th: np.ones_like(x),
@@ -80,3 +92,119 @@ def test_mass_conserved_on_a_grid_wide_enough(mu, sigma, dt, x):
                                            n_time_steps=200)
     assert res.boundary_warning is None
     assert res.mass == pytest.approx(1.0, abs=1e-3)
+
+
+def _banded_reference(spec, dt, x, grid, n_time_steps):
+    """The per-pair solver the stacked one replaced: one scipy ``solve_banded``
+    (LAPACK gtsv) per time step."""
+    sig_x = float(np.asarray(spec.diffusion(np.array([x]), spec.theta)).reshape(-1)[0])
+    mu_x = float(np.asarray(spec.drift(np.array([x]), spec.theta)).reshape(-1)[0])
+    j = int(np.searchsorted(grid, x))
+    n = len(grid)
+    cell = (min(grid[j] - grid[j - 1], grid[min(j + 1, n - 1)] - grid[j]) if j < n - 1
+            else grid[j] - grid[j - 1])
+    t0 = min((cell / sig_x) ** 2, 0.5 * dt)
+    sd0 = sig_x * np.sqrt(t0)
+    p = np.exp(-0.5 * ((grid - x - mu_x * t0) / sd0) ** 2) / (sd0 * np.sqrt(2.0 * np.pi))
+    p[0] = p[-1] = 0.0
+    p /= np.trapezoid(p, grid)
+    band = _spatial_operator(spec, grid)
+    tau = (dt - t0) / n_time_steps
+    eye = np.zeros_like(band)
+    eye[1] = 1.0
+    lhs, rhs = eye - 0.5 * tau * band, eye + 0.5 * tau * band
+    for _ in range(n_time_steps):
+        b = rhs[1] * p
+        b[:-1] += rhs[0, 1:] * p[1:]
+        b[1:] += rhs[2, :-1] * p[:-1]
+        p = solve_banded((1, 1), lhs, b)
+    return p
+
+
+def _drifting_bm(mu, sigma):
+    return DiffusionSpec(drift=lambda y, th: th[0] * np.ones_like(y),
+                         diffusion=lambda y, th: th[1] * np.ones_like(y),
+                         theta=[mu, sigma], x0=[0.0])
+
+
+BM_GRID = np.linspace(-6.0, 6.0, 161)
+
+
+@st.composite
+def _pair_batches(draw):
+    n_pairs = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        spec = gbm_spec(GbmParams(beta=draw(st.floats(-0.5, 0.5)),
+                                  sigma=draw(st.floats(0.1, 0.6))))
+        grid, x_range = np.linspace(0.2, 4.0, 161), (0.6, 2.5)
+    else:
+        spec = _drifting_bm(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.3, 1.5)))
+        grid, x_range = BM_GRID, (-2.0, 2.0)
+    dts = draw(st.lists(st.floats(0.01, 1.5), min_size=n_pairs, max_size=n_pairs))
+    xs = draw(st.lists(st.floats(*x_range), min_size=n_pairs, max_size=n_pairs))
+    return spec, np.array(dts), np.array(xs), grid
+
+
+@settings(max_examples=40)
+@given(batch=_pair_batches(), steps=st.sampled_from([1, 3, 25, 50]))
+# at x = 1.2, sigma = 0.64, (cell / sigma) ** 2 as libm pow and as an array
+# square differ in the last bit, and at dt = 0.05 that bit reaches the density
+@example(batch=(_drifting_bm(0.2, 0.64), np.array([0.3, 0.05]), np.array([-1.0, 1.2]), BM_GRID),
+         steps=3)
+def test_stacked_solve_equals_per_pair_solves(batch, steps):
+    # every pair of one stacked solve has the bits of its own one-pair solve
+    # and of the per-pair banded solver it replaced
+    spec, dts, xs, grid = batch
+    rows = fokker_planck_solve(spec, dts, xs, grid, steps)
+    for k, (dt, x) in enumerate(zip(dts, xs)):
+        one = fokker_planck_transition_density(spec, dt, x, grid, n_time_steps=steps)
+        assert np.array_equal(np.clip(rows[k], 0.0, None), one.density)
+        assert rows[k].min() == one.min_raw_density
+        assert np.array_equal(rows[k], _banded_reference(spec, dt, x, grid, steps))
+
+
+def test_one_factorisation_per_logdensities_call(monkeypatch):
+    calls = []
+
+    def counting_dgttrf(*args):
+        calls.append(len(args[1]))
+        return dgttrf(*args)
+
+    monkeypatch.setattr(fokker_planck, "dgttrf", counting_dgttrf)
+    fd = FokkerPlanckDensity(gbm_spec(GbmParams(beta=0.1, sigma=0.3)), 0.2, 4.0, 100, 10)
+    fd.logdensities([0.5, 0.3, 0.8], [1.0, 1.1, 0.9], [1.1, 0.9, 1.0])
+    assert calls == [3 * 101]
+
+
+def test_two_pair_fokker_planck_fit_keeps_its_pinned_digest():
+    # taken from the per-pair banded solver before the pairs were stacked
+    obs = ObservationSet(times=np.array([0.0, 0.5, 0.87]), values=np.array([1.0, 1.12, 1.05]))
+    td = FokkerPlanckDensity(gbm_beta_spec(0.1, 0.3), 0.2, 4.0, 200, 25)
+    fit = mle_fit(td, obs, td.theta).to_json_dict()
+    assert (hashlib.sha256(json.dumps(fit, sort_keys=True).encode()).hexdigest()
+            == "37b2ec290532ad3eb965a43e0bc559dda77aaa7a575bed6b0520d51c4df4ff47")
+
+
+@pytest.mark.parametrize("steps", [0, -3])
+def test_fewer_than_one_time_step_rejected(steps):
+    grid = np.linspace(-5.0, 5.0, 101)
+    with pytest.raises(InvalidGridError, match="n_time_steps"):
+        fokker_planck_transition_density(BM, 0.5, 0.0, grid, n_time_steps=steps)
+    with pytest.raises(InvalidGridError, match="n_time_steps"):
+        FokkerPlanckDensity(BM, -5.0, 5.0, 100, steps)
+
+
+def test_observation_outside_grid_rejected_naming_the_pair():
+    fd = FokkerPlanckDensity(gbm_spec(GbmParams(beta=0.1, sigma=0.3)), 0.2, 4.0, 100, 10)
+    with pytest.raises(InvalidGridError, match=r"pair 1: y = 4\.5"):
+        fd.logdensities([0.5, 0.5, 0.5], [1.0, 1.1, 1.2], [1.1, 4.5, 1.0])
+    with pytest.raises(InvalidGridError, match=r"pair 0: y = 0\.1"):
+        fd.logdensities([0.5], [1.0], [0.1])
+
+
+def test_start_gaussian_missing_every_node_rejected():
+    # x sits in a wide cell next to a tiny one, so the one-cell start Gaussian
+    # is far narrower than the distance to either neighbouring node
+    grid = np.sort(np.concatenate([np.linspace(-5.0, 5.0, 101), [0.1 + 1e-7]]))
+    with pytest.raises(InvalidGridError, match="pair 0: x = 0.05"):
+        fokker_planck_transition_density(BM, 0.5, 0.05, grid)

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from driftlab.errors import FilterDegenerateError, SimulationDivergedError
 from driftlab.kalman import kalman_loglik, ou_to_ssm
@@ -71,6 +71,23 @@ def test_loglik_matches_kalman_oracle():
            for k in range(20)]
     sd = np.std(lls, ddof=1)
     assert abs(np.mean(lls) - exact) <= 3 * sd
+
+
+@settings(max_examples=12, derandomize=True)
+@given(gamma=st.floats(0.2, 3.0), beta_bar=st.floats(-1.0, 1.0), sigma=st.floats(0.2, 1.5),
+       scale=st.floats(0.2, 1.0))
+def test_mean_loglik_within_three_sd_of_kalman(gamma, beta_bar, sigma, scale):
+    p = OuParams(gamma=gamma, beta_bar=beta_bar, sigma=sigma, b0=beta_bar)
+    n = 30
+    grid = TimeGrid(0.0, 0.1 * (n - 1), n - 1)
+    latent = simulate_ou(p, grid, (93, "path")).scalar_values()
+    obs = NoisyObservationSet(times=grid.times(),
+                              y_values=latent + scale * stream(93, "noise").standard_normal(n))
+    om = ObservationModel(kind="gaussian", scale=scale)
+    exact = kalman_loglik(ou_to_ssm(p, om, obs.times), obs)
+    lls = [particle_filter(ou_spec(p), om, obs, 300, substeps=4, seed=(93, k)).loglik
+           for k in range(8)]
+    assert abs(np.mean(lls) - exact) <= 3 * np.std(lls, ddof=1)
 
 
 def test_ess_bounds_and_reset_after_resample():
