@@ -125,6 +125,14 @@ class ObservationModel:
         y = np.asarray(y, dtype=float)
         return self._loglik_rows(y[:, None] if y.ndim == 1 else y, states)
 
+    def score(self, y, m) -> np.ndarray:
+        """d log f(y | m) / dm, elementwise in the observation mean m."""
+        u = (np.asarray(y, dtype=float) - m) / self.scale
+        if self.kind == "gaussian":
+            return u / self.scale
+        nu = self.dof
+        return (nu + 1.0) * u / (self.scale * (nu + u**2))
+
     def sample(self, rng: np.random.Generator, states: np.ndarray) -> np.ndarray:
         m = self.mean(np.atleast_2d(states))
         if self.kind == "gaussian":

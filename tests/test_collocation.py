@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from driftlab.collocation import (
     BasisConfig,
@@ -11,9 +11,9 @@ from driftlab.collocation import (
     collocation_objective,
     map_equivalent_sigma,
 )
-from driftlab.errors import WeightSingularityError
+from driftlab.errors import InvalidStartError, WeightSingularityError
 from driftlab.models import DiffusionSpec, gbm_beta_spec
-from driftlab.observe import NoisyObservationSet, ObservationModel
+from driftlab.observe import NoisyObservationSet, ObservationModel, projection_link
 from driftlab.rng import stream
 
 TIMES = np.linspace(0.0, 2.0, 40)
@@ -175,6 +175,134 @@ def test_working_gradient_matches_central_difference():
                       - prob.objective(cm, spec.theta)) / (2 * h)
     denom = np.maximum(np.abs(central), 1e-8)
     assert np.max(np.abs(working - central) / denom) < 1e-4
+
+
+LINKS = {
+    "none": None,
+    "projection": projection_link([0]),
+    "cubic": lambda states: states[..., [0]] + 0.1 * states[..., [0]] ** 3,
+}
+DRIFTS = {
+    "linear": (lambda x, th: th[0] * x, [0.3]),
+    "ou": (lambda x, th: -th[0] * (x - th[1]), [1.5, 1.2]),
+    "logistic": (lambda x, th: th[0] * x * (1.0 - x / th[1]), [0.8, 2.5]),
+}
+
+
+def _central_difference_c(prob, c, theta):
+    grad = np.empty_like(c)
+    for i in range(len(c)):
+        h = 1e-5 * max(1.0, abs(c[i]))
+        cp, cm = c.copy(), c.copy()
+        cp[i] += h
+        cm[i] -= h
+        grad[i] = (prob.objective(cp, theta) - prob.objective(cm, theta)) / (cp[i] - cm[i])
+    return grad
+
+
+@settings(max_examples=40, deadline=None)
+@given(drift=st.sampled_from(sorted(DRIFTS)),
+       weight_mode=st.sampled_from(["unweighted", "sigma_weighted"]),
+       kind=st.sampled_from(["gaussian", "student_t"]),
+       link=st.sampled_from(sorted(LINKS)),
+       lam=st.floats(min_value=0.1, max_value=100.0),
+       sigma_slope=st.floats(min_value=0.0, max_value=2.0),
+       seed=st.integers(min_value=0, max_value=10_000))
+def test_analytic_gradient_matches_central_difference(drift, weight_mode, kind, link,
+                                                      lam, sigma_slope, seed):
+    times = np.linspace(0.0, 2.0, 15)
+    rng = stream(12, seed)
+    y = 1.0 + 0.5 * np.sin(times) + 0.05 * rng.standard_normal(len(times))
+    obs = NoisyObservationSet(times=times, y_values=y)
+    om = ObservationModel(kind=kind, scale=0.1, dof=4.0 if kind == "student_t" else None,
+                          link=LINKS[link])
+    mu, theta = DRIFTS[drift]
+    # state-dependent diffusion, bounded away from zero
+    spec = DiffusionSpec(drift=mu, diffusion=lambda x, th: 0.4 + sigma_slope * x**2,
+                         theta=theta, x0=[1.0])
+    basis = BasisConfig.from_times(times)
+    prob = CollocationProblem(basis, obs, om, spec, PenaltySpec(lam=lam, weight_mode=weight_mode))
+    c = (np.linalg.lstsq(prob.B_obs, y, rcond=None)[0]
+         + 0.2 * rng.standard_normal(basis.n_basis))
+    analytic = prob.working_gradient_c(c, spec.theta)
+    central = _central_difference_c(prob, c, spec.theta)
+    assert np.max(np.abs(analytic - central)) <= 1e-6 * np.max(np.abs(central))
+
+
+def test_gradient_accepts_fields_written_as_scalars():
+    # lambda x, th: th[0] is a valid constant drift elsewhere in the toolkit
+    obs = _line_obs(noise=0.05, key=(15,))
+    basis = BasisConfig.from_times(TIMES)
+    spec = DiffusionSpec(drift=lambda x, th: th[0], diffusion=lambda x, th: 0.5,
+                         theta=[0.4], x0=[0.0])
+    prob = CollocationProblem(basis, obs, OM, spec,
+                              PenaltySpec(lam=5.0, weight_mode="sigma_weighted"))
+    c = np.linalg.lstsq(prob.B_obs, obs.y_values, rcond=None)[0]
+    central = _central_difference_c(prob, c, spec.theta)
+    analytic = prob.working_gradient_c(c, spec.theta)
+    assert np.max(np.abs(analytic - central)) <= 1e-6 * np.max(np.abs(central))
+
+
+def test_gradient_makes_no_objective_calls(monkeypatch):
+    obs = _line_obs(noise=0.05, key=(13,))
+    basis = BasisConfig.from_times(TIMES)
+    spec = _const_drift_spec()
+    calls = []
+    for name in ("objective", "terms"):
+        original = getattr(CollocationProblem, name)
+        monkeypatch.setattr(CollocationProblem, name,
+                            lambda self, *a, _f=original, _n=name: calls.append(_n) or _f(self, *a))
+    for mode in ("unweighted", "sigma_weighted"):
+        prob = CollocationProblem(basis, obs, OM, spec, PenaltySpec(lam=5.0, weight_mode=mode))
+        grad = prob.working_gradient_c(stream(14).standard_normal(basis.n_basis), spec.theta)
+        assert grad.shape == (basis.n_basis,)
+    assert calls == []
+
+
+def test_gradient_rejects_zero_sigma_when_weighted():
+    basis = BasisConfig.from_times(TIMES)
+    spec = DiffusionSpec(drift=lambda x, th: th[0] * x, diffusion=lambda x, th: 0.0 * x,
+                         theta=[0.4], x0=[1.0])
+    prob = CollocationProblem(basis, _line_obs(), OM, spec,
+                              PenaltySpec(lam=1.0, weight_mode="sigma_weighted"))
+    with pytest.raises(WeightSingularityError):
+        prob.working_gradient_c(np.ones(basis.n_basis), spec.theta)
+
+
+def _growth_problem(n=20):
+    times = np.linspace(0.0, 2.0, n)
+    obs = NoisyObservationSet(times=times, y_values=np.exp(0.3 * times))
+    return obs, ObservationModel(kind="gaussian", scale=1e-6), BasisConfig.from_times(times)
+
+
+@pytest.mark.parametrize("coeffs, theta, message", [
+    (22, [0.5, 1.0], "init.theta must have length 1, got 2"),
+    (21, [0.5], "init.coeffs must have length 22, got 21"),
+], ids=["theta", "coeffs"])
+def test_init_of_wrong_length_rejected(coeffs, theta, message):
+    obs, om, basis = _growth_problem()
+    init = CollocationState(coeffs=np.ones(coeffs), theta=np.array(theta))
+    with pytest.raises(ValueError, match=message):
+        collocation_fit(obs, om, gbm_beta_spec(0.5, 1.0), basis, PenaltySpec(lam=1e4),
+                        init=init)
+
+
+def test_non_finite_start_raises_invalid_start():
+    obs, om, basis = _growth_problem()
+    spec = DiffusionSpec(drift=lambda x, th: np.exp(th[0] * x),
+                         diffusion=lambda x, th: np.ones_like(x), theta=[1000.0], x0=[1.0])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidStartError):
+        collocation_fit(obs, om, spec, basis, PenaltySpec(lam=1.0), max_outer=3)
+
+
+def test_fit_reports_inner_evaluation_counts():
+    obs, om, basis = _growth_problem(50)
+    fit, _ = collocation_fit(obs, om, gbm_beta_spec(0.5, 1.0), basis, PenaltySpec(lam=1e4))
+    inner, grads = fit.diagnostics["inner_iterations"], fit.diagnostics["gradient_evaluations"]
+    assert type(inner) is int and type(grads) is int
+    assert fit.iterations <= inner <= grads
+    # the closed-form gradient leaves the optimizer's own tolerance as the limit
+    assert abs(fit.theta_hat[0] - 0.3) / 0.3 <= 1e-6
 
 
 def test_weighted_and_unweighted_fits_agree_with_rescaled_lambda():
