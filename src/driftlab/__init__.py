@@ -57,7 +57,6 @@ from .observe import (
 from .particle import (
     DiscreteKernel,
     FilterResult,
-    ParticleCloud,
     particle_filter,
     pf_profile_loglik,
     systematic_resample,

@@ -367,7 +367,12 @@ def criterion_determinism(seed: int = DEFAULT_SEED) -> CriterionResult:
     )
 
 
+def criteria(selected=None) -> list:
+    """The criterion functions, all or the given set of numbers 1-10, in order."""
+    return [fn for num, fn in enumerate(CORE_CRITERIA + [criterion_determinism], start=1)
+            if selected is None or num in selected]
+
+
 def run_all(selected=None, seed: int = DEFAULT_SEED) -> list:
     """Run the acceptance criteria (all, or the given set of numbers 1-10)."""
-    return [fn(seed) for num, fn in enumerate(CORE_CRITERIA + [criterion_determinism], start=1)
-            if selected is None or num in selected]
+    return [fn(seed) for fn in criteria(selected)]

@@ -18,9 +18,8 @@ first evaluation, and keeps it frozen across theta for the rest of the fit.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .densities import normal_logpdf
+from .densities import logsumexp, normal_logpdf
 from .errors import DegenerateImportanceError, UnsupportedDimensionError
 from .models import DiffusionSpec
 from .observe import ObservationSet

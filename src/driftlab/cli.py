@@ -13,6 +13,7 @@ import argparse
 import io
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -273,13 +274,17 @@ def _cmd_accept(opts: dict) -> int:
             raise ConfigError(f"unknown acceptance criteria {unknown}: numbers run from 1 to 10")
     out_dir = opts.get("out-dir", "acceptance_out")
     os.makedirs(out_dir, exist_ok=True)
-    results = acceptance.run_all(selected)
     all_ok = True
-    for res in results:
+    wall_s = {}
+    for criterion in acceptance.criteria(selected):
+        start = time.perf_counter()
+        res = criterion()
+        # timing stays out of the criterion's details, which c10 compares byte for byte
+        wall_s[res.name] = round(time.perf_counter() - start, 3)
         all_ok &= res.passed
         print(acceptance.format_result(res))
         write_json(os.path.join(out_dir, f"{res.name}.json"), res.to_json_dict())
-    summary = {"all_passed": bool(all_ok), "criteria": [r.name for r in results]}
+    summary = {"all_passed": bool(all_ok), "criteria": list(wall_s), "wall_s": wall_s}
     write_json(os.path.join(out_dir, "summary.json"), summary)
     return 0 if all_ok else 1
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.interpolate import BSpline
 from scipy.optimize import minimize
 
-from .errors import InvalidStartError, WeightSingularityError
+from .errors import DataFormatError, InvalidStartError, WeightSingularityError
 from .models import DiffusionSpec
 from .observe import NoisyObservationSet, ObservationModel
 from .paths import Path
@@ -122,7 +122,13 @@ def _quadrature_nodes(basis: BasisConfig, n_sub: int = QUAD_SUBDIVISIONS):
 
 
 class CollocationProblem:
-    """Precomputed design matrices for repeated objective evaluations."""
+    """Precomputed design matrices for repeated objective evaluations.
+
+    Every observation column enters the data term: ``y`` is the observation
+    set's ``y_values``, shape (n,) or (n, p), and the link must map a state to
+    p observation means (one without a link).  A link of another width raises
+    DataFormatError.
+    """
 
     def __init__(self, basis: BasisConfig, obs: NoisyObservationSet,
                  om: ObservationModel, spec: DiffusionSpec, pen: PenaltySpec,
@@ -131,6 +137,12 @@ class CollocationProblem:
             raise ValueError("collocation handles scalar-state models")
         if obs.times[0] < basis.knots[0] - 1e-12 or obs.times[-1] > basis.knots[-1] + 1e-12:
             raise ValueError("basis must cover the observation window")
+        n_cols = obs.y2d().shape[1]
+        link_width = np.atleast_2d(om.mean(spec.x0[None, :])).shape[1]
+        if link_width != n_cols:
+            raise DataFormatError(
+                f"the observations have {n_cols} column(s) but the observation link "
+                f"gives {link_width} mean(s) per state")
         self.obs = obs
         self.om = om
         self.spec = spec
@@ -142,7 +154,7 @@ class CollocationProblem:
         self.q_weights = q_weights
         self.Bq = basis.design(q_nodes)
         self.dBq = basis.design(q_nodes, derivative=1)
-        self.y = obs.y_values if obs.y_values.ndim == 1 else obs.y_values[:, 0]
+        self.y = obs.y_values
 
     def _weight_sigma(self, x_q: np.ndarray, theta: np.ndarray) -> np.ndarray:
         sig = np.asarray(self.spec.diffusion(x_q, theta), dtype=float)
@@ -170,8 +182,9 @@ class CollocationProblem:
     def working_gradient_c(self, c, theta) -> np.ndarray:
         """Analytic gradient of the objective in c, as the inner optimizer uses it.
 
-        Data term: -B_obs^T (score * dm/dx), with the closed-form score of
-        the observation density and dm/dx = 1 without a link.  Penalty, with
+        Data term: -B_obs^T (score * dm/dx) summed over the observation
+        columns, with the closed-form score of the observation density and
+        dm/dx = 1 without a link.  Penalty, with
         r the (weighted) residual at the quadrature nodes:
         2 lam [dBq^T (w r / sigma) - Bq^T (w r (mu' + r sigma') / sigma)],
         where sigma = 1, sigma' = 0 unweighted.  The link, mu' and sigma' are
@@ -180,7 +193,7 @@ class CollocationProblem:
         c = np.asarray(c, dtype=float)
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         x_obs = self.B_obs @ c
-        score = self.om.score(self.y[:, None], self.om.mean(x_obs[:, None]))
+        score = self.om.score(self.obs.y2d(), self.om.mean(x_obs[:, None]))
         if self.om.link is not None:
             score = score * _state_slope(lambda x: self.om.mean(x[:, None]), x_obs)
         grad = -(self.B_obs.T @ score.sum(axis=1))
@@ -249,11 +262,12 @@ def collocation_fit(obs: NoisyObservationSet, om: ObservationModel, spec: Diffus
     prob = CollocationProblem(basis, obs, om, spec, pen)
 
     if init is None:
-        # ridge least-squares smoother ignoring the penalty (identity-link start)
+        # ridge least-squares smoother of the first observation column,
+        # ignoring the penalty (identity-link start)
         B = prob.B_obs
         gram = B.T @ B
         gram += 1e-9 * np.trace(gram) / len(gram) * np.eye(len(gram))
-        c = np.linalg.solve(gram, B.T @ prob.y)
+        c = np.linalg.solve(gram, B.T @ obs.y2d()[:, 0])
         theta = spec.theta.copy()
     else:
         c = np.asarray(init.coeffs, dtype=float).copy()

@@ -17,6 +17,37 @@ def normal_logpdf(y, mean, var):
     return -0.5 * (LOG_2PI + np.log(var)) - (np.asarray(y) - mean) ** 2 / (2.0 * var)
 
 
+def _shifted_log_sum(a: np.ndarray, a_max: np.ndarray, axis) -> np.ndarray:
+    tied = a == a_max
+    terms = np.exp(a - a_max)
+    terms[tied] = 0.0
+    count = tied.sum(axis, float, keepdims=True)
+    return np.log1p(terms.sum(axis, keepdims=True) / count) + np.log(count) + a_max
+
+
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) along ``axis`` (over all of ``a`` when None), bit for
+    bit what scipy.special.logsumexp (scipy 1.17) returns, at a fraction of
+    its per-call cost.
+
+    The same algorithm: the tied maxima are counted and left out of the sum
+    of exp(a - max), which is taken along the same axis of an array of the
+    same shape (so numpy's pairwise order matches); the result is
+    log1p(sum / count) + log(count) + max.  Where that is not finite (a max
+    of -inf, +inf or NaN) the result is log(sum(exp(a))), as in scipy.
+    """
+    a = np.asarray(a, dtype=float)
+    a_max = a.max(axis, keepdims=True)
+    if np.isfinite(a_max).all():
+        out = _shifted_log_sum(a, a_max, axis)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = _shifted_log_sum(a, a_max, axis)
+            direct = np.log(np.exp(a).sum(axis, keepdims=True))
+        out = np.where(np.isfinite(out), out, direct)
+    return np.squeeze(out, axis=axis)[()]
+
+
 def gbm_transition_logdensity(p: GbmParams, dt, x, y):
     """Lognormal transition: log(y/x) ~ Normal((beta - sigma^2/2) dt, sigma^2 dt)."""
     if not np.all(np.asarray(dt) > 0):

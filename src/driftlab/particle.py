@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
+from .densities import logsumexp
 from .errors import FilterDegenerateError, SimulationDivergedError
 from .ioutil import seed_key
 from .models import DiffusionSpec
@@ -32,32 +32,6 @@ def ess_of_weights(weights: np.ndarray) -> float:
     """Effective sample size 1 / sum(w^2) of normalized weights."""
     w = np.asarray(weights, dtype=float)
     return float(1.0 / np.sum(w**2))
-
-
-@dataclass(frozen=True)
-class ParticleCloud:
-    """Weighted particle states at one filter step."""
-
-    states: np.ndarray
-    log_weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", np.atleast_2d(np.asarray(self.states, dtype=float)))
-        object.__setattr__(self, "log_weights", np.asarray(self.log_weights, dtype=float))
-        if len(self.states) != len(self.log_weights):
-            raise ValueError("states and log_weights must have the same length")
-
-    @property
-    def weights(self) -> np.ndarray:
-        lw = self.log_weights - logsumexp(self.log_weights)
-        return np.exp(lw)
-
-    @property
-    def ess(self) -> float:
-        return ess_of_weights(self.weights)
-
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.states
 
 
 def systematic_resample(weights: np.ndarray, u: float) -> np.ndarray:
@@ -142,8 +116,8 @@ def particle_filter(model, om: ObservationModel, obs: NoisyObservationSet,
                 gap = obs.times[i] - obs.times[i - 1]
                 z = prop_rows[i].standard_normal((substeps, n_particles, d))
                 x = euler_advance(model, x, gap / substeps, z)
-                if not np.all(np.isfinite(x)):
-                    raise SimulationDivergedError(i, "non-finite particle state")
+            if not np.all(np.isfinite(x)):
+                raise SimulationDivergedError(i, "non-finite particle state")
 
         log_g = om.loglik(y[i], x)
         if not np.any(np.isfinite(log_g)):

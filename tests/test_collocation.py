@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from driftlab.collocation import (
     BasisConfig,
@@ -11,7 +11,7 @@ from driftlab.collocation import (
     collocation_objective,
     map_equivalent_sigma,
 )
-from driftlab.errors import InvalidStartError, WeightSingularityError
+from driftlab.errors import DataFormatError, InvalidStartError, WeightSingularityError
 from driftlab.models import DiffusionSpec, gbm_beta_spec
 from driftlab.observe import NoisyObservationSet, ObservationModel, projection_link
 from driftlab.rng import stream
@@ -177,10 +177,16 @@ def test_working_gradient_matches_central_difference():
     assert np.max(np.abs(working - central) / denom) < 1e-4
 
 
+def _two_column_link(states):
+    x = states[..., [0]]
+    return np.concatenate([x, 2.0 * x + 0.1 * x**2], axis=-1)
+
+
 LINKS = {
     "none": None,
     "projection": projection_link([0]),
     "cubic": lambda states: states[..., [0]] + 0.1 * states[..., [0]] ** 3,
+    "two_column": _two_column_link,
 }
 DRIFTS = {
     "linear": (lambda x, th: th[0] * x, [0.3]),
@@ -201,6 +207,8 @@ def _central_difference_c(prob, c, theta):
 
 
 @settings(max_examples=40, deadline=None)
+@example(drift="logistic", weight_mode="sigma_weighted", kind="student_t", link="two_column",
+         lam=5.0, sigma_slope=1.0, seed=7)
 @given(drift=st.sampled_from(sorted(DRIFTS)),
        weight_mode=st.sampled_from(["unweighted", "sigma_weighted"]),
        kind=st.sampled_from(["gaussian", "student_t"]),
@@ -213,7 +221,11 @@ def test_analytic_gradient_matches_central_difference(drift, weight_mode, kind, 
     times = np.linspace(0.0, 2.0, 15)
     rng = stream(12, seed)
     y = 1.0 + 0.5 * np.sin(times) + 0.05 * rng.standard_normal(len(times))
-    obs = NoisyObservationSet(times=times, y_values=y)
+    y_obs = y
+    if link == "two_column":
+        # both columns enter the data term and its score
+        y_obs = _two_column_link(y[:, None]) + 0.05 * rng.standard_normal((len(times), 2))
+    obs = NoisyObservationSet(times=times, y_values=y_obs)
     om = ObservationModel(kind=kind, scale=0.1, dof=4.0 if kind == "student_t" else None,
                           link=LINKS[link])
     mu, theta = DRIFTS[drift]
@@ -227,6 +239,35 @@ def test_analytic_gradient_matches_central_difference(drift, weight_mode, kind, 
     analytic = prob.working_gradient_c(c, spec.theta)
     central = _central_difference_c(prob, c, spec.theta)
     assert np.max(np.abs(analytic - central)) <= 1e-6 * np.max(np.abs(central))
+
+
+def _doubled_growth_problem():
+    times = np.linspace(0.0, 2.0, 30)
+    x = np.exp(0.3 * times)
+    obs = NoisyObservationSet(times=times, y_values=np.column_stack([x, 2.0 * x]))
+    om = ObservationModel(kind="gaussian", scale=1e-3,
+                          link=lambda s: np.concatenate([s[..., [0]], 2.0 * s[..., [0]]], axis=-1))
+    return obs, om, gbm_beta_spec(0.5, 1.0), BasisConfig.from_times(times)
+
+
+def test_every_observation_column_is_fitted():
+    # y = (x, 2x) under the link x -> (x, 2x): the fit recovers x itself, not
+    # the 0.6 x that fitting column 1 against both link columns gives
+    obs, om, spec, basis = _doubled_growth_problem()
+    fit, path = collocation_fit(obs, om, spec, basis, PenaltySpec(lam=100.0))
+    assert fit.converged
+    assert np.max(np.abs(path.values[:, 0] - np.exp(0.3 * path.times))) < 1e-6
+    assert fit.theta_hat[0] == pytest.approx(0.3, rel=1e-6)
+
+
+@pytest.mark.parametrize("link", [None, lambda s: np.concatenate([s, s, s], axis=-1)])
+def test_link_width_other_than_observation_columns_raises(link):
+    obs, _, spec, basis = _doubled_growth_problem()
+    om = ObservationModel(kind="gaussian", scale=1e-3, link=link)
+    with pytest.raises(DataFormatError, match="2 column"):
+        CollocationProblem(basis, obs, om, spec, PenaltySpec(lam=1.0))
+    with pytest.raises(DataFormatError):
+        collocation_fit(obs, om, spec, basis, PenaltySpec(lam=1.0))
 
 
 def test_gradient_accepts_fields_written_as_scalars():

@@ -351,3 +351,29 @@ def test_accept_rejects_criteria_outside_one_to_ten(tmp_path, capsys, criteria, 
     assert code == 2
     assert named in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_collocate_rejects_columns_the_link_does_not_give(tmp_path, capsys):
+    # the collocate command fits one state through the identity link, so a
+    # second observation column is an input error, not a silently dropped one
+    data = tmp_path / "obs.csv"
+    data.write_text("t,y1,y2\n" + "\n".join(f"{t},{np.exp(0.3 * t)},{2 * np.exp(0.3 * t)}"
+                                            for t in range(5)) + "\n")
+    out = tmp_path / "fit.json"
+    code = cli_run(["collocate", "--data", str(data), "--lambda", "100",
+                    "--obs-scale", "1e-4", "--out", str(out)])
+    assert code == 2
+    assert "2 column(s)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_accept_writes_each_criterion_wall_time_to_the_summary(tmp_path):
+    out_dir = tmp_path / "acc"
+    assert cli_run(["accept", "--criteria", "3", "--out-dir", str(out_dir)]) == 0
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["criteria"] == ["c03_fokker_planck"]
+    assert set(summary["wall_s"]) == {"c03_fokker_planck"}
+    assert 0 < summary["wall_s"]["c03_fokker_planck"] < 60
+    # the per-criterion file keeps only the criterion's own numbers
+    details = json.loads((out_dir / "c03_fokker_planck.json").read_text())["details"]
+    assert not any("wall" in key for key in details)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
-from scipy import stats
+from hypothesis import given, settings, strategies as st
+from scipy import special, stats
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from driftlab.densities import (
     euler_transition_logdensity,
     gbm_transition_logdensity,
+    logsumexp,
     ou_transition_logdensity,
 )
 from driftlab.errors import DegenerateDensityError
@@ -120,3 +121,35 @@ def test_euler_density_normalizes():
     val, _ = quad(lambda y: np.exp(euler_transition_logdensity(spec, 0.3, 1.0, y)),
                   -np.inf, np.inf, limit=200)
     assert val == pytest.approx(1.0, abs=1e-8)
+
+
+@settings(max_examples=300)
+@given(rows=st.sampled_from([None, 1, 2, 7]), length=st.integers(1, 300),
+       log10_scale=st.floats(-3.0, np.log10(700.0)), ties=st.integers(0, 5),
+       neg_inf_share=st.sampled_from([0.0, 0.0, 0.1, 0.6, 1.0]), dead_row=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_logsumexp_equals_scipy_bit_for_bit(rows, length, log10_scale, ties,
+                                             neg_inf_share, dead_row, seed):
+    # the filter reduces 1-D weights and the bridge reduces (pairs, J) with
+    # axis=1; both must stay byte-identical to scipy.special.logsumexp, so a
+    # scipy release that changes its arithmetic fails here first
+    rng = np.random.default_rng(seed)
+    a = 10.0**log10_scale * rng.standard_normal((rows or 1, length))
+    row_max = a.max(axis=1, keepdims=True)
+    for _ in range(ties):
+        a[np.arange(len(a)), rng.integers(0, length, len(a))] = row_max[:, 0]
+    a[rng.random(a.shape) < neg_inf_share] = -np.inf
+    if dead_row:
+        a[rng.integers(0, len(a))] = -np.inf
+    a, axis = (a[0], None) if rows is None else (a, 1)
+    expected = special.logsumexp(a, axis=axis)
+    got = logsumexp(a, axis=axis)
+    assert type(got) is type(expected)
+    assert np.array_equal(got, expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("a", [[np.nan, 1.0], [np.inf, 1.0], [np.inf, np.inf], [-np.inf],
+                               [3.5], [1e308, 1e308], [800.0, 1.0], [-800.0, -801.0]])
+def test_logsumexp_edge_values_equal_scipy(a):
+    assert np.array_equal(logsumexp(np.array(a)), special.logsumexp(np.array(a)),
+                          equal_nan=True)

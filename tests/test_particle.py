@@ -11,7 +11,7 @@ from driftlab.models import DiffusionSpec, OuParams, ou_spec
 from driftlab.movement import preset_integrated_rw_t
 from driftlab.observe import NoisyObservationSet, ObservationModel
 from driftlab.particle import (
-    ParticleCloud,
+    DiscreteKernel,
     ess_of_weights,
     particle_filter,
     pf_profile_loglik,
@@ -151,22 +151,7 @@ def test_systematic_resample_counts_match_weights():
             assert np.floor(3 * wi) <= c <= np.ceil(3 * wi)
 
 
-@given(st.lists(st.tuples(st.floats(-100, 100), st.floats(-30, 0)),
-                min_size=2, max_size=40))
-def test_cloud_mean_stays_inside_particle_hull(rows):
-    states = np.array([r[0] for r in rows])
-    log_w = np.array([r[1] for r in rows])
-    cloud = ParticleCloud(states=states[:, None], log_weights=log_w)
-    m = cloud.mean()[0]
-    assert states.min() - 1e-9 <= m <= states.max() + 1e-9
-
-
-def test_particle_cloud_invariants():
-    cloud = ParticleCloud(states=np.array([[0.0], [1.0], [2.0]]),
-                          log_weights=np.log([0.2, 0.3, 0.5]))
-    assert cloud.weights.sum() == pytest.approx(1.0, abs=1e-12)
-    assert cloud.ess == pytest.approx(1.0 / (0.04 + 0.09 + 0.25), rel=1e-12)
-    assert cloud.mean()[0] == pytest.approx(1.3, rel=1e-12)
+def test_ess_of_uniform_weights_is_the_particle_count():
     assert ess_of_weights(np.full(4, 0.25)) == pytest.approx(4.0)
 
 
@@ -204,6 +189,25 @@ def test_exploding_drift_raises_with_observation_index():
     with pytest.raises(SimulationDivergedError) as err:
         particle_filter(blowup, om, obs, 20, seed=0)
     assert err.value.step == first_bad > 5
+
+
+def test_kernel_returning_nan_raises_at_its_step():
+    # a discrete kernel that turns one particle NaN on the gap into
+    # observation 3 stops the filter there, as an Euler propagation does
+    def propagate(states, rng):
+        propagate.calls += 1
+        out = states + rng.standard_normal(states.shape)
+        if propagate.calls == 3:
+            out[0] = np.nan
+        return out
+
+    propagate.calls = 0
+    kernel = DiscreteKernel(x0=[0.0], propagate=propagate)
+    obs = NoisyObservationSet(times=np.arange(5.0), y_values=np.zeros(5))
+    om = ObservationModel(kind="gaussian", scale=1.0)
+    with pytest.raises(SimulationDivergedError) as err:
+        particle_filter(kernel, om, obs, 20, seed=0)
+    assert err.value.step == 3
 
 
 def test_profile_search_peaks_near_truth():
