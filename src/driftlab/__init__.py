@@ -7,13 +7,12 @@ penalized spline collocation, and synthetic-data adequacy checks.
 """
 
 from .adequacy import AdequacyReport, envelope_check, synthetic_replicates
-from .bridge import bridge_loglikelihood, bridge_pair_logdensity
+from .bridge import bridge_loglikelihood
 from .collocation import (
     BasisConfig,
     CollocationState,
     PenaltySpec,
     collocation_fit,
-    collocation_objective,
     map_equivalent_sigma,
 )
 from .densities import (
@@ -58,7 +57,6 @@ from .particle import (
     DiscreteKernel,
     FilterResult,
     particle_filter,
-    pf_profile_loglik,
     systematic_resample,
 )
 from .paths import Path, TimeGrid, quadratic_variation, read_path_csv, write_path_csv

@@ -12,7 +12,6 @@ the product of Euler substep densities over the proposal density.
 (inputs, seed) and can be optimized over theta with common random numbers.
 ``BridgeDensity`` draws a record's noise (``proposal_normals``) once, on its
 first evaluation, and keeps it frozen across theta for the rest of the fit.
-``bridge_pair_logdensity`` is the same pass over one pair.
 """
 
 from __future__ import annotations
@@ -23,20 +22,16 @@ from .densities import logsumexp, normal_logpdf
 from .errors import DegenerateImportanceError, UnsupportedDimensionError
 from .models import DiffusionSpec
 from .observe import ObservationSet
-from .rng import replicate_normals, stream
-
-
-def _check_sizes(m_sub: int, j_samples: int) -> None:
-    if m_sub < 2:
-        raise ValueError("m_sub must be at least 2")
-    if j_samples < 1:
-        raise ValueError("j_samples must be at least 1")
+from .rng import replicate_normals
 
 
 def proposal_normals(n_pairs: int, m_sub: int, j_samples: int, seed) -> np.ndarray:
     """The (n_pairs, J, m_sub - 1) proposal normals of a record; pair i's come
     from the stream keyed (seed, "bridge", i)."""
-    _check_sizes(m_sub, j_samples)
+    if m_sub < 2:
+        raise ValueError("m_sub must be at least 2")
+    if j_samples < 1:
+        raise ValueError("j_samples must be at least 1")
     return replicate_normals(seed, n_pairs, (j_samples, m_sub - 1), "bridge")
 
 
@@ -72,15 +67,6 @@ def _logdensities(spec: DiffusionSpec, dts, x, y, z: np.ndarray, pair: int = 0) 
     return logsumexp(logw, axis=1) - np.log(j_samples)
 
 
-def bridge_pair_logdensity(spec: DiffusionSpec, dt: float, x: float, y: float,
-                           m_sub: int, j_samples: int, seed, pair: int = 0) -> float:
-    """Importance-sampling estimate of log p(dt, x, y) for one observation pair,
-    with the draws of pair ``pair`` of a record."""
-    _check_sizes(m_sub, j_samples)
-    z = stream(seed, "bridge", pair).standard_normal((1, j_samples, m_sub - 1))
-    return float(_logdensities(spec, [dt], [x], [y], z, pair)[0])
-
-
 def logdensities(spec: DiffusionSpec, dts, x, y, m_sub: int, j_samples: int,
                  seed, z: np.ndarray | None = None) -> np.ndarray:
     """Bridge estimates of log p(dts[i], x[i], y[i]), one per observation pair i.
@@ -98,10 +84,6 @@ def bridge_loglikelihood(spec: DiffusionSpec, obs: ObservationSet, m_sub: int,
     """Sum of bridge-sampled transition log-densities over consecutive pairs."""
     if spec.state_dim != 1:
         raise UnsupportedDimensionError("bridge sampling handles scalar models only")
-    if len(obs) < 2:
-        raise ValueError("need at least two observations")
-    values = np.asarray(obs.values, dtype=float).reshape(len(obs), -1)[:, 0]
-    terms = logdensities(spec, np.diff(obs.times), values[:-1], values[1:],
-                         m_sub, j_samples, seed)
+    terms = logdensities(spec, *obs.pairs(), m_sub, j_samples, seed)
     # a running sum, left to right; terms.sum() adds pairwise and rounds differently
     return float(np.cumsum(terms)[-1])

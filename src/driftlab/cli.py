@@ -181,7 +181,7 @@ def _cmd_fit(opts: dict) -> int:
         spec = gbm_spec(GbmParams(beta=beta0, sigma=sigma0))
         td = BridgeDensity(spec, m_sub=opts.get("m-sub", 8),
                            j_samples=opts.get("j-samples", 200), seed=seed)
-        fit = mle_fit(td, obs, td.theta, seed=seed, compute_stderr=False)
+        fit = mle_fit(td, obs, td.theta, seed=seed)
     else:
         raise ConfigError(f"unknown fit method {method!r}")
 

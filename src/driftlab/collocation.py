@@ -163,21 +163,33 @@ class CollocationProblem:
                 "sigma(x, theta) = 0 at a quadrature node; cannot weight")
         return sig
 
-    def terms(self, c: np.ndarray, theta: np.ndarray) -> tuple:
+    def _data_and_nodes(self, c) -> tuple:
+        """The theta-free part at c: the data term, x and dx/dt at the nodes."""
         c = np.asarray(c, dtype=float)
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
         x_obs = self.B_obs @ c
         data = -float(np.sum(self.om.loglik_series(self.y, x_obs[:, None])))
-        x_q = self.Bq @ c
-        resid = self.dBq @ c - np.asarray(self.spec.drift(x_q, theta), dtype=float)
+        return data, self.Bq @ c, self.dBq @ c
+
+    def _penalty(self, x_q, dx_q, theta) -> float:
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        resid = dx_q - np.asarray(self.spec.drift(x_q, theta), dtype=float)
         if self.pen.weight_mode == "sigma_weighted":
             resid = resid / self._weight_sigma(x_q, theta)
-        penalty = self.pen.lam * float(self.q_weights @ resid**2)
-        return data, penalty
+        return self.pen.lam * float(self.q_weights @ resid**2)
+
+    def terms(self, c: np.ndarray, theta: np.ndarray) -> tuple:
+        data, x_q, dx_q = self._data_and_nodes(c)
+        return data, self._penalty(x_q, dx_q, theta)
 
     def objective(self, c, theta) -> float:
         data, penalty = self.terms(c, theta)
         return data + penalty
+
+    def theta_objective(self, c):
+        """theta -> objective(c, theta) for fixed c, with the data term and
+        the spline values computed once."""
+        data, x_q, dx_q = self._data_and_nodes(c)
+        return lambda theta: data + self._penalty(x_q, dx_q, theta)
 
     def working_gradient_c(self, c, theta) -> np.ndarray:
         """Analytic gradient of the objective in c, as the inner optimizer uses it.
@@ -222,13 +234,6 @@ def _state_slope(f, x: np.ndarray) -> np.ndarray:
     vals = np.broadcast_to(vals, (2 * len(x),) + vals.shape[1:])
     step = (x_up - x_down).reshape((len(x),) + (1,) * (vals.ndim - 1))
     return (vals[:len(x)] - vals[len(x):]) / step
-
-
-def collocation_objective(c, theta, basis: BasisConfig, obs: NoisyObservationSet,
-                          om: ObservationModel, spec: DiffusionSpec,
-                          pen: PenaltySpec) -> float:
-    """Penalized objective at given coefficients and parameters."""
-    return CollocationProblem(basis, obs, om, spec, pen).objective(c, theta)
 
 
 def collocation_fit(obs: NoisyObservationSet, om: ObservationModel, spec: DiffusionSpec,
@@ -280,7 +285,7 @@ def collocation_fit(obs: NoisyObservationSet, om: ObservationModel, spec: Diffus
     converged = False
     outer = inner_iterations = gradient_evaluations = 0
     for outer in range(1, max_outer + 1):
-        res_t = minimize(lambda th: prob.objective(c, th), theta, method="Nelder-Mead",
+        res_t = minimize(prob.theta_objective(c), theta, method="Nelder-Mead",
                          options={"xatol": THETA_XATOL, "fatol": THETA_FATOL,
                                   "maxiter": 400})
         if res_t.fun <= current:

@@ -1,5 +1,7 @@
 """Transition log-densities p(t, x, y) for the built-in models and the Euler
 approximation.  All functions broadcast over numpy arrays in dt, x and y.
+Each density is a theta-free record part (checks, arrays) that a fit runs
+once and a ``*_record_logdensity`` part that it runs per theta.
 """
 
 from __future__ import annotations
@@ -48,31 +50,55 @@ def logsumexp(a, axis=None):
     return np.squeeze(out, axis=axis)[()]
 
 
-def gbm_transition_logdensity(p: GbmParams, dt, x, y):
-    """Lognormal transition: log(y/x) ~ Normal((beta - sigma^2/2) dt, sigma^2 dt)."""
-    if not np.all(np.asarray(dt) > 0):
+def record_arrays(dt, x, y) -> tuple:
+    """(dt, x, y) as float arrays, dt checked positive: the OU and Euler record."""
+    dt = np.asarray(dt, dtype=float)
+    if not np.all(dt > 0):
         raise ValueError("dt must be positive")
-    if p.sigma == 0:
-        raise DegenerateDensityError("GBM transition density degenerate at sigma = 0")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    return dt, np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+
+
+def gbm_record(dt, x, y) -> tuple:
+    """(dt, log y - log x, log y), with dt and the states checked positive."""
+    dt, x, y = record_arrays(dt, x, y)
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("GBM states must be positive")
-    r = np.log(y) - np.log(x)
-    mean = (p.beta - 0.5 * p.sigma**2) * dt
-    var = p.sigma**2 * dt
-    return normal_logpdf(r, mean, var) - np.log(y)
+    log_y = np.log(y)
+    return dt, log_y - np.log(x), log_y
+
+
+def gbm_record_logdensity(p: GbmParams, record: tuple):
+    dt, r, log_y = record
+    if p.sigma == 0:
+        raise DegenerateDensityError("GBM transition density degenerate at sigma = 0")
+    return normal_logpdf(r, (p.beta - 0.5 * p.sigma**2) * dt, p.sigma**2 * dt) - log_y
+
+
+def gbm_transition_logdensity(p: GbmParams, dt, x, y):
+    """Lognormal transition: log(y/x) ~ Normal((beta - sigma^2/2) dt, sigma^2 dt)."""
+    return gbm_record_logdensity(p, gbm_record(dt, x, y))
+
+
+def ou_record_logdensity(p: OuParams, record: tuple):
+    dt, x, y = record
+    if p.sigma == 0:
+        raise DegenerateDensityError("OU transition density degenerate at sigma = 0")
+    phi, offset, var = ou_transition_moments(p, dt)
+    return normal_logpdf(y, phi * x + offset, var)
 
 
 def ou_transition_logdensity(p: OuParams, dt, x, y):
     """Gaussian transition with the exact OU mean and variance."""
-    if not np.all(np.asarray(dt) > 0):
-        raise ValueError("dt must be positive")
-    if p.sigma == 0:
-        raise DegenerateDensityError("OU transition density degenerate at sigma = 0")
-    phi, offset, var = ou_transition_moments(p, dt)
-    mean = phi * np.asarray(x, dtype=float) + offset
-    return normal_logpdf(y, mean, var)
+    return ou_record_logdensity(p, record_arrays(dt, x, y))
+
+
+def euler_record_logdensity(spec: DiffusionSpec, record: tuple):
+    dt, x, y = record
+    mu = np.asarray(spec.drift(x, spec.theta), dtype=float)
+    sig = np.asarray(spec.diffusion(x, spec.theta), dtype=float)
+    if np.any(sig == 0):
+        raise DegenerateDensityError("Euler transition density degenerate at sigma(x) = 0")
+    return normal_logpdf(y, x + mu * dt, sig**2 * dt)
 
 
 def euler_transition_logdensity(spec: DiffusionSpec, dt, x, y):
@@ -80,12 +106,4 @@ def euler_transition_logdensity(spec: DiffusionSpec, dt, x, y):
 
     For scalar models only; x and y may be arrays of evaluation points.
     """
-    if not np.all(np.asarray(dt) > 0):
-        raise ValueError("dt must be positive")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    mu = np.asarray(spec.drift(x, spec.theta), dtype=float)
-    sig = np.asarray(spec.diffusion(x, spec.theta), dtype=float)
-    if np.any(sig == 0):
-        raise DegenerateDensityError("Euler transition density degenerate at sigma(x) = 0")
-    return normal_logpdf(y, x + mu * dt, sig**2 * dt)
+    return euler_record_logdensity(spec, record_arrays(dt, x, y))

@@ -104,11 +104,7 @@ def ee_solve(spec: DiffusionSpec, ef: EstimatingFunction, obs: ObservationSet,
     baseline).  Root-finding is damped Newton on the residual with a
     finite-difference Jacobian, at most NEWTON_MAX_ITER steps.
     """
-    if len(obs) < 2:
-        raise ValueError("need at least two observations")
-    values = np.asarray(obs.values, dtype=float).reshape(len(obs), -1)[:, 0]
-    x_s, x_t = values[:-1], values[1:]
-    dts = np.diff(obs.times)
+    dts, x_s, x_t = obs.pairs()
     n_pairs = len(dts)
     theta0 = np.atleast_1d(np.asarray(init_theta, dtype=float))
     k = len(theta0)

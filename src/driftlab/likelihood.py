@@ -15,6 +15,7 @@ from scipy.optimize import minimize
 
 from . import bridge, densities
 from .errors import (
+    DriftlabError,
     InsufficientDataError,
     InvalidGridError,
     InvalidStartError,
@@ -31,8 +32,9 @@ class TransitionDensity:
 
     ``logdensities(dts, x, y)`` returns log p_theta(dts[i], x[i], y[i]) for
     every pair i in one call, so irregular observation times cost no extra
-    calls; ``pair_logdensities`` is the one place an ObservationSet becomes
-    such pairs.
+    calls.  ``record_terms(obs)`` checks a record and prepares its theta-free
+    arrays once, and returns theta -> per-pair log-densities; the default
+    redoes all the work per theta, the closed-form and Euler densities do not.
     """
 
     kind: str
@@ -51,10 +53,13 @@ class TransitionDensity:
     def logdensities(self, dts, x, y) -> np.ndarray:
         raise NotImplementedError
 
+    def record_terms(self, obs: ObservationSet):
+        dts, x, y = obs.pairs()
+        return lambda theta: self.with_theta(theta).logdensities(dts, x, y)
+
     def pair_logdensities(self, obs: ObservationSet) -> np.ndarray:
         """One log-density per consecutive observation pair."""
-        values = np.asarray(obs.values, dtype=float).reshape(len(obs), -1)[:, 0]
-        return self.logdensities(np.diff(obs.times), values[:-1], values[1:])
+        return self.record_terms(obs)(self.theta)
 
 
 class _ClosedFormDensity(TransitionDensity):
@@ -69,9 +74,19 @@ class _ClosedFormDensity(TransitionDensity):
     def positive_mask(self):
         return tuple(f in self.positive for f in self.free)
 
-    def with_theta(self, theta):
+    def _params_at(self, theta):
         updates = {f: float(v) for f, v in zip(self.free, np.atleast_1d(theta))}
-        return replace(self, params=replace(self.params, **updates))
+        return replace(self.params, **updates)
+
+    def with_theta(self, theta):
+        return replace(self, params=self._params_at(theta))
+
+    def logdensities(self, dts, x, y):
+        return self.record_logdensity(self.params, self.record(dts, x, y))
+
+    def record_terms(self, obs):
+        record = self.record(*obs.pairs())
+        return lambda theta: self.record_logdensity(self._params_at(theta), record)
 
 
 @dataclass(frozen=True)
@@ -82,9 +97,8 @@ class GbmDensity(_ClosedFormDensity):
     free: tuple = ("beta", "sigma")
     kind = "closed_form_gbm"
     positive = ("sigma",)
-
-    def logdensities(self, dts, x, y):
-        return densities.gbm_transition_logdensity(self.params, dts, x, y)
+    record = staticmethod(densities.gbm_record)
+    record_logdensity = staticmethod(densities.gbm_record_logdensity)
 
 
 @dataclass(frozen=True)
@@ -96,9 +110,8 @@ class OuDensity(_ClosedFormDensity):
     free: tuple = ("gamma", "beta_bar", "sigma")
     kind = "closed_form_ou"
     positive = ("gamma", "sigma")
-
-    def logdensities(self, dts, x, y):
-        return densities.ou_transition_logdensity(self.params, dts, x, y)
+    record = staticmethod(densities.record_arrays)
+    record_logdensity = staticmethod(densities.ou_record_logdensity)
 
 
 @dataclass(frozen=True)
@@ -126,6 +139,11 @@ class EulerDensity(_SpecDensity):
 
     def logdensities(self, dts, x, y):
         return densities.euler_transition_logdensity(self.spec, dts, x, y)
+
+    def record_terms(self, obs):
+        record = densities.record_arrays(*obs.pairs())
+        return lambda theta: densities.euler_record_logdensity(self.spec.with_theta(theta),
+                                                               record)
 
 
 @dataclass(frozen=True)
@@ -189,10 +207,12 @@ def discrete_loglikelihood(td: TransitionDensity, obs: ObservationSet) -> float:
     The first observation is conditioned on and contributes no term.  A
     non-finite term raises NonFiniteTermError naming the offending pair.
     """
-    if len(obs) < 2:
-        raise ValueError("need at least two observations")
+    return _loglik_at(td.record_terms(obs), td.theta)
+
+
+def _loglik_at(record_terms, theta) -> float:
     with np.errstate(all="ignore"):
-        terms = td.pair_logdensities(obs)
+        terms = record_terms(theta)
     bad = ~np.isfinite(terms)
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -290,21 +310,28 @@ def mle_fit(td: TransitionDensity, obs: ObservationSet, init_theta, seed: int = 
     Non-convergence is reported through ``converged=False``, not an exception;
     a non-finite objective at the start raises InvalidStartError, and fewer
     observation pairs than free parameters raises InsufficientDataError.
+    Standard errors whose probes raise a DriftlabError are None.
     """
     mask = td.positive_mask
     init_theta = np.atleast_1d(np.asarray(init_theta, dtype=float))
+    z0 = to_working(init_theta, mask)
+    record_terms = td.record_terms(obs)
 
     def loglik(theta):
         try:
-            return discrete_loglikelihood(td.with_theta(theta), obs)
+            return _loglik_at(record_terms, theta)
         except NonFiniteTermError:
             return -np.inf
 
-    def neg(z):
-        val = loglik(from_working(z, mask))
-        return np.inf if not np.isfinite(val) else -val
+    seen = {}  # working point bytes -> objective: the simplex revisits points
 
-    z0 = to_working(init_theta, mask)
+    def neg(z):
+        key = z.tobytes()
+        if key not in seen:
+            val = loglik(from_working(z, mask))
+            seen[key] = np.inf if not np.isfinite(val) else -val
+        return seen[key]
+
     if not np.isfinite(neg(z0)):
         raise InvalidStartError(f"log-likelihood non-finite at init_theta={init_theta}")
     k = len(init_theta)
@@ -317,7 +344,10 @@ def mle_fit(td: TransitionDensity, obs: ObservationSet, init_theta, seed: int = 
     diagnostics = {"optimizer": "nelder-mead", "kind": td.kind}
     stderr = None
     if compute_stderr:
-        stderr, log_scaled = _hessian_stderr(loglik, theta_hat, mask)
+        try:
+            stderr, log_scaled = _hessian_stderr(loglik, theta_hat, mask)
+        except DriftlabError:
+            log_scaled = ()
         if np.any(log_scaled):
             diagnostics["stderr_log_scale"] = [bool(v) for v in log_scaled]
     return FitResult(

@@ -8,6 +8,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln
 
+from .errors import DataFormatError
 from .paths import format_float, read_csv_table
 
 
@@ -32,6 +33,13 @@ class ObservationSet:
 
     def __len__(self):
         return len(self.times)
+
+    def pairs(self) -> tuple:
+        """(dts, x, y) of the consecutive observation pairs (first coordinate)."""
+        if len(self) < 2:
+            raise ValueError("need at least two observations")
+        values = self.values.reshape(len(self), -1)[:, 0]
+        return np.diff(self.times), values[:-1], values[1:]
 
 
 @dataclass(frozen=True)
@@ -78,8 +86,8 @@ class ObservationModel:
     """Conditional density of an observation given the state, y | x ~ f(y | x).
 
     ``kind`` is "gaussian" or "student_t"; ``link`` maps states (n, d) to
-    observation means (n, p), identity by default.  Observation coordinates
-    are conditionally independent given the state.
+    observation means (n, p), or (n,) when p = 1, identity by default.
+    Observation coordinates are conditionally independent given the state.
     """
 
     kind: str
@@ -97,10 +105,15 @@ class ObservationModel:
 
     def mean(self, states: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=float)
-        return states if self.link is None else np.asarray(self.link(states), dtype=float)
+        m = states if self.link is None else np.asarray(self.link(states), dtype=float)
+        return m[:, None] if states.ndim == 2 and m.shape == (len(states),) else m
 
     def _loglik_rows(self, y, states: np.ndarray) -> np.ndarray:
-        m = np.atleast_2d(self.mean(np.atleast_2d(states)))
+        states = np.atleast_2d(states)
+        m = self.mean(states)
+        if m.ndim != 2 or len(m) != len(states):
+            raise DataFormatError(f"the observation link maps {len(states)} states to "
+                                  f"means of shape {m.shape}, not (n_states, p)")
         u = (y - m) / self.scale
         with np.errstate(over="ignore"):
             if self.kind == "gaussian":

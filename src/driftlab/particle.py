@@ -146,18 +146,3 @@ def particle_filter(model, om: ObservationModel, obs: NoisyObservationSet,
         resample_steps=resample_steps,
         seed=seed,
     )
-
-
-def pf_profile_loglik(models, om: ObservationModel, obs: NoisyObservationSet,
-                      n_particles: int, substeps: int = 1, seed: int = 0) -> np.ndarray:
-    """Particle-filter log-likelihood over a grid of candidate models.
-
-    Parameter estimation over the filter is exposed as this grid/profile
-    search only; the same seed is used at every candidate, so the profile is
-    a deterministic function of the grid and differences between candidates
-    are not drowned by resampling noise.
-    """
-    return np.array([
-        particle_filter(m, om, obs, n_particles, substeps=substeps, seed=seed).loglik
-        for m in models
-    ])

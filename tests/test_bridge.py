@@ -5,7 +5,7 @@ from scipy import stats
 
 from driftlab import bridge
 from driftlab.adequacy import simulate_states_at
-from driftlab.bridge import bridge_loglikelihood, bridge_pair_logdensity, logdensities
+from driftlab.bridge import bridge_loglikelihood, logdensities
 from driftlab.densities import gbm_transition_logdensity
 from driftlab.errors import DegenerateImportanceError, UnsupportedDimensionError
 from driftlab.likelihood import BridgeDensity, mle_fit
@@ -14,6 +14,14 @@ from driftlab.observe import ObservationSet
 from driftlab.rng import stream
 
 P = GbmParams(beta=0.1, sigma=0.2, x0=1.0)
+
+
+def bridge_pair_logdensity(spec, dt, x, y, m_sub, j_samples, seed, pair=0):
+    """The bridge estimate of one pair, with the draws of pair ``pair`` of a
+    record taken from their own stream: the reference the batched pass must
+    reproduce."""
+    z = stream(seed, "bridge", pair).standard_normal((1, j_samples, m_sub - 1))
+    return float(bridge._logdensities(spec, [dt], [x], [y], z, pair)[0])
 
 
 def test_bm_one_interior_point_is_exact():
@@ -101,9 +109,9 @@ def test_multidimensional_rejected():
 def test_validation():
     spec = gbm_spec(P)
     with pytest.raises(ValueError):
-        bridge_pair_logdensity(spec, 0.5, 1.0, 1.1, m_sub=1, j_samples=10, seed=0)
+        logdensities(spec, [0.5], [1.0], [1.1], m_sub=1, j_samples=10, seed=0)
     with pytest.raises(ValueError):
-        bridge_pair_logdensity(spec, 0.5, 1.0, 1.1, m_sub=4, j_samples=0, seed=0)
+        logdensities(spec, [0.5], [1.0], [1.1], m_sub=4, j_samples=0, seed=0)
 
 
 @st.composite

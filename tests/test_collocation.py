@@ -8,7 +8,6 @@ from driftlab.collocation import (
     CollocationState,
     PenaltySpec,
     collocation_fit,
-    collocation_objective,
     map_equivalent_sigma,
 )
 from driftlab.errors import DataFormatError, InvalidStartError, WeightSingularityError
@@ -57,8 +56,8 @@ def test_lambda_zero_objective_is_pure_negative_loglik():
     basis = BasisConfig.from_times(TIMES)
     spec = _const_drift_spec()
     c = stream(3).standard_normal(basis.n_basis)
-    obj = collocation_objective(c, spec.theta, basis, obs, OM, spec, PenaltySpec(lam=0.0))
     prob = CollocationProblem(basis, obs, OM, spec, PenaltySpec(lam=0.0))
+    obj = prob.objective(c, spec.theta)
     data, penalty = prob.terms(c, spec.theta)
     assert penalty == 0.0
     assert obj == pytest.approx(data, rel=1e-14)
@@ -239,6 +238,45 @@ def test_analytic_gradient_matches_central_difference(drift, weight_mode, kind, 
     analytic = prob.working_gradient_c(c, spec.theta)
     central = _central_difference_c(prob, c, spec.theta)
     assert np.max(np.abs(analytic - central)) <= 1e-6 * np.max(np.abs(central))
+
+
+@settings(max_examples=40, deadline=None)
+@given(drift=st.sampled_from(sorted(DRIFTS)),
+       weight_mode=st.sampled_from(["unweighted", "sigma_weighted"]),
+       link=st.sampled_from(sorted(LINKS)),
+       shift=st.lists(st.floats(-0.5, 0.5), min_size=2, max_size=2),
+       seed=st.integers(min_value=0, max_value=10_000))
+def test_theta_objective_equals_objective(drift, weight_mode, link, shift, seed):
+    # the theta pass computes the data term once per c; every theta gives
+    # the objective's own float
+    times = np.linspace(0.0, 2.0, 15)
+    rng = stream(16, seed)
+    y = 1.0 + 0.5 * np.sin(times) + 0.05 * rng.standard_normal(len(times))
+    y_obs = _two_column_link(y[:, None]) if link == "two_column" else y
+    obs = NoisyObservationSet(times=times, y_values=y_obs)
+    om = ObservationModel(kind="gaussian", scale=0.1, link=LINKS[link])
+    mu, theta = DRIFTS[drift]
+    spec = DiffusionSpec(drift=mu, diffusion=lambda x, th: 0.4 + x**2, theta=theta, x0=[1.0])
+    basis = BasisConfig.from_times(times)
+    prob = CollocationProblem(basis, obs, om, spec, PenaltySpec(lam=3.0, weight_mode=weight_mode))
+    c = np.linalg.lstsq(prob.B_obs, y, rcond=None)[0] + 0.2 * rng.standard_normal(basis.n_basis)
+    at_c = prob.theta_objective(c)
+    for th in (theta, np.asarray(theta) + shift[:len(theta)]):
+        assert at_c(th) == prob.objective(c, th)
+
+
+def test_link_with_one_mean_per_state_fits_like_the_column_link():
+    # a link returning shape (n,) is one observation column, not a row
+    # broadcast against every observation
+    times = np.linspace(0.0, 2.0, 30)
+    obs = NoisyObservationSet(times=times, y_values=np.exp(0.3 * times))
+    fits = [collocation_fit(obs, ObservationModel(kind="gaussian", scale=1e-3, link=link),
+                            gbm_beta_spec(0.5, 1.0), BasisConfig.from_times(times),
+                            PenaltySpec(lam=100.0))[0]
+            for link in (lambda s: s[..., 0], projection_link([0]))]
+    assert fits[0].theta_hat[0] == pytest.approx(0.3, rel=1e-6)
+    assert np.array_equal(fits[0].theta_hat, fits[1].theta_hat)
+    assert fits[0].objective_value == fits[1].objective_value
 
 
 def _doubled_growth_problem():

@@ -4,9 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from driftlab import cli, likelihood
 from driftlab.cli import cli_run
 from driftlab.config import parse_config_text, typed_options
-from driftlab.errors import ConfigError
+from driftlab.errors import ConfigError, DegenerateImportanceError
 from driftlab.ioutil import atomic_write_text
 
 
@@ -141,6 +142,46 @@ def test_fit_ee_and_bridge(tmp_path):
     assert abs(payload["theta_hat"][0] - 0.1) < 0.3
 
 
+def _gbm_csv(tmp_path, seed):
+    data = tmp_path / f"gbm{seed}.csv"
+    assert cli_run(["simulate", "--model", "gbm", "--beta", "0.1", "--sigma", "0.2",
+                    "--x0", "1", "--t-end", "10", "--steps", "100", "--seed", str(seed),
+                    "--out", str(data)]) == 0
+    return data
+
+
+def _fit(tmp_path, data, method, *flags):
+    out = tmp_path / f"{method}.json"
+    code = cli_run(["fit", "--method", method, "--model", "gbm", "--data", str(data),
+                    "--seed", "2", *flags, "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_bridge_mle_standard_errors_agree_with_closed_form(tmp_path, seed):
+    data = _gbm_csv(tmp_path, seed)
+    code, exact = _fit(tmp_path, data, "mle")
+    assert code == 0
+    code, bridge = _fit(tmp_path, data, "bridge-mle", "--m-sub", "8", "--j-samples", "200")
+    assert code == 0
+    assert np.allclose(bridge["stderr"], exact["stderr"], rtol=0.02, atol=0.0)
+
+
+def test_bridge_mle_keeps_its_estimate_when_stderr_probes_fail(tmp_path, monkeypatch):
+    data = _gbm_csv(tmp_path, 1)
+    _, reference = _fit(tmp_path, data, "bridge-mle", "--m-sub", "4", "--j-samples", "50")
+    assert reference["stderr"] is not None
+
+    def probes_fail(*_args):
+        raise DegenerateImportanceError(0)
+
+    monkeypatch.setattr(likelihood, "_hessian_stderr", probes_fail)
+    code, fit = _fit(tmp_path, data, "bridge-mle", "--m-sub", "4", "--j-samples", "50")
+    assert code == 0
+    assert fit["stderr"] is None
+    assert fit["theta_hat"] == reference["theta_hat"]
+
+
 def test_filter_command(tmp_path):
     data = tmp_path / "noisy.csv"
     rng = np.random.default_rng(0)
@@ -246,7 +287,10 @@ def test_bad_values_exit_2_through_one_typing_path(tmp_path, capsys):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("method", [m for m in FIT_METHODS if m[3] == "gbm"],
                          ids=lambda m: m[1])
-def test_fit_gbm_non_positive_value_exits_2(tmp_path, capsys, method):
+def test_fit_gbm_non_positive_value_exits_2(tmp_path, capsys, monkeypatch, method):
+    # the record is rejected before any fit starts
+    for name in ("mle_fit", "ee_solve"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("a fit started"))
     data = tmp_path / "neg.csv"
     data.write_text("t,x\n0,1.0\n0.5,1.2\n1.5,-0.25\n2,0\n")
     out = tmp_path / "f.json"

@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from driftlab import densities
 from driftlab.adequacy import simulate_states_at
 from driftlab.densities import gbm_transition_logdensity
-from driftlab.errors import InvalidStartError, NonFiniteTermError
+from driftlab.errors import DegenerateImportanceError, InvalidStartError, NonFiniteTermError
 from driftlab.likelihood import (
     EulerDensity,
     FokkerPlanckDensity,
@@ -15,9 +16,17 @@ from driftlab.likelihood import (
     OuDensity,
     _hessian_stderr,
     discrete_loglikelihood,
+    minimize_simplex,
     mle_fit,
 )
-from driftlab.models import DiffusionSpec, GbmParams, OuParams, gbm_spec, ou_spec
+from driftlab.models import (
+    DiffusionSpec,
+    GbmParams,
+    OuParams,
+    gbm_beta_spec,
+    gbm_spec,
+    ou_spec,
+)
 from driftlab.observe import ObservationSet
 from driftlab.rng import stream
 
@@ -244,3 +253,139 @@ def test_fokker_planck_density_close_to_closed_form_loglik():
                              n_cells=400, n_time_steps=100)
     approx = discrete_loglikelihood(fp, obs)
     assert approx == pytest.approx(exact, abs=0.05)
+
+
+@st.composite
+def records(draw, low, high):
+    """A record on regular times (0.1 * arange) or on irregular ones."""
+    if draw(st.booleans()):
+        return draw(irregular_records(low, high))
+    values = draw(st.lists(st.floats(low, high), min_size=2, max_size=40))
+    return ObservationSet(times=0.1 * np.arange(len(values)), values=values)
+
+
+# log-scale parameters: moderate, or at the ends of the working scale, where
+# sigma^2 dt underflows to 0 or nearly overflows (a python float sigma^2
+# overflows past exp(354))
+LOG_POSITIVE = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([-745.0, -700.0, 300.0, 350.0]))
+
+
+def _free_theta(draw, names, positive):
+    free = draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names), unique=True))
+    free = tuple(f for f in names if f in free)
+    theta = [np.exp(draw(LOG_POSITIVE)) if f in positive else draw(st.floats(-2.0, 2.0))
+             for f in free]
+    return free, theta
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_record_terms_equal_the_public_densities(data):
+    # a fit's per-record path and the public per-call functions compute each
+    # formula once, so they agree bit for bit at every theta
+    def check(td, obs, theta, public):
+        dts, values = np.diff(obs.times), obs.values
+        with np.errstate(all="ignore"):
+            got = td.record_terms(obs)(theta)
+            want = public(dts, values[:-1], values[1:])
+        assert np.array_equal(got, want, equal_nan=True)
+
+    obs = data.draw(records(0.05, 20.0))
+    free, theta = _free_theta(data.draw, ("beta", "sigma"), ("sigma",))
+    p = replace(P_GBM, **dict(zip(free, theta)))
+    check(GbmDensity(P_GBM, free=free), obs, theta,
+          lambda dt, x, y: densities.gbm_transition_logdensity(p, dt, x, y))
+
+    obs = data.draw(records(-5.0, 5.0))
+    base = OuParams(gamma=1.0, beta_bar=0.4, sigma=0.5)
+    free, theta = _free_theta(data.draw, ("gamma", "beta_bar", "sigma"), ("gamma", "sigma"))
+    p = replace(base, **dict(zip(free, theta)))
+    check(OuDensity(base, free=free), obs, theta,
+          lambda dt, x, y: densities.ou_transition_logdensity(p, dt, x, y))
+    spec = ou_spec(p)
+    check(EulerDensity(ou_spec(base)), obs, spec.theta,
+          lambda dt, x, y: densities.euler_transition_logdensity(spec, dt, x, y))
+
+
+def _counting(calls, name, fn):
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+    return counted
+
+
+@pytest.mark.parametrize("make_td", [
+    lambda: GbmDensity(P_GBM),
+    lambda: OuDensity(OuParams(gamma=1.0, beta_bar=1.0, sigma=0.2)),
+    lambda: EulerDensity(gbm_spec(P_GBM)),
+], ids=["gbm", "ou", "euler"])
+def test_mle_fit_prepares_the_record_once(monkeypatch, make_td):
+    calls = {"pairs": 0, "terms": 0}
+    monkeypatch.setattr(ObservationSet, "pairs", _counting(calls, "pairs", ObservationSet.pairs))
+    td = make_td()
+    record_terms = td.record_terms
+    monkeypatch.setattr(type(td), "record_terms", lambda self, obs: _counting(
+        calls, "terms", record_terms(obs)))
+    obs = _gbm_obs(P_GBM, 0.1 * np.arange(51), (91, 0))
+    fit = mle_fit(td, obs, td.theta)
+    assert fit.standard_errors is not None
+    assert calls["pairs"] == 1
+    assert calls["terms"] > 50  # the simplex and the Hessian probes
+
+
+def test_bad_record_raises_before_any_evaluation(monkeypatch):
+    calls = {"theta": 0}
+    monkeypatch.setattr(GbmDensity, "record_logdensity", staticmethod(_counting(
+        calls, "theta", densities.gbm_record_logdensity)))
+    obs = ObservationSet(times=[0.0, 0.5, 1.0], values=[1.0, -0.2, 1.1])
+    with pytest.raises(ValueError, match="GBM states must be positive"):
+        mle_fit(GbmDensity(P_GBM), obs, [0.1, 0.2])
+    assert calls["theta"] == 0
+
+
+@dataclass(frozen=True)
+class _CountingFokkerPlanck(FokkerPlanckDensity):
+    points: list = field(default_factory=list)  # shared by the with_theta copies
+
+    def logdensities(self, dts, x, y):
+        self.points.append(self.spec.theta.tobytes())
+        return super().logdensities(dts, x, y)
+
+
+def test_mle_fit_evaluates_each_working_point_once():
+    obs = _gbm_obs(P_GBM, np.array([0.0, 0.5, 1.2]), (92, 0))
+    td = _CountingFokkerPlanck(gbm_beta_spec(0.1, 0.2), y_min=0.2, y_max=3.0,
+                               n_cells=80, n_time_steps=20)
+    fit = mle_fit(td, obs, [0.1], compute_stderr=False)
+    assert fit.converged
+    assert len(td.points) == len(set(td.points))
+    # without the memo the 1-D simplex and its restart revisit points
+    seen = []
+    minimize_simplex(lambda z: seen.append(z.tobytes()) or float((z[0] - 0.3) ** 2),
+                     np.array([0.1]))
+    assert len(seen) > len(set(seen))
+
+
+def test_failing_stderr_probes_leave_the_estimate_standing(monkeypatch):
+    evaluations, budget = [], [np.inf]
+    record_terms = GbmDensity.record_terms
+
+    def failing_after_budget(self, obs):
+        terms = record_terms(self, obs)
+
+        def at(theta):
+            evaluations.append(theta)
+            if len(evaluations) > budget[0]:
+                raise DegenerateImportanceError(0)
+            return terms(theta)
+        return at
+
+    monkeypatch.setattr(GbmDensity, "record_terms", failing_after_budget)
+    obs = _gbm_obs(P_GBM, 0.1 * np.arange(51), (93, 0))
+    plain = mle_fit(GbmDensity(P_GBM), obs, [0.1, 0.2], compute_stderr=False)
+    # the same fit again, now with every standard-error probe raising
+    budget[0], evaluations[:] = len(evaluations), []
+    fit = mle_fit(GbmDensity(P_GBM), obs, [0.1, 0.2])
+    assert len(evaluations) == budget[0] + 1
+    assert fit.converged and fit.standard_errors is None
+    assert np.array_equal(fit.theta_hat, plain.theta_hat)

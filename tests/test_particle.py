@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from driftlab.errors import FilterDegenerateError, SimulationDivergedError
+from driftlab.errors import DataFormatError, FilterDegenerateError, SimulationDivergedError
 from driftlab.kalman import kalman_loglik, ou_to_ssm
 from driftlab.models import DiffusionSpec, OuParams, ou_spec
 from driftlab.movement import preset_integrated_rw_t
@@ -14,7 +14,6 @@ from driftlab.particle import (
     DiscreteKernel,
     ess_of_weights,
     particle_filter,
-    pf_profile_loglik,
     systematic_resample,
 )
 from driftlab.paths import TimeGrid
@@ -210,16 +209,23 @@ def test_kernel_returning_nan_raises_at_its_step():
     assert err.value.step == 3
 
 
+def _profile(models, om, obs, n_particles, substeps, seed):
+    # the same seed at every candidate: differences between candidates are
+    # not drowned by resampling noise
+    return np.array([particle_filter(m, om, obs, n_particles, substeps=substeps, seed=seed).loglik
+                     for m in models])
+
+
 def test_profile_search_peaks_near_truth():
     obs, _ = _ou_dataset(scale=0.3, key=97, n=200)
     om = ObservationModel(kind="gaussian", scale=0.3)
     gammas = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
     models = [ou_spec(OuParams(gamma=g, beta_bar=0.0, sigma=0.5, b0=0.0))
               for g in gammas]
-    profile = pf_profile_loglik(models, om, obs, 1000, substeps=4, seed=6)
+    profile = _profile(models, om, obs, 1000, substeps=4, seed=6)
     assert gammas[np.argmax(profile)] in (0.5, 1.0, 2.0)
     # fixed seed per candidate: repeated profiles are identical
-    again = pf_profile_loglik(models, om, obs, 1000, substeps=4, seed=6)
+    again = _profile(models, om, obs, 1000, substeps=4, seed=6)
     assert np.array_equal(profile, again)
 
 
@@ -265,3 +271,40 @@ def test_filter_outputs_keep_their_pinned_digests():
     res = particle_filter(kernel, om_t, NoisyObservationSet(times=t, y_values=y), 300, seed=9)
     assert len(res.resample_steps) == 6
     assert _digest(res) == "8f76898a504881bbef2b997cd7d720311ca486bab89a82012a00547353e9fdd8"
+
+
+ONE_MEAN = ObservationModel(kind="gaussian", scale=1.0, link=lambda s: s[..., 0])
+COLUMN = ObservationModel(kind="gaussian", scale=1.0, link=lambda s: s[..., [0]])
+
+
+def test_link_with_one_mean_per_state_scores_each_state():
+    # a link returning shape (n,) gives one mean per state, not one row of n
+    # means broadcast against every state
+    states = np.array([[0.0], [1.0], [2.0]])
+    got = ONE_MEAN.loglik(0.0, states)
+    assert got == pytest.approx([-0.919, -1.419, -2.919], abs=1e-3)
+    assert np.array_equal(got, COLUMN.loglik(0.0, states))
+    y = np.array([0.5, -1.0, 2.5])
+    assert np.array_equal(ONE_MEAN.loglik_series(y, states), COLUMN.loglik_series(y, states))
+
+
+@pytest.mark.parametrize("link", [
+    lambda s: s[:2, 0],  # too few means
+    lambda s: s[..., 0][None, :],  # one row for all states
+    lambda s: np.float64(1.0),  # one scalar
+    lambda s: s[..., None],  # three dimensions
+], ids=["short", "row", "scalar", "3d"])
+def test_link_of_another_shape_raises(link):
+    om = ObservationModel(kind="gaussian", scale=1.0, link=link)
+    states = np.array([[0.0], [1.0], [2.0]])
+    with pytest.raises(DataFormatError, match="not \\(n_states, p\\)"):
+        om.loglik(0.0, states)
+    with pytest.raises(DataFormatError):
+        om.loglik_series(np.zeros(3), states)
+
+
+def test_filter_with_one_mean_per_state_link_equals_column_link():
+    obs, _ = _ou_dataset(0.3, 17, n=30)
+    runs = [particle_filter(ou_spec(OU), om, obs, n_particles=200, seed=4).to_json_dict()
+            for om in (ONE_MEAN, COLUMN)]
+    assert runs[0] == runs[1]
