@@ -7,7 +7,6 @@ penalized spline collocation, and synthetic-data adequacy checks.
 """
 
 from .adequacy import AdequacyReport, envelope_check, synthetic_replicates
-from .bridge import bridge_loglikelihood
 from .collocation import (
     BasisConfig,
     CollocationState,
@@ -20,7 +19,7 @@ from .densities import (
     gbm_transition_logdensity,
     ou_transition_logdensity,
 )
-from .estimating import EstimatingFunction, ee_solve, mc_conditional_expectation, raw_moment_psi
+from .estimating import EstimatingFunction, ee_solve, raw_moment_psi
 from .fokker_planck import FokkerPlanckResult, fokker_planck_transition_density
 from .kalman import LinearGaussianSSM, kalman_filter, kalman_loglik, ou_to_ssm
 from .lamperti import TransformedDiffusion, lamperti_transform
@@ -31,6 +30,7 @@ from .likelihood import (
     GbmDensity,
     OuDensity,
     TransitionDensity,
+    bridge_loglikelihood,
     discrete_loglikelihood,
     mle_fit,
 )

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bridge
 from .adequacy import envelope_check, simulate_states_at, synthetic_replicates
 from .collocation import (
     BasisConfig,
@@ -26,7 +25,7 @@ from .densities import gbm_transition_logdensity
 from .estimating import EstimatingFunction, ee_solve, raw_moment_psi
 from .fokker_planck import fokker_planck_transition_density
 from .kalman import kalman_loglik, ou_to_ssm
-from .likelihood import GbmDensity, mle_fit
+from .likelihood import BridgeDensity, GbmDensity, mle_fit
 from .models import DiffusionSpec, GbmParams, OuParams, gbm_beta_spec, gbm_spec, ou_spec
 from .movement import gaussian_position_model, preset_integrated_rw_t
 from .observe import NoisyObservationSet, ObservationModel, ObservationSet
@@ -153,8 +152,8 @@ def criterion_bridge_likelihood(seed: int = DEFAULT_SEED) -> CriterionResult:
     dt, n_pairs, m_sub, j_samples = 0.5, 50, 8, 200
     path = simulate_gbm_exact(p, TimeGrid(0.0, dt * n_pairs, n_pairs), (seed, "c4", "path"))
     vals = path.scalar_values()
-    est = np.exp(bridge.logdensities(gbm_spec(p), np.full(n_pairs, dt), vals[:-1], vals[1:],
-                                     m_sub, j_samples, (seed, "c4")))
+    td = BridgeDensity(gbm_spec(p), m_sub=m_sub, j_samples=j_samples, seed=(seed, "c4"))
+    est = np.exp(td.logdensities(np.full(n_pairs, dt), vals[:-1], vals[1:]))
     exact = np.exp(gbm_transition_logdensity(p, dt, vals[:-1], vals[1:]))
     mean_rel = float(np.mean(np.abs(est - exact) / exact))
     passed = mean_rel <= 0.05

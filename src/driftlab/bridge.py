@@ -10,8 +10,8 @@ the product of Euler substep densities over the proposal density.
 (n_pairs, J) arrays; pair i's proposal noise comes from the stream keyed
 (seed, "bridge", i), so the estimate is a deterministic function of
 (inputs, seed) and can be optimized over theta with common random numbers.
-``BridgeDensity`` draws a record's noise (``proposal_normals``) once, on its
-first evaluation, and keeps it frozen across theta for the rest of the fit.
+``BridgeDensity.record_terms`` draws a record's noise (``proposal_normals``)
+once and keeps it frozen across theta for the rest of the fit.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from .densities import logsumexp, normal_logpdf
-from .errors import DegenerateImportanceError, UnsupportedDimensionError
+from .errors import DegenerateImportanceError
 from .models import DiffusionSpec
-from .observe import ObservationSet
 from .rng import replicate_normals
 
 
@@ -35,10 +34,10 @@ def proposal_normals(n_pairs: int, m_sub: int, j_samples: int, seed) -> np.ndarr
     return replicate_normals(seed, n_pairs, (j_samples, m_sub - 1), "bridge")
 
 
-def _logdensities(spec: DiffusionSpec, dts, x, y, z: np.ndarray, pair: int = 0) -> np.ndarray:
+def logdensities(spec: DiffusionSpec, dts, x, y, z: np.ndarray) -> np.ndarray:
     """Importance-sampling estimates of log p(dts[i], x[i], y[i]), every pair
-    in one pass over (n_pairs, J) arrays driven by the proposal normals
-    z[i] of shape (J, m_sub - 1); errors name pair ``pair + i``."""
+    in one pass over (n_pairs, J) arrays driven by the proposal normals z[i]
+    of shape (J, m_sub - 1), the record's ``proposal_normals``."""
     j_samples, m_sub = z.shape[1], z.shape[2] + 1
     dts = np.asarray(dts, dtype=float)[:, None]
     y = np.asarray(y, dtype=float)[:, None]
@@ -63,27 +62,6 @@ def _logdensities(spec: DiffusionSpec, dts, x, y, z: np.ndarray, pair: int = 0) 
     logw = np.where(np.isnan(logw), -np.inf, logw)
     degenerate = ~np.any(logw > -np.inf, axis=1)
     if np.any(degenerate):
-        raise DegenerateImportanceError(pair + int(np.argmax(degenerate)))
+        raise DegenerateImportanceError(int(np.argmax(degenerate)))
     return logsumexp(logw, axis=1) - np.log(j_samples)
 
-
-def logdensities(spec: DiffusionSpec, dts, x, y, m_sub: int, j_samples: int,
-                 seed, z: np.ndarray | None = None) -> np.ndarray:
-    """Bridge estimates of log p(dts[i], x[i], y[i]), one per observation pair i.
-
-    ``z`` is the record's ``proposal_normals(len(dts), m_sub, j_samples, seed)``
-    for a caller that keeps them across evaluations; drawn here when omitted.
-    """
-    if z is None:
-        z = proposal_normals(len(dts), m_sub, j_samples, seed)
-    return _logdensities(spec, dts, x, y, z)
-
-
-def bridge_loglikelihood(spec: DiffusionSpec, obs: ObservationSet, m_sub: int,
-                         j_samples: int, seed) -> float:
-    """Sum of bridge-sampled transition log-densities over consecutive pairs."""
-    if spec.state_dim != 1:
-        raise UnsupportedDimensionError("bridge sampling handles scalar models only")
-    terms = logdensities(spec, *obs.pairs(), m_sub, j_samples, seed)
-    # a running sum, left to right; terms.sum() adds pairwise and rounds differently
-    return float(np.cumsum(terms)[-1])

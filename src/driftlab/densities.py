@@ -71,7 +71,8 @@ def gbm_record_logdensity(p: GbmParams, record: tuple):
     dt, r, log_y = record
     if p.sigma == 0:
         raise DegenerateDensityError("GBM transition density degenerate at sigma = 0")
-    return normal_logpdf(r, (p.beta - 0.5 * p.sigma**2) * dt, p.sigma**2 * dt) - log_y
+    var = np.float64(p.sigma) ** 2  # overflows to inf where a Python float raises
+    return normal_logpdf(r, (p.beta - 0.5 * var) * dt, var * dt) - log_y
 
 
 def gbm_transition_logdensity(p: GbmParams, dt, x, y):

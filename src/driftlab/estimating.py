@@ -19,7 +19,7 @@ from .ioutil import seed_key
 from .models import DiffusionSpec
 from .observe import ObservationSet
 from .results import FitResult
-from .rng import replicate_normals, stream
+from .rng import replicate_normals
 from .simulate import euler_advance
 
 EULER_SUBSTEPS = 20  # Euler substeps per observation gap in the Monte Carlo expectation
@@ -72,22 +72,6 @@ def _mc_expectations(spec: DiffusionSpec, psi: Callable, x_s, dts, z: np.ndarray
             f"all {n_reps} replicates diverged for observation pair {int(np.argmax(failed))}")
     sim = np.where(ok[:, :, None], sim, 0.0)
     return sim.sum(axis=1) / ok.sum(axis=1)[:, None], int(np.sum(~ok))
-
-
-def mc_conditional_expectation(spec: DiffusionSpec, ef: EstimatingFunction,
-                               s: float, t: float, x: float, seed,
-                               return_diagnostics: bool = False):
-    """Estimate E[psi(x, X_t, theta) | X_s = x] by J Euler fine paths of
-    EULER_SUBSTEPS steps each.
-
-    Replicates whose psi is non-finite are dropped and counted; if every
-    replicate diverges an EstimationFailedError is raised.
-    """
-    if not t > s:
-        raise ValueError("t must exceed s")
-    z = stream(seed).standard_normal((1, ef.J, EULER_SUBSTEPS))
-    est, n_divergent = _mc_expectations(spec, ef.psi, np.array([float(x)]), np.array([t - s]), z)
-    return (est[0], {"divergent": n_divergent}) if return_diagnostics else est[0]
 
 
 def ee_solve(spec: DiffusionSpec, ef: EstimatingFunction, obs: ObservationSet,

@@ -8,7 +8,7 @@ resulting log-likelihood by a derivative-free simplex search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -20,6 +20,7 @@ from .errors import (
     InvalidGridError,
     InvalidStartError,
     NonFiniteTermError,
+    UnsupportedDimensionError,
 )
 from .fokker_planck import check_time_steps, fokker_planck_solve, require_per_pair
 from .models import DiffusionSpec, GbmParams, OuParams
@@ -30,11 +31,11 @@ from .results import FitResult
 class TransitionDensity:
     """A model's transition density and the free parameters an optimizer moves.
 
-    ``logdensities(dts, x, y)`` returns log p_theta(dts[i], x[i], y[i]) for
-    every pair i in one call, so irregular observation times cost no extra
-    calls.  ``record_terms(obs)`` checks a record and prepares its theta-free
-    arrays once, and returns theta -> per-pair log-densities; the default
-    redoes all the work per theta, the closed-form and Euler densities do not.
+    ``record_terms(dts, x, y)``, the one method a density implements, checks
+    a record of observation pairs and prepares its theta-free work once
+    (arrays, grids, frozen Monte Carlo draws), and returns theta -> the
+    log-densities log p_theta(dts[i], x[i], y[i]) of every pair i in one
+    call, so irregular observation times cost no extra calls.
     """
 
     kind: str
@@ -50,16 +51,15 @@ class TransitionDensity:
     def with_theta(self, theta) -> "TransitionDensity":
         raise NotImplementedError
 
-    def logdensities(self, dts, x, y) -> np.ndarray:
+    def record_terms(self, dts, x, y):
         raise NotImplementedError
 
-    def record_terms(self, obs: ObservationSet):
-        dts, x, y = obs.pairs()
-        return lambda theta: self.with_theta(theta).logdensities(dts, x, y)
+    def logdensities(self, dts, x, y) -> np.ndarray:
+        return self.record_terms(dts, x, y)(self.theta)
 
     def pair_logdensities(self, obs: ObservationSet) -> np.ndarray:
         """One log-density per consecutive observation pair."""
-        return self.record_terms(obs)(self.theta)
+        return self.logdensities(*obs.pairs())
 
 
 class _ClosedFormDensity(TransitionDensity):
@@ -81,11 +81,8 @@ class _ClosedFormDensity(TransitionDensity):
     def with_theta(self, theta):
         return replace(self, params=self._params_at(theta))
 
-    def logdensities(self, dts, x, y):
-        return self.record_logdensity(self.params, self.record(dts, x, y))
-
-    def record_terms(self, obs):
-        record = self.record(*obs.pairs())
+    def record_terms(self, dts, x, y):
+        record = self.record(dts, x, y)
         return lambda theta: self.record_logdensity(self._params_at(theta), record)
 
 
@@ -116,9 +113,15 @@ class OuDensity(_ClosedFormDensity):
 
 @dataclass(frozen=True)
 class _SpecDensity(TransitionDensity):
-    """Density of a DiffusionSpec model: theta and its positivity mask are the spec's."""
+    """Density of a scalar DiffusionSpec model: theta and its positivity mask
+    are the spec's."""
 
     spec: DiffusionSpec
+
+    def __post_init__(self):
+        if self.spec.state_dim != 1:
+            raise UnsupportedDimensionError(f"{type(self).__name__} handles scalar models "
+                                            f"only, got state_dim {self.spec.state_dim}")
 
     @property
     def theta(self):
@@ -137,11 +140,8 @@ class EulerDensity(_SpecDensity):
 
     kind = "euler"
 
-    def logdensities(self, dts, x, y):
-        return densities.euler_transition_logdensity(self.spec, dts, x, y)
-
-    def record_terms(self, obs):
-        record = densities.record_arrays(*obs.pairs())
+    def record_terms(self, dts, x, y):
+        record = densities.record_arrays(dts, x, y)
         return lambda theta: densities.euler_record_logdensity(self.spec.with_theta(theta),
                                                                record)
 
@@ -160,45 +160,41 @@ class FokkerPlanckDensity(_SpecDensity):
     kind = "fokker_planck"
 
     def __post_init__(self):
+        super().__post_init__()
         check_time_steps(self.n_time_steps)
 
-    def logdensities(self, dts, x, y):
+    def record_terms(self, dts, x, y):
         grid = np.linspace(self.y_min, self.y_max, self.n_cells + 1)
         y = np.asarray(y, dtype=float).reshape(-1)
         require_per_pair((grid[0] <= y) & (y <= grid[-1]), InvalidGridError,
                          f"observation y must lie inside the grid [{self.y_min:g}, "
                          f"{self.y_max:g}]", "y", y)
-        rows = np.clip(fokker_planck_solve(self.spec, dts, x, grid, self.n_time_steps), 0.0, None)
-        dens = np.array([np.interp(yi, grid, row) for yi, row in zip(y, rows)])
-        return np.log(np.maximum(dens, 1e-300))
+
+        def at(theta):
+            rows = np.clip(fokker_planck_solve(self.spec.with_theta(theta), dts, x, grid,
+                                               self.n_time_steps), 0.0, None)
+            dens = np.array([np.interp(yi, grid, row) for yi, row in zip(y, rows)])
+            return np.log(np.maximum(dens, 1e-300))
+        return at
 
 
 @dataclass(frozen=True)
 class BridgeDensity(_SpecDensity):
     """Importance-sampled transition density on a latent fine grid.
 
-    The first evaluation on a record draws its proposal normals and keeps
-    them in ``draws``, which ``with_theta`` copies share, so a fit draws them
-    once and every later evaluation reuses the same (frozen) draws.  Two
-    threads evaluating one density at once may both draw; both get the same
-    numbers.
+    ``record_terms`` draws the record's proposal normals once and every theta
+    reuses them (common random numbers), so a fit's objective is a smooth,
+    deterministic function of theta.
     """
 
     m_sub: int = 8
     j_samples: int = 200
     seed: int = 0
-    draws: dict = field(default_factory=dict, compare=False, repr=False)
     kind = "bridge_mc"
 
-    def logdensities(self, dts, x, y):
-        key = (len(dts), self.m_sub, self.j_samples, self.seed)
-        z = self.draws.get(key)
-        if z is None:
-            z = bridge.proposal_normals(*key)
-            self.draws.clear()  # keep the draws of the latest record only
-            self.draws[key] = z
-        return bridge.logdensities(self.spec, dts, x, y, self.m_sub, self.j_samples,
-                                   self.seed, z)
+    def record_terms(self, dts, x, y):
+        z = bridge.proposal_normals(len(dts), self.m_sub, self.j_samples, self.seed)
+        return lambda theta: bridge.logdensities(self.spec.with_theta(theta), dts, x, y, z)
 
 
 def discrete_loglikelihood(td: TransitionDensity, obs: ObservationSet) -> float:
@@ -207,7 +203,13 @@ def discrete_loglikelihood(td: TransitionDensity, obs: ObservationSet) -> float:
     The first observation is conditioned on and contributes no term.  A
     non-finite term raises NonFiniteTermError naming the offending pair.
     """
-    return _loglik_at(td.record_terms(obs), td.theta)
+    return _loglik_at(td.record_terms(*obs.pairs()), td.theta)
+
+
+def bridge_loglikelihood(spec: DiffusionSpec, obs: ObservationSet, m_sub: int,
+                         j_samples: int, seed) -> float:
+    """Sum of bridge-sampled transition log-densities over consecutive pairs."""
+    return discrete_loglikelihood(BridgeDensity(spec, m_sub, j_samples, seed), obs)
 
 
 def _loglik_at(record_terms, theta) -> float:
@@ -315,7 +317,7 @@ def mle_fit(td: TransitionDensity, obs: ObservationSet, init_theta, seed: int = 
     mask = td.positive_mask
     init_theta = np.atleast_1d(np.asarray(init_theta, dtype=float))
     z0 = to_working(init_theta, mask)
-    record_terms = td.record_terms(obs)
+    record_terms = td.record_terms(*obs.pairs())
 
     def loglik(theta):
         try:

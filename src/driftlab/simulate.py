@@ -85,7 +85,7 @@ def ou_transition_moments(p: OuParams, dt) -> tuple:
     """
     phi = np.exp(-p.gamma * np.asarray(dt, dtype=float))
     offset = p.beta_bar * (1.0 - phi)
-    var = p.sigma**2 * (1.0 - phi**2) / (2.0 * p.gamma)
+    var = np.float64(p.sigma) ** 2 * (1.0 - phi**2) / (2.0 * p.gamma)  # inf, not OverflowError
     return phi, offset, var
 
 

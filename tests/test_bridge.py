@@ -5,10 +5,15 @@ from scipy import stats
 
 from driftlab import bridge
 from driftlab.adequacy import simulate_states_at
-from driftlab.bridge import bridge_loglikelihood, logdensities
+from driftlab.bridge import logdensities, proposal_normals
 from driftlab.densities import gbm_transition_logdensity
 from driftlab.errors import DegenerateImportanceError, UnsupportedDimensionError
-from driftlab.likelihood import BridgeDensity, mle_fit
+from driftlab.likelihood import (
+    BridgeDensity,
+    bridge_loglikelihood,
+    discrete_loglikelihood,
+    mle_fit,
+)
 from driftlab.models import DiffusionSpec, GbmParams, gbm_spec
 from driftlab.observe import ObservationSet
 from driftlab.rng import stream
@@ -21,7 +26,7 @@ def bridge_pair_logdensity(spec, dt, x, y, m_sub, j_samples, seed, pair=0):
     record taken from their own stream: the reference the batched pass must
     reproduce."""
     z = stream(seed, "bridge", pair).standard_normal((1, j_samples, m_sub - 1))
-    return float(bridge._logdensities(spec, [dt], [x], [y], z, pair)[0])
+    return float(logdensities(spec, [dt], [x], [y], z)[0])
 
 
 def test_bm_one_interior_point_is_exact():
@@ -89,11 +94,14 @@ def test_bridge_density_normalizes_over_terminal_state():
 
 
 def test_degenerate_weights_raise():
-    frozen = DiffusionSpec(drift=lambda x, th: 0.0 * x,
-                           diffusion=lambda x, th: np.zeros_like(x),
-                           theta=[0.0], x0=[0.0])
+    # sigma vanishes above 5, so only pair 3, which starts there, has no
+    # finite importance weight
+    frozen_above_5 = DiffusionSpec(drift=lambda x, th: 0.0 * x,
+                                   diffusion=lambda x, th: np.where(x > 5.0, 0.0, 1.0),
+                                   theta=[0.0], x0=[0.0])
+    td = BridgeDensity(frozen_above_5, m_sub=4, j_samples=10, seed=0)
     with pytest.raises(DegenerateImportanceError) as err:
-        bridge_pair_logdensity(frozen, 0.5, 0.0, 1.0, m_sub=4, j_samples=10, seed=0, pair=3)
+        td.logdensities([0.5] * 4, [0.0, 0.1, 0.2, 10.0], [0.1, 0.2, 0.3, 11.0])
     assert err.value.pair == 3
 
 
@@ -109,9 +117,9 @@ def test_multidimensional_rejected():
 def test_validation():
     spec = gbm_spec(P)
     with pytest.raises(ValueError):
-        logdensities(spec, [0.5], [1.0], [1.1], m_sub=1, j_samples=10, seed=0)
+        BridgeDensity(spec, m_sub=1, j_samples=10, seed=0).logdensities([0.5], [1.0], [1.1])
     with pytest.raises(ValueError):
-        logdensities(spec, [0.5], [1.0], [1.1], m_sub=4, j_samples=0, seed=0)
+        BridgeDensity(spec, m_sub=4, j_samples=0, seed=0).logdensities([0.5], [1.0], [1.1])
 
 
 @st.composite
@@ -155,7 +163,7 @@ def test_all_pairs_in_one_call_equal_per_pair_loop(pairs, beta, sigma, m_sub, j_
     # the one-pair function does, and rounds every term the same way
     dts, x, y = pairs
     spec = gbm_spec(GbmParams(beta=beta, sigma=sigma))
-    batched = logdensities(spec, dts, x, y, m_sub, j_samples, seed)
+    batched = BridgeDensity(spec, m_sub, j_samples, seed).logdensities(dts, x, y)
     looped = np.array([bridge_pair_logdensity(spec, dts[i], x[i], y[i], m_sub, j_samples,
                                               seed, pair=i) for i in range(len(dts))])
     assert np.array_equal(batched, looped)
@@ -183,15 +191,14 @@ def test_bridge_fit_draws_its_noise_once(monkeypatch):
     assert len(calls) == 1  # simplex, restart and Hessian probes share one draw
 
     # the frozen draws are the ones a fresh evaluation draws
-    dts, x, y = np.diff(obs.times), obs.values[:-1], obs.values[1:]
-    fitted = td.with_theta(fit.theta_hat)
-    frozen = fitted.logdensities(dts, x, y)
-    fresh = logdensities(fitted.spec, dts, x, y, 4, 50, (7, "fit"))
-    assert np.array_equal(frozen, fresh)
+    assert fit.objective_value == discrete_loglikelihood(td.with_theta(fit.theta_hat), obs)
 
     # and redrawing on every evaluation gives the same fit, byte for byte
-    monkeypatch.setattr(BridgeDensity, "logdensities", lambda self, dts, x, y: logdensities(
-        self.spec, dts, x, y, self.m_sub, self.j_samples, self.seed))
+    def redrawing(self, dts, x, y):
+        return lambda theta: logdensities(self.spec.with_theta(theta), dts, x, y,
+                                          proposal_normals(len(dts), 4, 50, self.seed))
+
+    monkeypatch.setattr(BridgeDensity, "record_terms", redrawing)
     redrawn = mle_fit(td, obs, td.theta)
     assert fit.theta_hat.tobytes() == redrawn.theta_hat.tobytes()
     assert fit.standard_errors.tobytes() == redrawn.standard_errors.tobytes()
@@ -199,11 +206,17 @@ def test_bridge_fit_draws_its_noise_once(monkeypatch):
 
 
 def test_frozen_draws_follow_the_record():
-    # a density evaluated on a second record of another length draws that
-    # record's noise instead of reusing the first record's
+    # each record's terms close over that record's own draws: a second record
+    # of another length does not reuse the first record's noise
     td = BridgeDensity(gbm_spec(P), m_sub=3, j_samples=20, seed=2)
     for obs in (_gbm_record(5, 1), _gbm_record(8, 2), _gbm_record(5, 1)):
-        dts, x, y = np.diff(obs.times), obs.values[:-1], obs.values[1:]
-        assert np.array_equal(td.logdensities(dts, x, y),
-                              logdensities(td.spec, dts, x, y, 3, 20, 2))
-    assert len(td.draws) == 1
+        dts, x, y = obs.pairs()
+        looped = [bridge_pair_logdensity(td.spec, dts[i], x[i], y[i], 3, 20, 2, pair=i)
+                  for i in range(len(dts))]
+        assert np.array_equal(td.record_terms(dts, x, y)(td.theta), looped)
+
+
+def test_bridge_loglikelihood_is_the_bridge_density_loglikelihood():
+    obs = _gbm_record(40, 3)
+    td = BridgeDensity(gbm_spec(P), m_sub=6, j_samples=30, seed=(4, "ll"))
+    assert bridge_loglikelihood(td.spec, obs, 6, 30, (4, "ll")) == discrete_loglikelihood(td, obs)

@@ -299,6 +299,19 @@ def test_fit_gbm_non_positive_value_exits_2(tmp_path, capsys, monkeypatch, metho
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model", ["gbm", "ou"])
+def test_fit_sigma_overflowing_its_square_exits_2(tmp_path, capsys, model):
+    # sigma**2 overflows a float: the start is non-finite, not a traceback
+    data = tmp_path / "obs.csv"
+    data.write_text("t,x\n0,1.0\n0.5,1.1\n1.0,0.9\n1.5,1.2\n")
+    out = tmp_path / "f.json"
+    code = cli_run(["fit", "--method", "mle", "--model", model, "--sigma", "1e160",
+                    "--data", str(data), "--out", str(out)])
+    assert code == 2
+    assert "log-likelihood non-finite at init_theta" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("obs_flags", [["--obs-kind", "student_t"], ["--obs-dof", "4"]],
                          ids=lambda f: f[0][2:])
 def test_diagnose_observation_options_need_obs_scale(tmp_path, capsys, obs_flags):

@@ -4,12 +4,7 @@ import pytest
 from driftlab import estimating
 from driftlab.adequacy import simulate_states_at
 from driftlab.errors import EstimationFailedError
-from driftlab.estimating import (
-    EstimatingFunction,
-    ee_solve,
-    mc_conditional_expectation,
-    raw_moment_psi,
-)
+from driftlab.estimating import EULER_SUBSTEPS, EstimatingFunction, ee_solve, raw_moment_psi
 from driftlab.models import DiffusionSpec, GbmParams, gbm_beta_spec, gbm_spec
 from driftlab.observe import ObservationSet
 from driftlab.rng import stream
@@ -21,16 +16,24 @@ def _obs(times, key, p=GbmParams(beta=0.1, sigma=0.2, x0=1.0)):
     return ObservationSet(times=times, values=simulate_states_at(p, times, stream(*key))[:, 0])
 
 
+def mc_conditional_expectation(spec, ef, dt, x, seed):
+    """(E[psi(x, X_dt, theta) | X_0 = x], dropped replicate count) for one pair,
+    from J Euler paths driven by the stream keyed ``seed``."""
+    z = stream(seed).standard_normal((1, ef.J, EULER_SUBSTEPS))
+    est, dropped = estimating._mc_expectations(spec, ef.psi, np.array([x]), np.array([dt]), z)
+    return est[0], dropped
+
+
 def test_constant_psi_returns_one_exactly():
     ef = EstimatingFunction(psi=lambda x, y, th: np.ones(np.shape(y) + (1,)), J=7)
-    est = mc_conditional_expectation(SPEC, ef, 0.0, 1.0, 1.0, seed=3)
+    est, _ = mc_conditional_expectation(SPEC, ef, 1.0, 1.0, seed=3)
     assert est[0] == 1.0
 
 
 def test_identity_psi_estimates_conditional_mean():
     # E[Y | x] = x e^{beta (t - s)} for GBM
     ef = EstimatingFunction(psi=raw_moment_psi((1,)), J=10_000)
-    est = mc_conditional_expectation(SPEC, ef, 0.0, 0.5, 1.0, seed=4)
+    est, _ = mc_conditional_expectation(SPEC, ef, 0.5, 1.0, seed=4)
     target = np.exp(0.1 * 0.5)
     # MC standard error of the mean at J = 1e4
     se = target * 0.2 * np.sqrt(0.5) / np.sqrt(10_000)
@@ -40,9 +43,9 @@ def test_identity_psi_estimates_conditional_mean():
 def test_variance_shrinks_with_j():
     ef1 = EstimatingFunction(psi=raw_moment_psi((1,)), J=1)
     ef100 = EstimatingFunction(psi=raw_moment_psi((1,)), J=100)
-    est1 = np.array([mc_conditional_expectation(SPEC, ef1, 0.0, 0.5, 1.0, (9, r))[0]
+    est1 = np.array([mc_conditional_expectation(SPEC, ef1, 0.5, 1.0, (9, r))[0][0]
                      for r in range(1000)])
-    est100 = np.array([mc_conditional_expectation(SPEC, ef100, 0.0, 0.5, 1.0, (9, r))[0]
+    est100 = np.array([mc_conditional_expectation(SPEC, ef100, 0.5, 1.0, (9, r))[0][0]
                        for r in range(1000)])
     ratio = est1.var(ddof=1) / est100.var(ddof=1)
     assert 60 < ratio < 160
@@ -54,14 +57,13 @@ def test_all_divergent_raises():
                         theta=[0.0], x0=[1.0])
     ef = EstimatingFunction(psi=raw_moment_psi((1,)), J=4)
     with pytest.raises(EstimationFailedError):
-        mc_conditional_expectation(bad, ef, 0.0, 1.0, 1.0, seed=0)
+        mc_conditional_expectation(bad, ef, 1.0, 1.0, seed=0)
 
 
 def test_divergence_counter_in_diagnostics():
     ef = EstimatingFunction(psi=raw_moment_psi((1,)), J=16)
-    _, diag = mc_conditional_expectation(SPEC, ef, 0.0, 0.5, 1.0, seed=1,
-                                         return_diagnostics=True)
-    assert diag["divergent"] == 0
+    _, dropped = mc_conditional_expectation(SPEC, ef, 0.5, 1.0, seed=1)
+    assert dropped == 0
 
 
 def test_ee_closed_form_root_matches_moment_estimator():

@@ -8,12 +8,19 @@ from hypothesis import given, settings, strategies as st
 from driftlab import densities
 from driftlab.adequacy import simulate_states_at
 from driftlab.densities import gbm_transition_logdensity
-from driftlab.errors import DegenerateImportanceError, InvalidStartError, NonFiniteTermError
+from driftlab.errors import (
+    DegenerateImportanceError,
+    InvalidStartError,
+    NonFiniteTermError,
+    UnsupportedDimensionError,
+)
 from driftlab.likelihood import (
+    BridgeDensity,
     EulerDensity,
     FokkerPlanckDensity,
     GbmDensity,
     OuDensity,
+    TransitionDensity,
     _hessian_stderr,
     discrete_loglikelihood,
     minimize_simplex,
@@ -286,7 +293,7 @@ def test_record_terms_equal_the_public_densities(data):
     def check(td, obs, theta, public):
         dts, values = np.diff(obs.times), obs.values
         with np.errstate(all="ignore"):
-            got = td.record_terms(obs)(theta)
+            got = td.record_terms(*obs.pairs())(theta)
             want = public(dts, values[:-1], values[1:])
         assert np.array_equal(got, want, equal_nan=True)
 
@@ -324,8 +331,8 @@ def test_mle_fit_prepares_the_record_once(monkeypatch, make_td):
     monkeypatch.setattr(ObservationSet, "pairs", _counting(calls, "pairs", ObservationSet.pairs))
     td = make_td()
     record_terms = td.record_terms
-    monkeypatch.setattr(type(td), "record_terms", lambda self, obs: _counting(
-        calls, "terms", record_terms(obs)))
+    monkeypatch.setattr(type(td), "record_terms", lambda self, *pairs: _counting(
+        calls, "terms", record_terms(*pairs)))
     obs = _gbm_obs(P_GBM, 0.1 * np.arange(51), (91, 0))
     fit = mle_fit(td, obs, td.theta)
     assert fit.standard_errors is not None
@@ -345,11 +352,15 @@ def test_bad_record_raises_before_any_evaluation(monkeypatch):
 
 @dataclass(frozen=True)
 class _CountingFokkerPlanck(FokkerPlanckDensity):
-    points: list = field(default_factory=list)  # shared by the with_theta copies
+    points: list = field(default_factory=list)
 
-    def logdensities(self, dts, x, y):
-        self.points.append(self.spec.theta.tobytes())
-        return super().logdensities(dts, x, y)
+    def record_terms(self, dts, x, y):
+        terms = super().record_terms(dts, x, y)
+
+        def counted(theta):
+            self.points.append(np.asarray(theta, dtype=float).tobytes())
+            return terms(theta)
+        return counted
 
 
 def test_mle_fit_evaluates_each_working_point_once():
@@ -358,6 +369,7 @@ def test_mle_fit_evaluates_each_working_point_once():
                                n_cells=80, n_time_steps=20)
     fit = mle_fit(td, obs, [0.1], compute_stderr=False)
     assert fit.converged
+    assert len(td.points) > 0
     assert len(td.points) == len(set(td.points))
     # without the memo the 1-D simplex and its restart revisit points
     seen = []
@@ -370,8 +382,8 @@ def test_failing_stderr_probes_leave_the_estimate_standing(monkeypatch):
     evaluations, budget = [], [np.inf]
     record_terms = GbmDensity.record_terms
 
-    def failing_after_budget(self, obs):
-        terms = record_terms(self, obs)
+    def failing_after_budget(self, dts, x, y):
+        terms = record_terms(self, dts, x, y)
 
         def at(theta):
             evaluations.append(theta)
@@ -389,3 +401,28 @@ def test_failing_stderr_probes_leave_the_estimate_standing(monkeypatch):
     assert len(evaluations) == budget[0] + 1
     assert fit.converged and fit.standard_errors is None
     assert np.array_equal(fit.theta_hat, plain.theta_hat)
+
+
+DENSITY_CLASSES = [GbmDensity, OuDensity, EulerDensity, FokkerPlanckDensity, BridgeDensity]
+
+
+def test_each_density_implements_only_record_terms():
+    # logdensities and pair_logdensities are the base class's views of
+    # record_terms, so a fit and a direct call take the same path
+    for cls in DENSITY_CLASSES:
+        own = [c for c in cls.__mro__ if issubclass(c, TransitionDensity)
+               and c is not TransitionDensity]
+        assert not any({"logdensities", "pair_logdensities"} & set(vars(c)) for c in own)
+        assert any("record_terms" in vars(c) for c in own)
+
+
+@pytest.mark.parametrize("make_td", [
+    EulerDensity,
+    lambda spec: FokkerPlanckDensity(spec, -5.0, 5.0),
+    lambda spec: BridgeDensity(spec, m_sub=4, j_samples=10),
+], ids=["euler", "fokker_planck", "bridge"])
+def test_spec_densities_reject_a_2d_model_at_construction(make_td):
+    spec = DiffusionSpec(drift=lambda x, th: -th[0] * x, diffusion=lambda x, th: np.ones_like(x),
+                         theta=[1.0], x0=[0.0, 0.0], state_dim=2)
+    with pytest.raises(UnsupportedDimensionError, match="scalar models only"):
+        make_td(spec)
