@@ -9,7 +9,6 @@ penalized spline collocation, and synthetic-data adequacy checks.
 from .adequacy import AdequacyReport, envelope_check, synthetic_replicates
 from .collocation import (
     BasisConfig,
-    CollocationState,
     PenaltySpec,
     collocation_fit,
     map_equivalent_sigma,
@@ -22,7 +21,6 @@ from .densities import (
 from .estimating import EstimatingFunction, ee_solve, raw_moment_psi
 from .fokker_planck import FokkerPlanckResult, fokker_planck_transition_density
 from .kalman import LinearGaussianSSM, kalman_filter, kalman_loglik, ou_to_ssm
-from .lamperti import TransformedDiffusion, lamperti_transform
 from .likelihood import (
     BridgeDensity,
     EulerDensity,

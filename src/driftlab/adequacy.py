@@ -70,7 +70,8 @@ def simulate_states_at(model, times: np.ndarray, rng: np.random.Generator) -> np
     dts = np.diff(times)
     if isinstance(model, GbmParams):
         z = rng.standard_normal(len(dts))
-        incr = (model.beta - 0.5 * model.sigma**2) * dts + model.sigma * np.sqrt(dts) * z
+        var = np.float64(model.sigma) ** 2  # inf, not OverflowError
+        incr = (model.beta - 0.5 * var) * dts + model.sigma * np.sqrt(dts) * z
         return (model.x0 * np.exp(np.concatenate([[0.0], np.cumsum(incr)])))[:, None]
     if isinstance(model, OuParams):
         return ou_paths(model, dts, rng.standard_normal(len(dts)))[:, None]

@@ -189,9 +189,9 @@ def _cmd_fit(opts: dict) -> int:
     return 0 if fit.converged else 3
 
 
-def _observation_model(opts: dict, default_scale=None) -> ObservationModel:
+def _observation_model(opts: dict) -> ObservationModel:
     kind = opts.get("obs-kind", "gaussian")
-    scale = opts.get("obs-scale", default_scale)
+    scale = opts.get("obs-scale")
     if scale is None:
         raise ConfigError("obs-scale is required")
     return ObservationModel(kind=kind, scale=scale, dof=opts.get("obs-dof"))

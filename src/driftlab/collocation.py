@@ -92,18 +92,6 @@ class PenaltySpec:
             raise ValueError(f"unknown weight_mode {self.weight_mode!r}")
 
 
-@dataclass
-class CollocationState:
-    coeffs: np.ndarray
-    theta: np.ndarray
-    data_term: float = np.nan
-    penalty_term: float = np.nan
-
-    @property
-    def objective(self) -> float:
-        return self.data_term + self.penalty_term
-
-
 def _quadrature_nodes(basis: BasisConfig, n_sub: int = QUAD_SUBDIVISIONS):
     """Composite-Simpson nodes and weights over the knot span, subdividing
     each inter-knot interval into ``n_sub`` (even) pieces."""
@@ -238,7 +226,6 @@ def _state_slope(f, x: np.ndarray) -> np.ndarray:
 
 def collocation_fit(obs: NoisyObservationSet, om: ObservationModel, spec: DiffusionSpec,
                     basis: BasisConfig, pen: PenaltySpec,
-                    init: CollocationState | None = None,
                     max_outer: int = 200) -> tuple:
     """Minimize the penalized objective jointly over (c, theta).
 
@@ -251,32 +238,18 @@ def collocation_fit(obs: NoisyObservationSet, om: ObservationModel, spec: Diffus
     L-BFGS-B iterations (``inner_iterations``) and the number of analytic
     gradients they took (``gradient_evaluations``).
 
-    An ``init`` whose coefficients or theta have the wrong length raises
-    ValueError before any work; a non-finite objective at the start raises
-    InvalidStartError.
+    The start is the ridge least-squares smoother of the first observation
+    column, ignoring the penalty (identity-link start), with theta at
+    ``spec.theta``; a non-finite objective there raises InvalidStartError.
     """
     if max_outer < 1:
         raise ValueError(f"max_outer must be at least 1, got {max_outer}")
-    if init is not None:
-        for name, value, expected in (("coeffs", init.coeffs, basis.n_basis),
-                                      ("theta", init.theta, len(spec.theta))):
-            shape = np.shape(np.atleast_1d(value))
-            if shape != (expected,):
-                raise ValueError(f"init.{name} must have length {expected}, got "
-                                 f"{shape[0] if len(shape) == 1 else shape}")
     prob = CollocationProblem(basis, obs, om, spec, pen)
-
-    if init is None:
-        # ridge least-squares smoother of the first observation column,
-        # ignoring the penalty (identity-link start)
-        B = prob.B_obs
-        gram = B.T @ B
-        gram += 1e-9 * np.trace(gram) / len(gram) * np.eye(len(gram))
-        c = np.linalg.solve(gram, B.T @ obs.y2d()[:, 0])
-        theta = spec.theta.copy()
-    else:
-        c = np.asarray(init.coeffs, dtype=float).copy()
-        theta = np.atleast_1d(np.asarray(init.theta, dtype=float)).copy()
+    B = prob.B_obs
+    gram = B.T @ B
+    gram += 1e-9 * np.trace(gram) / len(gram) * np.eye(len(gram))
+    c = np.linalg.solve(gram, B.T @ obs.y2d()[:, 0])
+    theta = spec.theta.copy()
 
     current = prob.objective(c, theta)
     if not np.isfinite(current):

@@ -16,10 +16,6 @@ class SimulationDivergedError(DriftlabError):
         super().__init__(msg)
 
 
-class TransformUndefinedError(DriftlabError):
-    """Diffusion coefficient is not strictly positive on the quadrature range."""
-
-
 class UnsupportedDimensionError(DriftlabError):
     """Operation is only defined for scalar-state models."""
 

@@ -48,13 +48,11 @@ class DiffusionSpec:
     def with_theta(self, theta) -> "DiffusionSpec":
         return replace(self, theta=np.atleast_1d(np.asarray(theta, dtype=float)))
 
-    def drift_at(self, x, theta=None) -> np.ndarray:
-        th = self.theta if theta is None else np.asarray(theta, dtype=float)
-        return np.asarray(self.drift(x, th), dtype=float)
+    def drift_at(self, x) -> np.ndarray:
+        return np.asarray(self.drift(x, self.theta), dtype=float)
 
-    def diffusion_at(self, x, theta=None) -> np.ndarray:
-        th = self.theta if theta is None else np.asarray(theta, dtype=float)
-        return np.asarray(self.diffusion(x, th), dtype=float)
+    def diffusion_at(self, x) -> np.ndarray:
+        return np.asarray(self.diffusion(x, self.theta), dtype=float)
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,8 @@ def simulate_gbm_exact(p: GbmParams, grid: TimeGrid, seed) -> Path:
     z = stream(seed).standard_normal(grid.n_steps)
     t = grid.times()
     b = np.concatenate([[0.0], np.cumsum(np.sqrt(grid.dt) * z)])
-    values = p.x0 * np.exp((p.beta - 0.5 * p.sigma**2) * (t - t[0]) + p.sigma * b)
+    var = np.float64(p.sigma) ** 2  # inf, not OverflowError
+    values = p.x0 * np.exp((p.beta - 0.5 * var) * (t - t[0]) + p.sigma * b)
     return Path(times=t, values=values)
 
 

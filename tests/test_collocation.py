@@ -5,7 +5,6 @@ from hypothesis import example, given, settings, strategies as st
 from driftlab.collocation import (
     BasisConfig,
     CollocationProblem,
-    CollocationState,
     PenaltySpec,
     collocation_fit,
     map_equivalent_sigma,
@@ -354,18 +353,6 @@ def _growth_problem(n=20):
     return obs, ObservationModel(kind="gaussian", scale=1e-6), BasisConfig.from_times(times)
 
 
-@pytest.mark.parametrize("coeffs, theta, message", [
-    (22, [0.5, 1.0], "init.theta must have length 1, got 2"),
-    (21, [0.5], "init.coeffs must have length 22, got 21"),
-], ids=["theta", "coeffs"])
-def test_init_of_wrong_length_rejected(coeffs, theta, message):
-    obs, om, basis = _growth_problem()
-    init = CollocationState(coeffs=np.ones(coeffs), theta=np.array(theta))
-    with pytest.raises(ValueError, match=message):
-        collocation_fit(obs, om, gbm_beta_spec(0.5, 1.0), basis, PenaltySpec(lam=1e4),
-                        init=init)
-
-
 def test_non_finite_start_raises_invalid_start():
     obs, om, basis = _growth_problem()
     spec = DiffusionSpec(drift=lambda x, th: np.exp(th[0] * x),
@@ -402,12 +389,6 @@ def test_weighted_and_unweighted_fits_agree_with_rescaled_lambda():
                                PenaltySpec(lam=50.0 / sig**2), max_outer=80)
     assert fit_w.theta_hat[0] == pytest.approx(fit_u.theta_hat[0], abs=1e-4)
     assert fit_w.objective_value == pytest.approx(fit_u.objective_value, rel=1e-6)
-
-
-def test_collocation_state_objective_sum():
-    st_ = CollocationState(coeffs=np.zeros(3), theta=np.array([0.1]),
-                           data_term=1.25, penalty_term=0.5)
-    assert st_.objective == 1.75
 
 
 def test_map_equivalent_sigma_values():

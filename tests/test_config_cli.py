@@ -312,6 +312,29 @@ def test_fit_sigma_overflowing_its_square_exits_2(tmp_path, capsys, model):
     assert not out.exists()
 
 
+def test_simulate_gbm_sigma_overflowing_its_square_exits_2(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli_run(["simulate", "--model", "gbm", "--t-end", "1", "--steps", "3",
+                        "--sigma", "1e200", "--out", str(out)])
+    assert code == 2
+    assert "path values must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_diagnose_gbm_sigma_overflowing_its_square_is_indeterminate(tmp_path):
+    # every synthetic path falls to 0, GBM's sigma -> infinity limit
+    data = tmp_path / "obs.csv"
+    data.write_text("t,y\n0,1.0\n0.5,1.2\n1,1.1\n1.5,1.3\n")
+    out = tmp_path / "report.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli_run(["diagnose", "--model", "gbm", "--k", "20", "--sigma", "1e200",
+                        "--data", str(data), "--out", str(out)])
+    assert code == 0
+    stats = json.loads(out.read_text())["statistics"]
+    assert len(stats) == 5 and all(s["indeterminate"] for s in stats)
+
+
 @pytest.mark.parametrize("obs_flags", [["--obs-kind", "student_t"], ["--obs-dof", "4"]],
                          ids=lambda f: f[0][2:])
 def test_diagnose_observation_options_need_obs_scale(tmp_path, capsys, obs_flags):
