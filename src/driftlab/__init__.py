@@ -13,11 +13,7 @@ from .collocation import (
     collocation_fit,
     map_equivalent_sigma,
 )
-from .densities import (
-    euler_transition_logdensity,
-    gbm_transition_logdensity,
-    ou_transition_logdensity,
-)
+from .densities import gbm_transition_logdensity
 from .estimating import EstimatingFunction, ee_solve, raw_moment_psi
 from .fokker_planck import FokkerPlanckResult, fokker_planck_transition_density
 from .kalman import LinearGaussianSSM, kalman_filter, kalman_loglik, ou_to_ssm
@@ -57,9 +53,9 @@ from .particle import (
     particle_filter,
     systematic_resample,
 )
-from .paths import Path, TimeGrid, quadratic_variation, read_path_csv, write_path_csv
+from .paths import Path, TimeGrid, quadratic_variation, write_path_csv
 from .results import FitResult
 from .rng import replicate_normals, stream
-from .simulate import simulate_euler, simulate_gbm_exact, simulate_ou, simulate_tv_growth
+from .simulate import simulate_gbm_exact, simulate_ou, simulate_tv_growth
 
 __version__ = "0.1.0"

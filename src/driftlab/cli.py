@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import acceptance
-from .adequacy import envelope_check, synthetic_replicates
+from .adequacy import DEFAULT_K, envelope_check, synthetic_replicates
 from .collocation import BasisConfig, PenaltySpec, collocation_fit
 from .config import OPTIONS, load_config, typed_options
 from .errors import ConfigError, DataFormatError, DriftlabError, InsufficientDataError
@@ -134,6 +134,7 @@ def _ou_init_from_data(obs) -> tuple:
     centered = values - values.mean()
     denom = float(np.sum(centered**2))
     ac = float(np.sum(centered[:-1] * centered[1:]) / denom) if denom > 0 else 0.5
+    ac = ac if np.isfinite(ac) else 0.5  # inf / inf when the squares overflow
     gamma0 = -np.log(min(max(ac, 0.01), 0.99)) / mean_dt
     sigma0 = _spread(np.diff(values), np.sqrt(mean_dt))
     return float(gamma0), float(values.mean()), sigma0
@@ -254,7 +255,7 @@ def _cmd_collocate(opts: dict) -> int:
 def _cmd_diagnose(opts: dict) -> int:
     _require(opts, "data", "out", "model")
     seed = opts.get("seed", 0)
-    k = opts.get("k", 50)
+    k = opts.get("k", DEFAULT_K)
     noisy = any(key.startswith("obs-") for key in opts)
     om = _observation_model(opts) if noisy else None
     observed = _read_data(opts, read_noisy_csv if noisy else read_observations_csv)
@@ -316,7 +317,10 @@ def cli_run(argv) -> int:
             flag = getattr(ns, key.replace("-", "_"))
             if flag is not None:
                 options[key] = flag
-        return _DISPATCH[ns.command](typed_options(ns.command, options))
+        # overflow at numerical extremes ends in a typed error or a result,
+        # never in a raw numpy warning on stderr
+        with np.errstate(all="ignore"):
+            return _DISPATCH[ns.command](typed_options(ns.command, options))
     except (ConfigError, DriftlabError, ValueError, OSError) as exc:
         print(f"driftlab {ns.command}: error: {exc}", file=sys.stderr)
         return 2

@@ -88,11 +88,6 @@ def ou_record_logdensity(p: OuParams, record: tuple):
     return normal_logpdf(y, phi * x + offset, var)
 
 
-def ou_transition_logdensity(p: OuParams, dt, x, y):
-    """Gaussian transition with the exact OU mean and variance."""
-    return ou_record_logdensity(p, record_arrays(dt, x, y))
-
-
 def euler_record_logdensity(spec: DiffusionSpec, record: tuple):
     dt, x, y = record
     mu = np.asarray(spec.drift(x, spec.theta), dtype=float)
@@ -100,11 +95,3 @@ def euler_record_logdensity(spec: DiffusionSpec, record: tuple):
     if np.any(sig == 0):
         raise DegenerateDensityError("Euler transition density degenerate at sigma(x) = 0")
     return normal_logpdf(y, x + mu * dt, sig**2 * dt)
-
-
-def euler_transition_logdensity(spec: DiffusionSpec, dt, x, y):
-    """One-step Euler approximation: y ~ Normal(x + mu(x) dt, sigma(x)^2 dt).
-
-    For scalar models only; x and y may be arrays of evaluation points.
-    """
-    return euler_record_logdensity(spec, record_arrays(dt, x, y))

@@ -1,4 +1,4 @@
-"""Linear-Gaussian state-space models and the Kalman filter.
+"""A scalar linear-Gaussian state-space model and its Kalman filter.
 
 This is the exact-likelihood oracle used to validate the particle filter:
 for an OU state observed with Gaussian noise the prediction-error
@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .densities import LOG_2PI
 from .errors import NumericalSingularityError
 from .models import OuParams
 from .observe import NoisyObservationSet, ObservationModel
@@ -20,7 +21,7 @@ from .simulate import ou_transition_moments
 @dataclass(frozen=True)
 class LinearGaussianSSM:
     """x_k = F_k x_{k-1} + b_k + w_k,  w_k ~ N(0, Q_k),  k = 1..n-1
-    y_k = H x_k + v_k,  v_k ~ N(0, R),  x_0 ~ N(m0, P0).
+    y_k = x_k + v_k,  v_k ~ N(0, R),  x_0 ~ N(m0, P0).
 
     F, b, Q hold one entry per transition (n-1 of them); the first
     observation is matched against the initial distribution directly.
@@ -29,28 +30,21 @@ class LinearGaussianSSM:
     F: np.ndarray
     b: np.ndarray
     Q: np.ndarray
-    H: np.ndarray
-    R: np.ndarray
-    m0: np.ndarray
-    P0: np.ndarray
+    R: float
+    m0: float
+    P0: float
 
     def __post_init__(self):
-        for name in ("F", "b", "Q", "H", "R", "m0", "P0"):
+        for name in ("F", "b", "Q"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        d = len(self.m0)
-        if self.F.shape[1:] != (d, d) or self.Q.shape[1:] != (d, d):
-            raise ValueError("transition blocks must be (n-1, d, d)")
-        if self.b.shape[1:] != (d,) or not (len(self.b) == len(self.F) == len(self.Q)):
-            raise ValueError("per-step arrays must have matching lengths")
-        for name in ("Q", "P0", "R"):
-            mats = getattr(self, name)
-            sym = 0.5 * (mats + np.swapaxes(mats, -1, -2))
-            if np.any(np.linalg.eigvalsh(sym) < -1e-10):
-                raise ValueError(f"{name} must be positive semi-definite")
-
-    @property
-    def state_dim(self) -> int:
-        return len(self.m0)
+        for name in ("R", "m0", "P0"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if not (self.F.ndim == self.b.ndim == self.Q.ndim == 1
+                and len(self.F) == len(self.b) == len(self.Q)):
+            raise ValueError("F, b and Q must be 1-D with one entry per step")
+        for name in ("Q", "R", "P0"):
+            if np.any(getattr(self, name) < 0):
+                raise ValueError(f"{name} must be nonnegative")
 
     @property
     def n_times(self) -> int:
@@ -61,39 +55,33 @@ class LinearGaussianSSM:
 class KalmanResult:
     loglik: float
     filtered_means: np.ndarray
-    filtered_covs: np.ndarray
 
 
-def kalman_filter(ssm: LinearGaussianSSM, y: np.ndarray) -> KalmanResult:
+def kalman_filter(ssm: LinearGaussianSSM, y) -> KalmanResult:
     y = np.asarray(y, dtype=float)
-    y = y[:, None] if y.ndim == 1 else y
-    n = len(y)
-    if n != ssm.n_times:
-        raise ValueError(f"SSM defines {ssm.n_times} time points, got {n} observations")
-    d = ssm.state_dim
-    H, R = ssm.H, ssm.R
-    m, P = ssm.m0.copy(), ssm.P0.copy()
-    means = np.empty((n, d))
-    covs = np.empty((n, d, d))
+    if len(y) != ssm.n_times or y.size != len(y):
+        raise ValueError(f"SSM defines {ssm.n_times} scalar observations, got shape {y.shape}")
+    F, b, Q = ssm.F.tolist(), ssm.b.tolist(), ssm.Q.tolist()
+    m, P = ssm.m0, ssm.P0
+    means = np.empty(len(y))
     loglik = 0.0
-    for k in range(n):
+    for k, yk in enumerate(y.reshape(-1).tolist()):
         if k > 0:
-            F, b, Q = ssm.F[k - 1], ssm.b[k - 1], ssm.Q[k - 1]
-            m = F @ m + b
-            P = F @ P @ F.T + Q
-        v = y[k] - H @ m
-        S = H @ P @ H.T + R
-        det = np.linalg.det(S)
-        if not np.isfinite(det) or det <= 0:
+            m = F[k - 1] * m + b[k - 1]
+            P = F[k - 1] * P * F[k - 1] + Q[k - 1]
+        v = yk - m
+        S = P + ssm.R
+        if not 0.0 < S < np.inf:
             raise NumericalSingularityError(f"singular innovation variance at step {k}")
-        Sinv = np.linalg.inv(S)
-        K = P @ H.T @ Sinv
-        m = m + K @ v
-        P = P - K @ H @ P
-        loglik += -0.5 * (len(v) * np.log(2.0 * np.pi) + np.log(det) + v @ Sinv @ v)
+        # products with 1 / S, not divisions by S: the same roundings as the
+        # inverse-based gain, so c02's Kalman value keeps its bits
+        Sinv = 1.0 / S
+        K = P * Sinv
+        m = m + K * v
+        P = P - K * P
+        loglik += -0.5 * (LOG_2PI + np.log(S) + v * Sinv * v)
         means[k] = m
-        covs[k] = P
-    return KalmanResult(loglik=float(loglik), filtered_means=means, filtered_covs=covs)
+    return KalmanResult(loglik=float(loglik), filtered_means=means)
 
 
 def kalman_loglik(ssm: LinearGaussianSSM, obs: NoisyObservationSet) -> float:
@@ -113,12 +101,4 @@ def ou_to_ssm(p: OuParams, om: ObservationModel, times) -> LinearGaussianSSM:
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
     phi, offset, var = ou_transition_moments(p, np.diff(times))
-    return LinearGaussianSSM(
-        F=phi[:, None, None],
-        b=offset[:, None],
-        Q=var[:, None, None],
-        H=np.array([[1.0]]),
-        R=np.array([[om.scale**2]]),
-        m0=np.array([p.b0]),
-        P0=np.array([[0.0]]),
-    )
+    return LinearGaussianSSM(F=phi, b=offset, Q=var, R=om.scale**2, m0=p.b0, P0=0.0)

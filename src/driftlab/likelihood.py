@@ -48,18 +48,11 @@ class TransitionDensity:
     def positive_mask(self) -> tuple:
         raise NotImplementedError
 
-    def with_theta(self, theta) -> "TransitionDensity":
-        raise NotImplementedError
-
     def record_terms(self, dts, x, y):
         raise NotImplementedError
 
     def logdensities(self, dts, x, y) -> np.ndarray:
         return self.record_terms(dts, x, y)(self.theta)
-
-    def pair_logdensities(self, obs: ObservationSet) -> np.ndarray:
-        """One log-density per consecutive observation pair."""
-        return self.logdensities(*obs.pairs())
 
 
 class _ClosedFormDensity(TransitionDensity):
@@ -77,9 +70,6 @@ class _ClosedFormDensity(TransitionDensity):
     def _params_at(self, theta):
         updates = {f: float(v) for f, v in zip(self.free, np.atleast_1d(theta))}
         return replace(self.params, **updates)
-
-    def with_theta(self, theta):
-        return replace(self, params=self._params_at(theta))
 
     def record_terms(self, dts, x, y):
         record = self.record(dts, x, y)
@@ -130,9 +120,6 @@ class _SpecDensity(TransitionDensity):
     @property
     def positive_mask(self):
         return self.spec.positive or tuple(False for _ in self.spec.theta)
-
-    def with_theta(self, theta):
-        return replace(self, spec=self.spec.with_theta(theta))
 
 
 class EulerDensity(_SpecDensity):

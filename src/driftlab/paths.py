@@ -106,8 +106,3 @@ def read_csv_table(file) -> np.ndarray:
     if not rows:
         raise DataFormatError("no data rows after the header")
     return np.array(rows)
-
-
-def read_path_csv(file) -> Path:
-    data = read_csv_table(file)
-    return Path(times=data[:, 0], values=data[:, 1:])

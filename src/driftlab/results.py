@@ -35,16 +35,3 @@ class FitResult:
             else [float(v) for v in self.standard_errors],
             "diagnostics": self.diagnostics,
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FitResult":
-        return cls(
-            theta_hat=np.asarray(d["theta_hat"], dtype=float),
-            objective_value=d["objective"],
-            iterations=d["iterations"],
-            converged=d["converged"],
-            seed=d["seed"],
-            standard_errors=None if d.get("stderr") is None
-            else np.asarray(d["stderr"], dtype=float),
-            diagnostics=d.get("diagnostics", {}),
-        )

@@ -37,18 +37,6 @@ def euler_advance(spec: DiffusionSpec, x, dts, z: np.ndarray, out=None) -> np.nd
     return x
 
 
-def simulate_euler(spec: DiffusionSpec, grid: TimeGrid, seed) -> Path:
-    """Euler-Maruyama path; raises SimulationDivergedError at the first
-    non-finite state, naming the step that produced it."""
-    z = stream(seed).standard_normal((grid.n_steps, spec.state_dim))
-    values = np.empty((grid.n_steps + 1, spec.state_dim))
-    euler_advance(spec, spec.x0, grid.dt, z, out=values)
-    bad = ~np.all(np.isfinite(values), axis=1)
-    if np.any(bad):
-        raise SimulationDivergedError(int(np.argmax(bad)) - 1, "non-finite state")
-    return Path(times=grid.times(), values=values)
-
-
 def euler_endpoints(spec: DiffusionSpec, grid: TimeGrid, z: np.ndarray) -> np.ndarray:
     """Terminal states of Euler paths driven by given normals.
 
@@ -66,8 +54,9 @@ def euler_endpoints(spec: DiffusionSpec, grid: TimeGrid, z: np.ndarray) -> np.nd
 def simulate_gbm_exact(p: GbmParams, grid: TimeGrid, seed) -> Path:
     """Exact GBM path x0 * exp((beta - sigma^2/2) t + sigma B_t).
 
-    Uses the same normal draws, in the same order, as ``simulate_euler`` on the
-    GBM spec with the same seed, so the two are pathwise coupled.
+    Draws its increments as ``stream(seed).standard_normal(grid.n_steps)``;
+    ``euler_advance`` on the GBM spec driven by those same normals gives the
+    pathwise-coupled Euler path.
     """
     z = stream(seed).standard_normal(grid.n_steps)
     t = grid.times()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -191,7 +193,8 @@ def test_bridge_fit_draws_its_noise_once(monkeypatch):
     assert len(calls) == 1  # simplex, restart and Hessian probes share one draw
 
     # the frozen draws are the ones a fresh evaluation draws
-    assert fit.objective_value == discrete_loglikelihood(td.with_theta(fit.theta_hat), obs)
+    at_fit = replace(td, spec=td.spec.with_theta(fit.theta_hat))
+    assert fit.objective_value == discrete_loglikelihood(at_fit, obs)
 
     # and redrawing on every evaluation gives the same fit, byte for byte
     def redrawing(self, dts, x, y):

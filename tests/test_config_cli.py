@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -314,9 +315,8 @@ def test_fit_sigma_overflowing_its_square_exits_2(tmp_path, capsys, model):
 
 def test_simulate_gbm_sigma_overflowing_its_square_exits_2(tmp_path, capsys):
     out = tmp_path / "p.csv"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = cli_run(["simulate", "--model", "gbm", "--t-end", "1", "--steps", "3",
-                        "--sigma", "1e200", "--out", str(out)])
+    code = cli_run(["simulate", "--model", "gbm", "--t-end", "1", "--steps", "3",
+                    "--sigma", "1e200", "--out", str(out)])
     assert code == 2
     assert "path values must be finite" in capsys.readouterr().err
     assert not out.exists()
@@ -327,9 +327,8 @@ def test_diagnose_gbm_sigma_overflowing_its_square_is_indeterminate(tmp_path):
     data = tmp_path / "obs.csv"
     data.write_text("t,y\n0,1.0\n0.5,1.2\n1,1.1\n1.5,1.3\n")
     out = tmp_path / "report.json"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = cli_run(["diagnose", "--model", "gbm", "--k", "20", "--sigma", "1e200",
-                        "--data", str(data), "--out", str(out)])
+    code = cli_run(["diagnose", "--model", "gbm", "--k", "20", "--sigma", "1e200",
+                    "--data", str(data), "--out", str(out)])
     assert code == 0
     stats = json.loads(out.read_text())["statistics"]
     assert len(stats) == 5 and all(s["indeterminate"] for s in stats)
@@ -457,3 +456,41 @@ def test_accept_writes_each_criterion_wall_time_to_the_summary(tmp_path):
     # the per-criterion file keeps only the criterion's own numbers
     details = json.loads((out_dir / "c03_fokker_planck.json").read_text())["details"]
     assert not any("wall" in key for key in details)
+
+
+CONSTANT_ROWS = "t,x\n0,1\n1,1\n2,1\n3,1\n4,1\n"
+TINY_GAP_ROWS = "t,x\n0,1\n1e-300,1.1\n2e-300,0.9\n3e-300,1.2\n4e-300,1.0\n"
+
+
+@pytest.mark.parametrize("rows, argv, code", [
+    (CONSTANT_ROWS, ["fit", "--method", "mle", "--model", "ou"], 0),
+    (CONSTANT_ROWS, ["fit", "--method", "mle", "--model", "gbm"], 3),
+    (TINY_GAP_ROWS, ["fit", "--method", "mle", "--model", "ou"], 0),
+    (TINY_GAP_ROWS, ["fit", "--method", "mle", "--model", "gbm"], 3),
+    (None, ["simulate", "--model", "gbm", "--t-end", "1", "--steps", "3", "--sigma", "1e200"], 2),
+    (CONSTANT_ROWS, ["diagnose", "--model", "gbm", "--k", "20", "--sigma", "1e200"], 0),
+], ids=["ou-constant", "gbm-constant", "ou-tiny-gaps", "gbm-tiny-gaps", "simulate-overflow",
+        "diagnose-overflow"])
+def test_no_numpy_warning_reaches_the_user(tmp_path, rows, argv, code):
+    # numerical extremes end in the command's usual exit code, with no raw
+    # RuntimeWarning printed on the way
+    out = ["--out", str(tmp_path / ("out.csv" if argv[0] == "simulate" else "out.json"))]
+    if rows is not None:
+        (tmp_path / "obs.csv").write_text(rows)
+        out += ["--data", str(tmp_path / "obs.csv")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_run(argv + out) == code
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_overflowing_ou_start_names_init_theta(tmp_path, capsys):
+    # the lag-1 autocorrelation of these values is inf / inf; the start value
+    # falls back instead of becoming nan
+    data = tmp_path / "obs.csv"
+    data.write_text("t,x\n0,1e300\n1,1e-300\n2,1e300\n3,1e-300\n4,1e300\n")
+    out = tmp_path / "f.json"
+    assert cli_run(["fit", "--method", "mle", "--model", "ou", "--data", str(data),
+                    "--out", str(out)]) == 2
+    assert "init_theta" in capsys.readouterr().err
+    assert not out.exists()

@@ -6,10 +6,11 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from driftlab.densities import (
-    euler_transition_logdensity,
+    euler_record_logdensity,
     gbm_transition_logdensity,
     logsumexp,
-    ou_transition_logdensity,
+    ou_record_logdensity,
+    record_arrays,
 )
 from driftlab.errors import DegenerateDensityError
 from driftlab.models import DiffusionSpec, GbmParams, OuParams, gbm_spec
@@ -51,7 +52,7 @@ def test_gbm_degenerate_sigma():
 
 def test_ou_long_horizon_limit_is_stationary():
     p = OuParams(gamma=2.0, beta_bar=0.4, sigma=0.6, b0=0.0)
-    far = ou_transition_logdensity(p, 200.0, 5.0, 0.3)
+    far = ou_record_logdensity(p, record_arrays(200.0, 5.0, 0.3))
     stationary = stats.norm.logpdf(0.3, 0.4, np.sqrt(0.36 / 4.0))
     assert far == pytest.approx(stationary, rel=1e-10)
 
@@ -60,7 +61,7 @@ def test_ou_at_mean_value():
     p = OuParams(gamma=1.0, beta_bar=0.5, sigma=0.3, b0=0.0)
     dt = 0.8
     v = 0.09 * (1 - np.exp(-1.6)) / 2.0
-    assert ou_transition_logdensity(p, dt, 0.5, 0.5) == pytest.approx(
+    assert ou_record_logdensity(p, record_arrays(dt, 0.5, 0.5)) == pytest.approx(
         -0.5 * np.log(2 * np.pi * v), rel=1e-14)
 
 
@@ -70,13 +71,13 @@ def test_ou_matches_independent_gaussian_pdf(x, y, dt):
     p = OuParams(gamma=1.0, beta_bar=0.0, sigma=1.0, b0=0.0)
     mean = x * np.exp(-dt)
     var = (1 - np.exp(-2 * dt)) / 2.0
-    assert ou_transition_logdensity(p, dt, x, y) == pytest.approx(
+    assert ou_record_logdensity(p, record_arrays(dt, x, y)) == pytest.approx(
         stats.norm.logpdf(y, mean, np.sqrt(var)), rel=1e-12)
 
 
 def test_ou_degenerate_sigma():
     with pytest.raises(DegenerateDensityError):
-        ou_transition_logdensity(OuParams(1.0, 0.0, 0.0, 0.0), 0.5, 0.0, 0.0)
+        ou_record_logdensity(OuParams(1.0, 0.0, 0.0, 0.0), record_arrays(0.5, 0.0, 0.0))
 
 
 BM = DiffusionSpec(drift=lambda x, th: 0.0 * x,
@@ -85,14 +86,14 @@ BM = DiffusionSpec(drift=lambda x, th: 0.0 * x,
 
 
 def test_euler_reduces_to_bm_transition():
-    assert euler_transition_logdensity(BM, 0.3, 0.5, 0.9) == pytest.approx(
+    assert euler_record_logdensity(BM, record_arrays(0.3, 0.5, 0.9)) == pytest.approx(
         stats.norm.logpdf(0.9, 0.5, np.sqrt(0.3)), rel=1e-14)
 
 
 def test_euler_close_to_exact_at_small_dt():
     p = GbmParams(beta=0.1, sigma=0.3, x0=1.0)
     spec = gbm_spec(p)
-    e = euler_transition_logdensity(spec, 0.01, 1.0, 1.0)
+    e = euler_record_logdensity(spec, record_arrays(0.01, 1.0, 1.0))
     g = gbm_transition_logdensity(p, 0.01, 1.0, 1.0)
     assert abs(e - g) < 1e-2
 
@@ -103,7 +104,7 @@ def test_euler_bias_grows_with_dt():
 
     def sup_gap(dt):
         y = np.linspace(0.3, 3.0, 400)
-        e = np.exp(euler_transition_logdensity(spec, dt, 1.0, y))
+        e = np.exp(euler_record_logdensity(spec, record_arrays(dt, 1.0, y)))
         g = np.exp(gbm_transition_logdensity(p, dt, 1.0, y))
         return np.max(np.abs(e - g))
 
@@ -113,12 +114,12 @@ def test_euler_bias_grows_with_dt():
 def test_euler_degenerate_sigma():
     spec = gbm_spec(GbmParams(0.1, 0.5, 1.0))
     with pytest.raises(DegenerateDensityError):
-        euler_transition_logdensity(spec, 0.5, 0.0, 0.1)  # sigma(0) = 0
+        euler_record_logdensity(spec, record_arrays(0.5, 0.0, 0.1))  # sigma(0) = 0
 
 
 def test_euler_density_normalizes():
     spec = gbm_spec(GbmParams(beta=0.2, sigma=0.4, x0=1.0))
-    val, _ = quad(lambda y: np.exp(euler_transition_logdensity(spec, 0.3, 1.0, y)),
+    val, _ = quad(lambda y: np.exp(euler_record_logdensity(spec, record_arrays(0.3, 1.0, y))),
                   -np.inf, np.inf, limit=200)
     assert val == pytest.approx(1.0, abs=1e-8)
 

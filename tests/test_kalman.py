@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from driftlab.errors import NumericalSingularityError
@@ -13,11 +14,7 @@ from driftlab.simulate import simulate_ou
 
 def _scalar_ssm(phi, b, q, r, m0, p0, n):
     ones = np.ones(n - 1)
-    return LinearGaussianSSM(
-        F=(phi * ones)[:, None, None], b=(b * ones)[:, None],
-        Q=(q * ones)[:, None, None], H=np.array([[1.0]]),
-        R=np.array([[r]]), m0=np.array([m0]), P0=np.array([[p0]]),
-    )
+    return LinearGaussianSSM(F=phi * ones, b=b * ones, Q=q * ones, R=r, m0=m0, P0=p0)
 
 
 def test_single_observation_closed_form():
@@ -35,19 +32,26 @@ def test_zero_noise_identity_dynamics_rejected():
         kalman_loglik(ssm, obs)
 
 
-def test_loglik_matches_dense_joint_gaussian():
-    # brute-force oracle: build the joint Gaussian law of the 100 observations
-    rng = stream(314, "ssm")
-    n, d = 100, 1
-    phi = rng.uniform(0.3, 0.95, n - 1)
-    b = rng.uniform(-0.2, 0.2, n - 1)
-    q = rng.uniform(0.05, 0.3, n - 1)
-    r = 0.2
-    m0, p0 = 0.5, 0.4
-    ssm = LinearGaussianSSM(F=phi[:, None, None], b=b[:, None], Q=q[:, None, None],
-                            H=np.array([[1.0]]), R=np.array([[r]]),
-                            m0=np.array([m0]), P0=np.array([[p0]]))
+@st.composite
+def _ssm_and_observations(draw):
+    n = draw(st.integers(1, 30))
 
+    def series(low, high, size):
+        return np.array(draw(st.lists(st.floats(low, high), min_size=size, max_size=size)),
+                        dtype=float)
+
+    ssm = LinearGaussianSSM(F=series(-1.2, 1.2, n - 1), b=series(-2.0, 2.0, n - 1),
+                            Q=series(1e-3, 1.0, n - 1), R=draw(st.floats(1e-2, 2.0)),
+                            m0=draw(st.floats(-3.0, 3.0)), P0=draw(st.floats(0.0, 2.0)))
+    return ssm, series(-10.0, 10.0, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_ssm_and_observations())
+def test_loglik_matches_dense_joint_gaussian(case):
+    # brute-force oracle: build the joint Gaussian law of the n observations
+    ssm, y = case
+    n, phi, b, q, r, m0, p0 = len(y), ssm.F, ssm.b, ssm.Q, ssm.R, ssm.m0, ssm.P0
     mean = np.empty(n)
     cov = np.zeros((n, n))
     mean[0] = m0
@@ -59,10 +63,9 @@ def test_loglik_matches_dense_joint_gaussian():
         cov[k, k] = phi[k - 1] ** 2 * cov[k - 1, k - 1] + q[k - 1]
     cov_y = cov + r * np.eye(n)
 
-    y = stats.multivariate_normal(mean, cov_y, seed=12).rvs()
     obs = NoisyObservationSet(times=np.arange(n, dtype=float), y_values=y)
     expected = stats.multivariate_normal(mean, cov_y).logpdf(y)
-    assert kalman_loglik(ssm, obs) == pytest.approx(expected, abs=1e-8)
+    assert kalman_loglik(ssm, obs) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 def test_ou_to_ssm_equal_gaps_identical_blocks():
@@ -78,8 +81,8 @@ def test_ou_to_ssm_large_gamma_limit():
     p = OuParams(gamma=200.0, beta_bar=0.0, sigma=0.4, b0=0.0)
     om = ObservationModel(kind="gaussian", scale=0.2)
     ssm = ou_to_ssm(p, om, np.array([0.0, 1.0]))
-    assert ssm.F[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
-    assert ssm.Q[0, 0, 0] == pytest.approx(0.4**2 / 400.0, rel=1e-10)
+    assert ssm.F[0] == pytest.approx(0.0, abs=1e-12)
+    assert ssm.Q[0] == pytest.approx(0.4**2 / 400.0, rel=1e-10)
 
 
 def test_ou_to_ssm_requires_gaussian():
@@ -98,27 +101,39 @@ def test_filtered_means_beat_raw_observations():
     obs = NoisyObservationSet(times=grid.times(), y_values=y)
     om = ObservationModel(kind="gaussian", scale=scale)
     result = kalman_filter(ou_to_ssm(p, om, obs.times), obs.y_values)
-    rmse_filter = np.sqrt(np.mean((result.filtered_means[:, 0] - latent) ** 2))
+    rmse_filter = np.sqrt(np.mean((result.filtered_means - latent) ** 2))
     rmse_raw = np.sqrt(np.mean((y - latent) ** 2))
     assert rmse_filter < rmse_raw
 
 
 def test_psd_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Q must be nonnegative"):
         _scalar_ssm(phi=1.0, b=0.0, q=-0.1, r=0.1, m0=0.0, p0=0.0, n=2)
     # a later transition, not the first, carries the bad Q
-    Q = np.full((50, 2, 2), 0.1 * np.eye(2))
-    Q[37] = [[0.1, 0.0], [0.0, -0.2]]
-    with pytest.raises(ValueError, match="Q must be positive semi-definite"):
-        LinearGaussianSSM(F=np.ones((50, 2, 2)), b=np.zeros((50, 2)), Q=Q,
-                          H=np.eye(2), R=0.1 * np.eye(2), m0=np.zeros(2), P0=np.eye(2))
-    with pytest.raises(ValueError, match="P0 must be positive semi-definite"):
+    Q = np.full(50, 0.1)
+    Q[37] = -0.2
+    with pytest.raises(ValueError, match="Q must be nonnegative"):
+        LinearGaussianSSM(F=np.ones(50), b=np.zeros(50), Q=Q, R=0.1, m0=0.0, P0=1.0)
+    with pytest.raises(ValueError, match="R must be nonnegative"):
+        _scalar_ssm(phi=1.0, b=0.0, q=0.1, r=-0.1, m0=0.0, p0=0.0, n=5)
+    with pytest.raises(ValueError, match="P0 must be nonnegative"):
         _scalar_ssm(phi=1.0, b=0.0, q=0.1, r=0.1, m0=0.0, p0=-1.0, n=5)
 
 
 def test_mismatched_block_lengths_rejected():
-    with pytest.raises(ValueError):
-        LinearGaussianSSM(F=np.ones((2, 1, 1)), b=np.zeros((1, 1)),
-                          Q=np.full((2, 1, 1), 0.1), H=np.array([[1.0]]),
-                          R=np.array([[0.1]]), m0=np.array([0.0]),
-                          P0=np.array([[0.0]]))
+    with pytest.raises(ValueError, match="one entry per step"):
+        LinearGaussianSSM(F=np.ones(2), b=np.zeros(1), Q=np.full(2, 0.1), R=0.1, m0=0.0, P0=0.0)
+    with pytest.raises(ValueError, match="one entry per step"):
+        LinearGaussianSSM(F=np.ones((2, 1)), b=np.zeros(2), Q=np.full(2, 0.1), R=0.1,
+                          m0=0.0, P0=0.0)
+    ssm = _scalar_ssm(phi=1.0, b=0.0, q=0.1, r=0.1, m0=0.0, p0=0.0, n=3)
+    for y in (np.zeros(2), np.zeros((3, 2))):
+        with pytest.raises(ValueError, match="3 scalar observations"):
+            kalman_filter(ssm, y)
+
+
+def test_overflowing_innovation_variance_rejected():
+    # phi^2 P overflows to inf in the prediction of the second observation
+    ssm = _scalar_ssm(phi=1e200, b=0.0, q=0.1, r=0.1, m0=0.0, p0=1.0, n=3)
+    with pytest.raises(NumericalSingularityError, match="at step 1"):
+        kalman_filter(ssm, np.zeros(3))

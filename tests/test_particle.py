@@ -35,15 +35,17 @@ def test_noise_free_limit_recovers_deterministic_path():
     # the same Euler discretization the filter propagates with: the filtered
     # means reproduce the observations to float precision
     from driftlab.paths import TimeGrid
-    from driftlab.simulate import simulate_euler
+    from driftlab.simulate import euler_advance
 
     det = DiffusionSpec(drift=lambda x, th: -0.5 * x,
                         diffusion=lambda x, th: np.zeros_like(x),
                         theta=[0.0], x0=[2.0])
     substeps, n_obs = 20, 20
-    fine = simulate_euler(det, TimeGrid(0.0, 0.25 * (n_obs - 1), substeps * (n_obs - 1)), 0)
-    times = fine.times[::substeps]
-    x = fine.values[::substeps, 0]
+    grid = TimeGrid(0.0, 0.25 * (n_obs - 1), substeps * (n_obs - 1))
+    fine = np.empty((grid.n_steps + 1, 1))
+    euler_advance(det, det.x0, grid.dt, np.zeros((grid.n_steps, 1)), out=fine)
+    times = grid.times()[::substeps]
+    x = fine[::substeps, 0]
     obs = NoisyObservationSet(times=times, y_values=x)
     om = ObservationModel(kind="gaussian", scale=1e-9)
     res = particle_filter(det, om, obs, n_particles=50, substeps=substeps, seed=0)

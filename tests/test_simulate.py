@@ -6,12 +6,11 @@ from scipy import stats
 from driftlab.errors import SimulationDivergedError
 from driftlab.models import DiffusionSpec, GbmParams, OuParams, gbm_spec
 from driftlab.paths import TimeGrid
-from driftlab.rng import replicate_normals
+from driftlab.rng import replicate_normals, stream
 from driftlab.simulate import (
     euler_advance,
     euler_endpoints,
     ou_paths,
-    simulate_euler,
     simulate_gbm_exact,
     simulate_ou,
     simulate_tv_growth,
@@ -23,21 +22,22 @@ GRID = TimeGrid(0.0, 1.0, 100)
 def test_euler_deterministic_recursion():
     # sigma = 0: x_{k+1} = x_k (1 + beta dt), so the endpoint is (1.01)^10
     spec = gbm_spec(GbmParams(beta=0.1, sigma=0.0, x0=1.0))
-    path = simulate_euler(spec, TimeGrid(0.0, 1.0, 10), 3)
-    assert path.values[-1, 0] == pytest.approx(1.1046221254112045, abs=1e-15)
+    end = euler_advance(spec, spec.x0, 0.1, stream(3).standard_normal((10, 1)))
+    assert end[0] == pytest.approx(1.1046221254112045, abs=1e-15)
 
 
 def test_euler_starts_at_x0():
     spec = gbm_spec(GbmParams(beta=0.3, sigma=0.5, x0=2.5))
-    path = simulate_euler(spec, GRID, 11)
-    assert path.values[0, 0] == 2.5
-    assert len(path.times) == GRID.n_steps + 1
+    states = np.empty((GRID.n_steps + 1, 1))
+    euler_advance(spec, spec.x0, GRID.dt, stream(11).standard_normal((GRID.n_steps, 1)),
+                  out=states)
+    assert states[0, 0] == 2.5
 
 
 def test_euler_bit_identical_under_seed():
     spec = gbm_spec(GbmParams(beta=0.05, sigma=0.2, x0=1.0))
-    a = simulate_euler(spec, GRID, 99).values
-    b = simulate_euler(spec, GRID, 99).values
+    a = euler_endpoints(spec, GRID, replicate_normals(99, 3, GRID.n_steps, "seed"))
+    b = euler_endpoints(spec, GRID, replicate_normals(99, 3, GRID.n_steps, "seed"))
     assert np.array_equal(a, b)
 
 
@@ -53,21 +53,13 @@ def test_euler_weak_mean():
     assert abs(ends.mean() - target) < 3 * se
 
 
-def test_euler_diverged_error_names_step():
-    exploding = DiffusionSpec(drift=lambda x, th: x**3 * 1e150,
-                              diffusion=lambda x, th: np.ones_like(x),
-                              theta=[0.0], x0=[1e200])
-    with np.errstate(over="ignore"), pytest.raises(SimulationDivergedError) as err:
-        simulate_euler(exploding, TimeGrid(0.0, 1.0, 5), 0)
-    assert err.value.step == 0
-
-
 def test_euler_endpoints_batch_matches_serial():
     spec = gbm_spec(GbmParams(beta=0.1, sigma=0.3, x0=1.0))
     z = replicate_normals(5, 4, GRID.n_steps, "batch")
     batch = euler_endpoints(spec, GRID, z)
     for r in range(4):
-        serial = simulate_euler(spec, GRID, (5, "batch", r)).values[-1]
+        serial = euler_advance(spec, spec.x0, GRID.dt,
+                               stream(5, "batch", r).standard_normal((GRID.n_steps, 1)))
         assert np.array_equal(batch[r], serial)
 
 

@@ -1,15 +1,25 @@
-"""No driftlab module reduces with scipy.special.logsumexp.
+"""Checks on what the sources import, parsed, not imported or run.
 
-scipy's logsumexp costs about 120 us per call on a few hundred values, and
-the particle filter and the bridge call it on every step and evaluation;
-``densities.logsumexp`` is the same arithmetic at a fraction of that cost.
-The sources are parsed, not imported or run.
+No driftlab module reduces with scipy.special.logsumexp: scipy's costs about
+120 us per call on a few hundred values, and the particle filter and the
+bridge call it on every step and evaluation; ``densities.logsumexp`` is the
+same arithmetic at a fraction of that cost.
+
+Every name the package exports is used by the package, its scripts or its
+benchmark, so no public function is kept alive by tests alone.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "driftlab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "driftlab"
+
+# exported names no program uses yet, each with the reason it stays
+UNUSED_EXPORTS_KEPT = {
+    # the unit-quadratic-variation check of the planned Lamperti-space bridge
+    "quadratic_variation",
+}
 
 
 def _trees():
@@ -66,3 +76,36 @@ def test_the_check_catches_each_import_form():
                  "import scipy.special\nscipy.special.logsumexp([0.0])"):
         assert _scipy_logsumexp_uses(ast.parse(text)), text
     assert not _scipy_logsumexp_uses(ast.parse("from .densities import logsumexp"))
+
+
+def _package_exports():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _names_read_by_programs():
+    """Every name and attribute the package modules, scripts and benchmark read."""
+    files = [path for path in SRC.glob("*.py") if path.name != "__init__.py"]
+    files += [path for folder in ("scripts", "perfbench") for path in (ROOT / folder).rglob("*.py")
+              if "tests" not in path.relative_to(ROOT).parts]
+    names = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_export_is_used_by_a_program():
+    unused = _package_exports() - _names_read_by_programs() - UNUSED_EXPORTS_KEPT
+    assert not unused, f"exported but used only by tests: {sorted(unused)}"
+
+
+def test_kept_exports_are_still_exported_and_unused():
+    # an allowlisted name that a program starts using, or that the package
+    # stops exporting, leaves the list
+    assert UNUSED_EXPORTS_KEPT <= _package_exports()
+    assert not UNUSED_EXPORTS_KEPT & _names_read_by_programs()
