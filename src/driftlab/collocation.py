@@ -26,6 +26,7 @@ from scipy.interpolate import BSpline
 from scipy.optimize import minimize
 
 from .errors import DataFormatError, InvalidStartError, WeightSingularityError
+from .likelihood import nelder_mead
 from .models import DiffusionSpec
 from .observe import NoisyObservationSet, ObservationModel
 from .paths import Path
@@ -258,11 +259,10 @@ def collocation_fit(obs: NoisyObservationSet, om: ObservationModel, spec: Diffus
     converged = False
     outer = inner_iterations = gradient_evaluations = 0
     for outer in range(1, max_outer + 1):
-        res_t = minimize(prob.theta_objective(c), theta, method="Nelder-Mead",
-                         options={"xatol": THETA_XATOL, "fatol": THETA_FATOL,
-                                  "maxiter": 400})
-        if res_t.fun <= current:
-            theta = res_t.x
+        theta_t, f_t, _, _ = nelder_mead(prob.theta_objective(c), theta, 400,
+                                         THETA_XATOL, THETA_FATOL)
+        if f_t <= current:
+            theta = theta_t
         res_c = minimize(lambda cc: prob.objective(cc, theta), c, method="L-BFGS-B",
                          jac=lambda cc: prob.working_gradient_c(cc, theta),
                          options={"gtol": INNER_GTOL, "ftol": 1e-14,

@@ -88,10 +88,12 @@ def ou_record_logdensity(p: OuParams, record: tuple):
     return normal_logpdf(y, phi * x + offset, var)
 
 
-def euler_record_logdensity(spec: DiffusionSpec, record: tuple):
+def euler_record_logdensity(spec: DiffusionSpec, record: tuple, theta=None):
+    """Euler log-densities of a record under spec, at theta (default spec.theta)."""
     dt, x, y = record
-    mu = np.asarray(spec.drift(x, spec.theta), dtype=float)
-    sig = np.asarray(spec.diffusion(x, spec.theta), dtype=float)
+    theta = spec.theta if theta is None else np.atleast_1d(np.asarray(theta, dtype=float))
+    mu = np.asarray(spec.drift(x, theta), dtype=float)
+    sig = np.asarray(spec.diffusion(x, theta), dtype=float)
     if np.any(sig == 0):
         raise DegenerateDensityError("Euler transition density degenerate at sigma(x) = 0")
     return normal_logpdf(y, x + mu * dt, sig**2 * dt)

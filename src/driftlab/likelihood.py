@@ -8,10 +8,12 @@ resulting log-likelihood by a derivative-free simplex search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import bridge, densities
 from .errors import (
@@ -129,8 +131,7 @@ class EulerDensity(_SpecDensity):
 
     def record_terms(self, dts, x, y):
         record = densities.record_arrays(dts, x, y)
-        return lambda theta: densities.euler_record_logdensity(self.spec.with_theta(theta),
-                                                               record)
+        return lambda theta: densities.euler_record_logdensity(self.spec, record, theta)
 
 
 @dataclass(frozen=True)
@@ -190,7 +191,9 @@ def discrete_loglikelihood(td: TransitionDensity, obs: ObservationSet) -> float:
     The first observation is conditioned on and contributes no term.  A
     non-finite term raises NonFiniteTermError naming the offending pair.
     """
-    return _loglik_at(td.record_terms(*obs.pairs()), td.theta)
+    record_terms = td.record_terms(*obs.pairs())
+    with np.errstate(all="ignore"):
+        return _loglik_at(record_terms, td.theta)
 
 
 def bridge_loglikelihood(spec: DiffusionSpec, obs: ObservationSet, m_sub: int,
@@ -200,13 +203,17 @@ def bridge_loglikelihood(spec: DiffusionSpec, obs: ObservationSet, m_sub: int,
 
 
 def _loglik_at(record_terms, theta) -> float:
-    with np.errstate(all="ignore"):
-        terms = record_terms(theta)
-    bad = ~np.isfinite(terms)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise NonFiniteTermError(i, float(terms[i]))
-    return float(terms.sum())
+    """Sum of the terms at theta, under the caller's ``np.errstate``.  Only a
+    non-finite sum is searched: NonFiniteTermError names the first non-finite
+    term, and finite terms whose sum overflows return it (+-inf)."""
+    terms = record_terms(theta)
+    total = float(terms.sum())
+    if not math.isfinite(total):
+        bad = ~np.isfinite(terms)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise NonFiniteTermError(i, float(terms[i]))
+    return total
 
 
 SIMPLEX_TOL = 1e-8  # Nelder-Mead fatol and xatol on the working scale
@@ -225,10 +232,53 @@ def to_working(theta, positive_mask):
 
 def from_working(z, positive_mask):
     theta = np.array(z, dtype=float)
-    for i, pos in enumerate(positive_mask):
-        if pos:
-            theta[i] = np.exp(theta[i])
-    return theta
+    return np.exp(theta, out=theta, where=np.asarray(positive_mask, dtype=bool))
+
+
+def nelder_mead(fun, x0, maxiter, xatol, fatol):
+    """Nelder & Mead's (1965) simplex: scipy 1.17's ``minimize(method="Nelder-Mead")``
+    with only maxiter, xatol and fatol set, ported step for step onto Python
+    floats.  It calls ``fun`` (with a new float64 array) at the same points and
+    returns its x, fun, nit and success bit for bit, as (x, f, nit, ok)."""
+    x0 = [float(v) for v in np.ravel(x0)]
+    n = len(x0)
+    sim = [x0] + [x0[:k] + [1.05 * v if v != 0 else 0.00025] + x0[k + 1:]
+                  for k, v in enumerate(x0)]
+    fsim = [float(fun(np.array(v))) for v in sim]
+
+    def ordered():  # as scipy, by np.argsort of a float64 fsim: its order of ties
+        idx = np.array(fsim).argsort()
+        return [sim[i] for i in idx], [fsim[i] for i in idx]
+
+    def trial(a, b):  # a * xbar + b * worst, and its value
+        v = [a * m + b * w for m, w in zip(xbar, sim[-1])]
+        return v, float(fun(np.array(v)))
+
+    sim, fsim = ordered()
+    sim, fsim = ordered()  # scipy sorts twice before its loop
+    nit = 1
+    while nit < maxiter:
+        if (all(abs(a - b) <= xatol for v in sim[1:] for a, b in zip(v, sim[0]))
+                and all(abs(fsim[0] - f) <= fatol for f in fsim[1:])):
+            break
+        xbar = [reduce(add, col) / n for col in zip(*sim[:-1])]  # from sim[0]: -0.0 stays
+        xr, fxr = trial(2, -1)
+        if fxr < fsim[0]:
+            xe, fxe = trial(3, -2)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            outside = fxr < fsim[-1]
+            xc, fxc = trial(1.5, -0.5) if outside else trial(0.5, 0.5)
+            if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                sim[1:] = [[a + 0.5 * (b - a) for a, b in zip(sim[0], v)] for v in sim[1:]]
+                fsim[1:] = [float(fun(np.array(v))) for v in sim[1:]]
+        nit += 1
+        sim, fsim = ordered()
+    return np.array(sim[0]), np.min(fsim), nit, nit < maxiter
 
 
 def minimize_simplex(fun, x0):
@@ -236,13 +286,11 @@ def minimize_simplex(fun, x0):
     x, fval, nit, ok = np.asarray(x0, dtype=float), np.inf, 0, False
     budget = SIMPLEX_MAX_ITER
     for _ in range(2):
-        res = minimize(fun, x, method="Nelder-Mead",
-                       options={"fatol": SIMPLEX_TOL, "xatol": SIMPLEX_TOL,
-                                "maxiter": budget, "disp": False})
-        nit += res.nit
-        budget -= res.nit
-        if res.fun <= fval:
-            x, fval, ok = res.x, res.fun, bool(res.success)
+        x_run, f_run, nit_run, ok_run = nelder_mead(fun, x, budget, SIMPLEX_TOL, SIMPLEX_TOL)
+        nit += nit_run
+        budget -= nit_run
+        if f_run <= fval:
+            x, fval, ok = x_run, f_run, ok_run
         if budget <= 0:
             ok = False
             break
@@ -301,7 +349,7 @@ def mle_fit(td: TransitionDensity, obs: ObservationSet, init_theta, seed: int = 
     observation pairs than free parameters raises InsufficientDataError.
     Standard errors whose probes raise a DriftlabError are None.
     """
-    mask = td.positive_mask
+    mask = np.array(td.positive_mask, dtype=bool)
     init_theta = np.atleast_1d(np.asarray(init_theta, dtype=float))
     z0 = to_working(init_theta, mask)
     record_terms = td.record_terms(*obs.pairs())
@@ -318,27 +366,28 @@ def mle_fit(td: TransitionDensity, obs: ObservationSet, init_theta, seed: int = 
         key = z.tobytes()
         if key not in seen:
             val = loglik(from_working(z, mask))
-            seen[key] = np.inf if not np.isfinite(val) else -val
+            seen[key] = -val if math.isfinite(val) else np.inf
         return seen[key]
 
-    if not np.isfinite(neg(z0)):
-        raise InvalidStartError(f"log-likelihood non-finite at init_theta={init_theta}")
-    k = len(init_theta)
-    if len(obs) - 1 < k:
-        raise InsufficientDataError(f"mle needs at least {k} observation pairs for "
-                                    f"{k} free parameters, got {len(obs) - 1}")
+    with np.errstate(all="ignore"):
+        if not np.isfinite(neg(z0)):
+            raise InvalidStartError(f"log-likelihood non-finite at init_theta={init_theta}")
+        k = len(init_theta)
+        if len(obs) - 1 < k:
+            raise InsufficientDataError(f"mle needs at least {k} observation pairs for "
+                                        f"{k} free parameters, got {len(obs) - 1}")
 
-    z_hat, fval, nit, ok = minimize_simplex(neg, z0)
-    theta_hat = from_working(z_hat, mask)
-    diagnostics = {"optimizer": "nelder-mead", "kind": td.kind}
-    stderr = None
-    if compute_stderr:
-        try:
-            stderr, log_scaled = _hessian_stderr(loglik, theta_hat, mask)
-        except DriftlabError:
-            log_scaled = ()
-        if np.any(log_scaled):
-            diagnostics["stderr_log_scale"] = [bool(v) for v in log_scaled]
+        z_hat, fval, nit, ok = minimize_simplex(neg, z0)
+        theta_hat = from_working(z_hat, mask)
+        diagnostics = {"optimizer": "nelder-mead", "kind": td.kind}
+        stderr = None
+        if compute_stderr:
+            try:
+                stderr, log_scaled = _hessian_stderr(loglik, theta_hat, mask)
+            except DriftlabError:
+                log_scaled = ()
+            if np.any(log_scaled):
+                diagnostics["stderr_log_scale"] = [bool(v) for v in log_scaled]
     return FitResult(
         theta_hat=theta_hat,
         objective_value=-fval,

@@ -22,7 +22,9 @@ from driftlab.likelihood import (
     OuDensity,
     TransitionDensity,
     _hessian_stderr,
+    _loglik_at,
     discrete_loglikelihood,
+    from_working,
     minimize_simplex,
     mle_fit,
 )
@@ -425,3 +427,63 @@ def test_spec_densities_reject_a_2d_model_at_construction(make_td):
                          theta=[1.0], x0=[0.0, 0.0], state_dim=2)
     with pytest.raises(UnsupportedDimensionError, match="scalar models only"):
         make_td(spec)
+
+
+# the per-evaluation path of a fit: each step below is checked against the
+# arithmetic it replaced, bit for bit
+
+@settings(max_examples=60, derandomize=True)
+@given(finite=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30),
+       bad=st.lists(st.tuples(st.integers(0, 29), st.sampled_from([np.nan, np.inf, -np.inf])),
+                    min_size=1, max_size=4))
+def test_loglik_at_names_the_first_non_finite_term(finite, bad):
+    terms = np.array(finite)
+    for i, value in bad:
+        terms[i % len(terms)] = value
+    first = int(np.argmax(~np.isfinite(terms)))
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteTermError) as err:
+        _loglik_at(lambda theta: terms, None)
+    assert err.value.pair == first
+    assert np.array_equal(err.value.value, terms[first], equal_nan=True)
+
+
+def test_loglik_at_returns_an_overflowing_sum_of_finite_terms():
+    for sign in (1.0, -1.0):
+        terms = sign * np.full(3, 1e308)
+        with np.errstate(all="ignore"):
+            assert _loglik_at(lambda theta: terms, None) == sign * np.inf
+    assert _loglik_at(lambda theta: np.array([0.5, -2.0, 1.25]), None) == -0.25
+
+
+def _from_working_per_element(z, positive_mask):
+    theta = np.array(z, dtype=float)
+    for i, pos in enumerate(positive_mask):
+        if pos:
+            theta[i] = np.exp(theta[i])
+    return theta
+
+
+@settings(max_examples=80, derandomize=True)
+@given(data=st.data())
+def test_from_working_equals_the_per_element_loop(data):
+    k = data.draw(st.integers(1, 4))
+    # log-uniform magnitudes out to 750, past exp's overflow at about 709.8
+    z = [data.draw(st.sampled_from([1.0, -1.0])) * 10.0 ** data.draw(st.floats(-3.0, np.log10(750.0)))
+         for _ in range(k)]
+    mask = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    with np.errstate(over="ignore"):
+        got = from_working(np.array(z), np.array(mask))
+        want = _from_working_per_element(np.array(z), tuple(mask))
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, derandomize=True)
+@given(obs=irregular_records(-5.0, 5.0), log_gamma=st.floats(-3.0, 3.0),
+       beta_bar=st.floats(-2.0, 2.0), log_sigma=st.floats(-3.0, 3.0))
+def test_euler_record_terms_equal_a_spec_rebuilt_at_theta(obs, log_gamma, beta_bar, log_sigma):
+    spec = ou_spec(OuParams(gamma=1.0, beta_bar=0.4, sigma=0.5))
+    theta = np.array([np.exp(log_gamma), beta_bar, np.exp(log_sigma)])
+    got = EulerDensity(spec).record_terms(*obs.pairs())(theta)
+    want = densities.euler_record_logdensity(spec.with_theta(theta),
+                                             densities.record_arrays(*obs.pairs()))
+    assert np.array_equal(got, want)

@@ -5,6 +5,10 @@ No driftlab module reduces with scipy.special.logsumexp: scipy's costs about
 bridge call it on every step and evaluation; ``densities.logsumexp`` is the
 same arithmetic at a fraction of that cost.
 
+No driftlab module runs scipy's Nelder-Mead: ``likelihood.nelder_mead`` is
+its exact port without the per-iteration array work, and the MLE and
+collocation's theta pass call it on every fit.
+
 Every name the package exports is used by the package, its scripts or its
 benchmark, so no public function is kept alive by tests alone.
 """
@@ -27,26 +31,44 @@ def _trees():
             for path in sorted(SRC.glob("*.py"))}
 
 
-def _scipy_logsumexp_uses(tree):
-    """Line numbers where ``tree`` imports logsumexp from scipy.special or
-    reads it off scipy.special (``special.logsumexp``, ``scipy.special.logsumexp``)."""
-    special_names = set()
+def _scipy_uses(tree, submodule, names):
+    """Line numbers where ``tree`` imports one of ``names`` from scipy.<submodule>
+    or reads it off that module (``sub.name``, ``scipy.<submodule>.name``)."""
+    module_names = set()
     lines = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy.special"):
-            lines += [node.lineno for alias in node.names if alias.name == "logsumexp"]
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(f"scipy.{submodule}"):
+            lines += [node.lineno for alias in node.names if alias.name in names]
         elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
-            special_names.update(alias.asname or alias.name for alias in node.names
-                                 if alias.name == "special")
+            module_names.update(alias.asname or alias.name for alias in node.names
+                                if alias.name == submodule)
         elif isinstance(node, ast.Import):
-            special_names.update(alias.asname for alias in node.names
-                                 if alias.name == "scipy.special" and alias.asname)
+            module_names.update(alias.asname for alias in node.names
+                                if alias.name == f"scipy.{submodule}" and alias.asname)
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "logsumexp":
+        if isinstance(node, ast.Attribute) and node.attr in names:
             base = node.value
-            if (isinstance(base, ast.Name) and base.id in special_names) or (
-                    isinstance(base, ast.Attribute) and base.attr == "special"
+            if (isinstance(base, ast.Name) and base.id in module_names) or (
+                    isinstance(base, ast.Attribute) and base.attr == submodule
                     and isinstance(base.value, ast.Name) and base.value.id == "scipy"):
+                lines.append(node.lineno)
+    return lines
+
+
+def _scipy_logsumexp_uses(tree):
+    return _scipy_uses(tree, "special", {"logsumexp"})
+
+
+def _scipy_nelder_mead_uses(tree):
+    """Line numbers of calls that ask any optimizer for method "Nelder-Mead"
+    (keyword or fourth positional argument, in any case), and of uses of
+    scipy.optimize's ``fmin`` or ``_minimize_neldermead``."""
+    lines = _scipy_uses(tree, "optimize", {"fmin", "_minimize_neldermead"})
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            methods = [kw.value for kw in node.keywords if kw.arg == "method"] + node.args[3:4]
+            if any(isinstance(m, ast.Constant) and str(m.value).lower() == "nelder-mead"
+                   for m in methods):
                 lines.append(node.lineno)
     return lines
 
@@ -76,6 +98,41 @@ def test_the_check_catches_each_import_form():
                  "import scipy.special\nscipy.special.logsumexp([0.0])"):
         assert _scipy_logsumexp_uses(ast.parse(text)), text
     assert not _scipy_logsumexp_uses(ast.parse("from .densities import logsumexp"))
+
+
+def test_no_module_runs_scipy_nelder_mead():
+    trees = _trees()
+    found = {name: lines for name, tree in trees.items()
+             if (lines := _scipy_nelder_mead_uses(tree))}
+    assert not found, f"use driftlab.likelihood.nelder_mead instead of scipy's: {found}"
+
+
+def test_mle_and_collocation_run_the_ported_simplex():
+    # the parse must see both callers, or the check above is empty
+    trees = _trees()
+    assert any(isinstance(node, ast.FunctionDef) and node.name == "nelder_mead"
+               for node in ast.walk(trees["likelihood.py"]))
+    for name, caller in (("likelihood.py", "minimize_simplex"),
+                         ("collocation.py", "collocation_fit")):
+        function = next(node for node in ast.walk(trees[name])
+                        if isinstance(node, ast.FunctionDef) and node.name == caller)
+        assert any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == "nelder_mead" for node in ast.walk(function)), name
+
+
+def test_the_nelder_mead_check_catches_each_form():
+    for text in ('from scipy.optimize import minimize\nminimize(f, x0, method="Nelder-Mead")',
+                 'import scipy.optimize as so\nso.minimize(f, x0, method="nelder-mead")',
+                 'minimize(f, x0, (), "NELDER-MEAD")',
+                 "from scipy.optimize import fmin",
+                 "from scipy import optimize\noptimize.fmin(f, x0)",
+                 "import scipy.optimize\nscipy.optimize.fmin(f, x0)",
+                 "from scipy.optimize._optimize import _minimize_neldermead"):
+        assert _scipy_nelder_mead_uses(ast.parse(text)), text
+    for text in ('minimize(f, x0, method="L-BFGS-B", jac=g)',
+                 "np.fmin(a, b)",
+                 "from .likelihood import nelder_mead\nnelder_mead(f, x0, 400, 1e-9, 1e-10)"):
+        assert not _scipy_nelder_mead_uses(ast.parse(text)), text
 
 
 def _package_exports():
