@@ -33,7 +33,7 @@ from .observe import (
     read_observations_csv,
 )
 from .particle import particle_filter
-from .paths import Path, TimeGrid, format_float, write_path_csv
+from .paths import Path, TimeGrid, write_csv_table, write_path_csv
 from .simulate import simulate_gbm_exact, simulate_ou, simulate_tv_growth
 
 
@@ -66,9 +66,9 @@ def _read_data(opts: dict, reader):
         return reader(fh)
 
 
-def _write_csv(path: str, writer, payload) -> None:
+def _write_csv(path: str, writer, *args) -> None:
     buf = io.StringIO()
-    writer(payload, buf)
+    writer(*args, buf)
     atomic_write_text(path, buf.getvalue())
 
 
@@ -242,13 +242,12 @@ def _cmd_collocate(opts: dict) -> int:
         "weight_mode": fit.diagnostics["weight_mode"],
         "data_term": fit.diagnostics["data_term"],
         "penalty_term": fit.diagnostics["penalty_term"],
+        "seed": opts.get("seed", 0),
     })
     write_json(opts["out"], payload)
     if "traj-out" in opts:
-        lines = ["t,x_fit,dxdt_fit"]
-        for t, (x, dx) in zip(fitted.times, fitted.values):
-            lines.append(",".join(format_float(v) for v in (t, x, dx)))
-        atomic_write_text(opts["traj-out"], "\n".join(lines) + "\n")
+        _write_csv(opts["traj-out"], write_csv_table, ["t", "x_fit", "dxdt_fit"],
+                   fitted.times, fitted.values)
     return 0 if fit.converged else 3
 
 

@@ -8,14 +8,14 @@ at t0 = (cell width / sigma(x))^2 and the PDE is advanced for dt - t0.
 
 ``fokker_planck_solve`` advances every observation pair of a call together.
 Pair k's Crank-Nicolson matrix I - (tau_k / 2) L is one diagonal block of a
-single tridiagonal system of n_pairs x n_nodes rows; the boundary rows are
+single tridiagonal system A of n_pairs x n_nodes rows; the boundary rows are
 identity rows and the couplings between blocks are explicit zeros, so the
-blocks stay independent.  The system is LU-factored once per call (LAPACK
-``dgttrf``) and each time step is one vectorised right-hand-side product and
-one ``dgttrs`` solve.  The factorisation and the elimination order are those
-of a per-pair tridiagonal solve, so each pair's density does not depend on
-which other pairs share the call.  ``fokker_planck_transition_density`` is
-the one-pair view.
+blocks stay independent.  A is LU-factored once per call (LAPACK ``dgttrf``).
+The right-hand operator I + (tau_k / 2) L is 2I - A, so each time step is one
+``dgttrs`` solve and one axpy, p <- 2 A^-1 p - p.  The factorisation and the
+elimination order are those of a per-pair tridiagonal solve, so each pair's
+density does not depend on which other pairs share the call.
+``fokker_planck_transition_density`` is the one-pair view.
 """
 
 from __future__ import annotations
@@ -100,9 +100,7 @@ def _start_densities(spec: DiffusionSpec, dts: np.ndarray, x: np.ndarray,
     j = np.searchsorted(y, x)
     left = y[j] - y[j - 1]
     cell = np.where(j < n - 1, np.minimum(left, y[np.minimum(j + 1, n - 1)] - y[j]), left)
-    # a scalar ** is libm pow, which the one-pair solver has always used; an
-    # array square differs from it in the last bit for about 1 value in 1000
-    t0 = np.minimum([r ** 2 for r in cell / sig_x], 0.5 * dts)
+    t0 = np.minimum((cell / sig_x) ** 2, 0.5 * dts)
     sd0 = sig_x * np.sqrt(t0)
     p = (np.exp(-0.5 * ((y - x[:, None] - (mu_x * t0)[:, None]) / sd0[:, None]) ** 2)
          / (sd0 * np.sqrt(2.0 * np.pi))[:, None])
@@ -145,24 +143,19 @@ def fokker_planck_solve(spec: DiffusionSpec, dts, x, y_grid,
     band = _spatial_operator(spec, y)
     if not np.all(np.isfinite(band)):
         raise InvalidGridError("drift or diffusion is not finite on y_grid")
-    eye = np.zeros_like(band)
-    eye[1] = 1.0
-    step = half_tau[:, None, None] * band
-    r_up, r_mid, r_lo = (eye + step).transpose(1, 0, 2)
-    up, mid, lo = (eye - step).transpose(1, 0, 2)
-    # the stacked lhs: block k's first upper and last lower entry couple it to
-    # its neighbours, so they are set to 0 (the boundary rows already are)
+    up, mid, lo = (-half_tau[:, None, None] * band).transpose(1, 0, 2)
+    mid += 1.0
+    # the stacked A = I - (tau/2) L: block k's first upper and last lower entry
+    # couple it to its neighbours, so they are set to 0 (the boundary rows already are)
     up[:, 0] = 0.0
     lo[:, -1] = 0.0
     *factors, info = dgttrf(lo.ravel()[:-1], mid.ravel(), up.ravel()[1:])
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
 
+    # the right-hand operator is I + (tau/2) L = 2I - A
     for _ in range(n_time_steps):
-        b = r_mid * p
-        b[:, :-1] += r_up[:, 1:] * p[:, 1:]
-        b[:, 1:] += r_lo[:, :-1] * p[:, :-1]
-        p = dgttrs(*factors, b.reshape(-1, 1), overwrite_b=1)[0].reshape(p.shape)
+        p = 2.0 * dgttrs(*factors, p.reshape(-1, 1))[0].reshape(p.shape) - p
     return p
 
 

@@ -73,13 +73,10 @@ def kalman_filter(ssm: LinearGaussianSSM, y) -> KalmanResult:
         S = P + ssm.R
         if not 0.0 < S < np.inf:
             raise NumericalSingularityError(f"singular innovation variance at step {k}")
-        # products with 1 / S, not divisions by S: the same roundings as the
-        # inverse-based gain, so c02's Kalman value keeps its bits
-        Sinv = 1.0 / S
-        K = P * Sinv
+        K = P / S
         m = m + K * v
         P = P - K * P
-        loglik += -0.5 * (LOG_2PI + np.log(S) + v * Sinv * v)
+        loglik += -0.5 * (LOG_2PI + np.log(S) + v * v / S)
         means[k] = m
     return KalmanResult(loglik=float(loglik), filtered_means=means)
 

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DataFormatError
-from .paths import format_float, read_csv_table
+from .paths import read_csv_table, write_csv_table
 
 
 @dataclass(frozen=True)
@@ -162,9 +162,7 @@ def write_observations_csv(obs, file) -> None:
     else:
         vals = obs.y2d()
         header = ["t"] + [f"y{i+1}" for i in range(vals.shape[1])]
-    file.write(",".join(header) + "\n")
-    for t, row in zip(obs.times, vals):
-        file.write(",".join(format_float(v) for v in (t, *row)) + "\n")
+    write_csv_table(header, obs.times, vals, file)
 
 
 def _read_table(file):

@@ -70,17 +70,18 @@ def quadratic_variation(path: Path) -> float:
     return float(np.sum(np.diff(path.values, axis=0) ** 2))
 
 
-def format_float(v: float) -> str:
-    # 17 significant digits: lossless float64 round trip
-    return f"{v:.17g}"
-
-
 def write_path_csv(path: Path, file) -> None:
     """Write ``t,x1[,x2,...]`` rows at full double precision."""
-    cols = ["t"] + [f"x{i + 1}" for i in range(path.state_dim)]
-    file.write(",".join(cols) + "\n")
-    for t, row in zip(path.times, path.values):
-        file.write(",".join(format_float(v) for v in (t, *row)) + "\n")
+    header = ["t"] + [f"x{i + 1}" for i in range(path.state_dim)]
+    write_csv_table(header, path.times, path.values, file)
+
+
+def write_csv_table(header, times, rows, file) -> None:
+    """Write ``header`` and one ``t,row...`` line per time, each value with 17
+    significant digits (a lossless float64 round trip through read_csv_table)."""
+    file.write(",".join(header) + "\n")
+    for t, row in zip(times, rows):
+        file.write(",".join(f"{v:.17g}" for v in (t, *row)) + "\n")
 
 
 def read_csv_table(file) -> np.ndarray:

@@ -224,6 +224,20 @@ def test_collocate_command_and_nonconvergence_exit(tmp_path):
     assert json.loads(out2.read_text())["converged"] is False
 
 
+def test_collocate_records_its_seed(tmp_path):
+    data = tmp_path / "obs.csv"
+    data.write_text("t,y\n" + "\n".join(
+        f"{t},{np.exp(0.3*t)}" for t in np.linspace(0, 2, 30)) + "\n")
+    seeds = []
+    for extra in ([], ["--seed", "7"]):
+        out = tmp_path / "fit.json"
+        assert cli_run(["collocate", "--data", str(data), "--lambda", "100",
+                        "--obs-scale", "1e-4", "--beta", "0.5", "--out", str(out),
+                        *extra]) == 0
+        seeds.append(json.loads(out.read_text())["seed"])
+    assert seeds == [0, 7]
+
+
 def test_diagnose_command(tmp_path):
     data = tmp_path / "obs.csv"
     cli_run(["simulate", "--model", "gbm", "--beta", "0.1", "--sigma", "0.2",
