@@ -2,16 +2,15 @@
 
 For models without closed-form transitions, the density over one observation
 gap is estimated by imputing latent values on a fine grid between the
-endpoints: interior points are proposed sequentially from a Brownian-bridge
-style kernel (mean linearly interpolated toward the right endpoint, variance
-sigma(u)^2 * d * (1 - d/s) for substep d and remaining span s) and weighted by
-the product of Euler substep densities over the proposal density.
-``logdensities`` estimates every observation pair of a record in one pass over
-(n_pairs, J) arrays; pair i's proposal noise comes from the stream keyed
-(seed, "bridge", i), so the estimate is a deterministic function of
-(inputs, seed) and can be optimized over theta with common random numbers.
-``BridgeDensity.record_terms`` draws a record's noise (``proposal_normals``)
-once and keeps it frozen across theta for the rest of the fit.
+endpoints, proposed from a Brownian-bridge style kernel and weighted by the
+Euler substep densities over the proposal density.  At a substep d with
+f = d / (remaining span), the draw u' = m + sqrt(sigma(u)^2 d (1 - f)) z,
+m = u + (y - u) f, makes log N(u'; u + mu d, sigma^2 d) - log N(u'; m,
+sigma^2 d (1 - f)) cancel to 1/2 log(1 - f) + 1/2 z^2 - r^2 / (2 sigma^2 d),
+r = u' - u - mu d.  ``prepare_record`` computes once per record the f_k, the
+constant 1/2 sum_k [log(1 - f_k) + z_k^2] of each (pair, draw) and the draws
+w_k = sqrt(d (1 - f_k)) z_k as (m_sub - 1, n_pairs, J).  Pair i's draws come
+from the stream keyed (seed, "bridge", i); a fit draws and prepares them once.
 """
 
 from __future__ import annotations
@@ -34,34 +33,41 @@ def proposal_normals(n_pairs: int, m_sub: int, j_samples: int, seed) -> np.ndarr
     return replicate_normals(seed, n_pairs, (j_samples, m_sub - 1), "bridge")
 
 
-def logdensities(spec: DiffusionSpec, dts, x, y, z: np.ndarray) -> np.ndarray:
-    """Importance-sampling estimates of log p(dts[i], x[i], y[i]), every pair
-    in one pass over (n_pairs, J) arrays driven by the proposal normals z[i]
-    of shape (J, m_sub - 1), the record's ``proposal_normals``."""
-    j_samples, m_sub = z.shape[1], z.shape[2] + 1
-    dts = np.asarray(dts, dtype=float)[:, None]
-    y = np.asarray(y, dtype=float)[:, None]
-    delta = dts / m_sub
-    u = np.repeat(np.asarray(x, dtype=float)[:, None], j_samples, axis=1)
-    logw = np.zeros(u.shape)
+def prepare_record(dts, x, y, z: np.ndarray) -> tuple:
+    """The theta-free part of a record's estimates, for its normals z (n_pairs, J, m_sub - 1)."""
+    dts, x, y = (np.asarray(v, dtype=float)[:, None] for v in (dts, x, y))
+    delta = dts / (z.shape[2] + 1)
+    z = np.ascontiguousarray(np.moveaxis(z, 2, 0))  # (m_sub - 1, n_pairs, J)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(1, m_sub):
-            frac = delta / (dts - (k - 1) * delta)
-            sig = np.asarray(spec.diffusion(u, spec.theta), dtype=float)
-            mu = np.asarray(spec.drift(u, spec.theta), dtype=float)
-            prop_var = sig**2 * delta * (1.0 - frac)
-            prop_mean = u + (y - u) * frac
-            u_next = prop_mean + np.sqrt(prop_var) * z[:, :, k - 1]
-            logw += normal_logpdf(u_next, u + mu * delta, sig**2 * delta)
-            logw -= normal_logpdf(u_next, prop_mean, prop_var)
-            u = u_next
-        sig = np.asarray(spec.diffusion(u, spec.theta), dtype=float)
-        mu = np.asarray(spec.drift(u, spec.theta), dtype=float)
+        fracs = delta / (dts - np.arange(len(z))[:, None, None] * delta)
+        const = sum(0.5 * (np.log(1.0 - f) + z_k * z_k) for f, z_k in zip(fracs, z))
+        w = np.sqrt(delta * (1.0 - fracs)) * z
+    return x, y, delta, fracs, w, const
+
+
+def record_logdensities(spec: DiffusionSpec, theta, record: tuple) -> np.ndarray:
+    """Estimates of log p_theta for the pairs of a ``prepare_record`` record."""
+    u, y, delta, fracs, w, logw = record
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for frac, w_k in zip(fracs, w):
+            sig = np.asarray(spec.diffusion(u, theta), dtype=float)
+            mu = np.asarray(spec.drift(u, theta), dtype=float)
+            d = (y - u) * frac + np.abs(sig) * w_k
+            r = d - mu * delta
+            logw = logw - r * r / (2.0 * sig**2 * delta)
+            u = u + d
+        sig = np.asarray(spec.diffusion(u, theta), dtype=float)
+        mu = np.asarray(spec.drift(u, theta), dtype=float)
         logw += normal_logpdf(y, u + mu * delta, sig**2 * delta)
 
     logw = np.where(np.isnan(logw), -np.inf, logw)
     degenerate = ~np.any(logw > -np.inf, axis=1)
     if np.any(degenerate):
         raise DegenerateImportanceError(int(np.argmax(degenerate)))
-    return logsumexp(logw, axis=1) - np.log(j_samples)
+    return logsumexp(logw, axis=1) - np.log(w.shape[2])
 
+
+def logdensities(spec: DiffusionSpec, dts, x, y, z: np.ndarray) -> np.ndarray:
+    """Estimates of log p(dts[i], x[i], y[i]) at spec.theta, pair i driven by the
+    (J, m_sub - 1) proposal normals z[i]: prepare, then evaluate."""
+    return record_logdensities(spec, spec.theta, prepare_record(dts, x, y, z))

@@ -170,9 +170,9 @@ class FokkerPlanckDensity(_SpecDensity):
 class BridgeDensity(_SpecDensity):
     """Importance-sampled transition density on a latent fine grid.
 
-    ``record_terms`` draws the record's proposal normals once and every theta
-    reuses them (common random numbers), so a fit's objective is a smooth,
-    deterministic function of theta.
+    ``record_terms`` draws and prepares the record's proposal normals once and
+    every theta reuses them (common random numbers), so a fit's objective is a
+    smooth, deterministic function of theta.
     """
 
     m_sub: int = 8
@@ -181,8 +181,10 @@ class BridgeDensity(_SpecDensity):
     kind = "bridge_mc"
 
     def record_terms(self, dts, x, y):
-        z = bridge.proposal_normals(len(dts), self.m_sub, self.j_samples, self.seed)
-        return lambda theta: bridge.logdensities(self.spec.with_theta(theta), dts, x, y, z)
+        record = bridge.prepare_record(dts, x, y, bridge.proposal_normals(
+            len(dts), self.m_sub, self.j_samples, self.seed))
+        return lambda theta: bridge.record_logdensities(
+            self.spec, np.atleast_1d(np.asarray(theta, dtype=float)), record)
 
 
 def discrete_loglikelihood(td: TransitionDensity, obs: ObservationSet) -> float:

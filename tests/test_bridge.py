@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy import stats
 from driftlab import bridge
 from driftlab.adequacy import simulate_states_at
 from driftlab.bridge import logdensities, proposal_normals
-from driftlab.densities import gbm_transition_logdensity
+from driftlab.densities import gbm_transition_logdensity, logsumexp
 from driftlab.errors import DegenerateImportanceError, UnsupportedDimensionError
 from driftlab.likelihood import (
     BridgeDensity,
@@ -16,7 +17,7 @@ from driftlab.likelihood import (
     discrete_loglikelihood,
     mle_fit,
 )
-from driftlab.models import DiffusionSpec, GbmParams, gbm_spec
+from driftlab.models import DiffusionSpec, GbmParams, gbm_beta_spec, gbm_spec
 from driftlab.observe import ObservationSet
 from driftlab.rng import stream
 
@@ -223,3 +224,111 @@ def test_bridge_loglikelihood_is_the_bridge_density_loglikelihood():
     obs = _gbm_record(40, 3)
     td = BridgeDensity(gbm_spec(P), m_sub=6, j_samples=30, seed=(4, "ll"))
     assert bridge_loglikelihood(td.spec, obs, 6, 30, (4, "ll")) == discrete_loglikelihood(td, obs)
+
+
+def _two_density_log_weights(spec, dts, x, y, z):
+    """Textbook log importance weights, (n_pairs, J): each substep adds the
+    Euler density of the proposed point and subtracts the proposal density,
+    both written out in full, and the last step adds the Euler density of y.
+    Also returns the sum of the terms' magnitudes, the scale of its rounding."""
+    m_sub = z.shape[2] + 1
+    dts, y = dts[:, None], y[:, None]
+    delta = dts / m_sub
+    u = np.repeat(x[:, None], z.shape[1], axis=1)
+    logw, scale = np.zeros(u.shape), np.zeros(u.shape)
+    for k in range(1, m_sub):
+        frac = delta / (dts - (k - 1) * delta)
+        sig, mu = spec.diffusion(u, spec.theta), spec.drift(u, spec.theta)
+        prop_mean, prop_var = u + (y - u) * frac, sig**2 * delta * (1.0 - frac)
+        u_next = prop_mean + np.sqrt(prop_var) * z[:, :, k - 1]
+        euler = stats.norm.logpdf(u_next, u + mu * delta, np.sqrt(sig**2 * delta))
+        proposal = stats.norm.logpdf(u_next, prop_mean, np.sqrt(prop_var))
+        logw, scale = logw + euler - proposal, scale + np.abs(euler) + np.abs(proposal)
+        u = u_next
+    sig, mu = spec.diffusion(u, spec.theta), spec.drift(u, spec.theta)
+    last = stats.norm.logpdf(y, u + mu * delta, np.sqrt(sig**2 * delta))
+    return logw + last, scale + np.abs(last)
+
+
+@settings(max_examples=50, derandomize=True)
+@given(pairs=irregular_gbm_pairs(), beta=st.floats(-1.0, 1.0), sigma=st.floats(0.05, 2.0),
+       m_sub=st.integers(2, 16), j_samples=st.integers(1, 50), seed=st.integers(0, 2**32))
+def test_closed_form_weights_equal_the_two_density_formula(pairs, beta, sigma, m_sub,
+                                                             j_samples, seed):
+    # the proposal density cancels against the Euler one up to terms free of
+    # theta; with one draw per call the estimate is that draw's log weight.
+    # A weight is the difference of terms of order log(sigma^2 dt), so it is
+    # compared relative to their magnitudes, for every draw that carries
+    # weight: within 36 nats (e^-36 ~ 2e-16) of its pair's best.  Draws far
+    # below that, on paths through u ~ 0 where sigma(u) = sigma u amplifies
+    # each rounding, differ by more and add nothing to the estimate.
+    dts, x, y = pairs
+    spec = gbm_spec(GbmParams(beta=beta, sigma=sigma))
+    z = proposal_normals(len(dts), m_sub, j_samples, seed)
+    reference, scale = _two_density_log_weights(spec, dts, x, y, z)
+    weights = np.column_stack([logdensities(spec, dts, x, y, z[:, j:j + 1])
+                               for j in range(j_samples)])
+    carrying = reference >= reference.max(axis=1, keepdims=True) - 36.0
+    assert np.all(np.abs(weights - reference)[carrying] <= 1e-12 * scale[carrying])
+    np.testing.assert_allclose(logdensities(spec, dts, x, y, z),
+                               logsumexp(reference, axis=1) - np.log(j_samples),
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_sigma_vanishing_mid_path_names_its_pair():
+    # sigma is 0 on (4, 6) only: pair 2 runs from 0 to 10, where sigma is 1,
+    # so its weights can only collapse mid-path, at the middle of its four
+    # substeps (mean 5, sd about 0.35); the other pairs stay clear of the band
+    banded = DiffusionSpec(drift=lambda x, th: 0.0 * x,
+                           diffusion=lambda x, th: np.where((x > 4.0) & (x < 6.0), 0.0, 1.0),
+                           theta=[0.0], x0=[0.0])
+    dts, x, y = [0.5] * 4, [0.0, 1.0, 0.0, 8.0], [0.5, 1.2, 10.0, 8.5]
+    td = BridgeDensity(banded, m_sub=4, j_samples=10, seed=0)
+    with pytest.raises(DegenerateImportanceError) as err:
+        td.logdensities(dts, x, y)
+    assert err.value.pair == 2
+    assert np.all(np.isfinite(td.logdensities(dts[:2] + dts[3:], x[:2] + x[3:],
+                                              y[:2] + y[3:])))
+
+
+def test_bridge_fit_prepares_its_record_once(monkeypatch):
+    calls = {"prepare": 0, "evaluate": 0}
+    prepare, evaluate = bridge.prepare_record, bridge.record_logdensities
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(bridge, "prepare_record", counted("prepare", prepare))
+    monkeypatch.setattr(bridge, "record_logdensities", counted("evaluate", evaluate))
+    td = BridgeDensity(gbm_spec(P), m_sub=4, j_samples=50, seed=(7, "fit"))
+    fit = mle_fit(td, _gbm_record(6, 41), td.theta)
+    assert fit.converged and fit.standard_errors is not None
+    assert calls["prepare"] == 1  # simplex, restart and Hessian probes share it
+    assert calls["evaluate"] > 100
+
+
+@pytest.mark.parametrize("sigma", [1e-200, 1e200])
+def test_extreme_sigma_raises_no_numpy_warning(sigma):
+    # the theta pass squares sigma and divides by it: overflow, underflow and
+    # division by zero end in a typed error or a log-density, never a warning
+    spec = gbm_spec(GbmParams(beta=0.1, sigma=sigma))
+    obs = _gbm_record(5, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            terms = BridgeDensity(spec, m_sub=4, j_samples=20).logdensities(*obs.pairs())
+        except DegenerateImportanceError:
+            return
+    assert terms.shape == (5,)
+
+
+def test_record_terms_take_theta_as_any_array_like():
+    # a one-parameter spec's theta may come as a scalar or a list, as for the
+    # other densities
+    at = BridgeDensity(gbm_beta_spec(0.1, 0.2), m_sub=4, j_samples=20).record_terms(
+        *_gbm_record(5, 3).pairs())
+    assert np.array_equal(at(0.1), at(np.array([0.1])))
+    assert np.array_equal(at([0.1]), at(np.array([0.1])))
