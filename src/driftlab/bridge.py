@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .densities import logsumexp, normal_logpdf
+from .densities import logsumexp, normal_logpdf, record_arrays
 from .errors import DegenerateImportanceError
 from .models import DiffusionSpec
 from .rng import replicate_normals
@@ -35,7 +35,7 @@ def proposal_normals(n_pairs: int, m_sub: int, j_samples: int, seed) -> np.ndarr
 
 def prepare_record(dts, x, y, z: np.ndarray) -> tuple:
     """The theta-free part of a record's estimates, for its normals z (n_pairs, J, m_sub - 1)."""
-    dts, x, y = (np.asarray(v, dtype=float)[:, None] for v in (dts, x, y))
+    dts, x, y = dts[:, None], x[:, None], y[:, None]
     delta = dts / (z.shape[2] + 1)
     z = np.ascontiguousarray(np.moveaxis(z, 2, 0))  # (m_sub - 1, n_pairs, J)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -70,4 +70,4 @@ def record_logdensities(spec: DiffusionSpec, theta, record: tuple) -> np.ndarray
 def logdensities(spec: DiffusionSpec, dts, x, y, z: np.ndarray) -> np.ndarray:
     """Estimates of log p(dts[i], x[i], y[i]) at spec.theta, pair i driven by the
     (J, m_sub - 1) proposal normals z[i]: prepare, then evaluate."""
-    return record_logdensities(spec, spec.theta, prepare_record(dts, x, y, z))
+    return record_logdensities(spec, spec.theta, prepare_record(*record_arrays(dts, x, y), z))

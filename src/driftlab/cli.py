@@ -140,6 +140,15 @@ def _ou_init_from_data(obs) -> tuple:
     return float(gamma0), float(values.mean()), sigma0
 
 
+def _sigma_start(opts: dict, derived: float) -> float:
+    """A fit's sigma start: ``--sigma`` as given, which must be positive, else
+    ``derived`` (from the data) raised to at least 1e-8."""
+    sigma = opts.get("sigma", max(derived, 1e-8))
+    if not sigma > 0:
+        raise ConfigError(f"sigma must be positive to start a fit, got {sigma!r}")
+    return sigma
+
+
 def _cmd_fit(opts: dict) -> int:
     _require(opts, "method", "model", "data", "out")
     seed = opts.get("seed", 0)
@@ -153,14 +162,13 @@ def _cmd_fit(opts: dict) -> int:
         if model == "gbm":
             beta0, sigma0 = _gbm_init_from_data(obs)
             beta0 = opts.get("beta", beta0)
-            sigma0 = opts.get("sigma", sigma0)
             free = ("beta",) if opts.get("fix-sigma") else ("beta", "sigma")
-            td = GbmDensity(GbmParams(beta=beta0, sigma=max(sigma0, 1e-8)), free=free)
+            td = GbmDensity(GbmParams(beta=beta0, sigma=_sigma_start(opts, sigma0)), free=free)
         elif model == "ou":
             gamma0, bbar0, sigma0 = _ou_init_from_data(obs)
             td = OuDensity(OuParams(gamma=opts.get("gamma", gamma0),
                                     beta_bar=opts.get("beta-bar", bbar0),
-                                    sigma=max(opts.get("sigma", sigma0), 1e-8)))
+                                    sigma=_sigma_start(opts, sigma0)))
         else:
             raise ConfigError(f"mle supports models gbm and ou, not {model!r}")
         fit = mle_fit(td, obs, td.theta, seed=seed)
@@ -177,9 +185,7 @@ def _cmd_fit(opts: dict) -> int:
         if model != "gbm":
             raise ConfigError("bridge-mle fitting is implemented for the gbm model")
         beta0, sigma0 = _gbm_init_from_data(obs)
-        beta0 = opts.get("beta", beta0)
-        sigma0 = max(opts.get("sigma", sigma0), 1e-8)
-        spec = gbm_spec(GbmParams(beta=beta0, sigma=sigma0))
+        spec = gbm_spec(GbmParams(beta=opts.get("beta", beta0), sigma=_sigma_start(opts, sigma0)))
         td = BridgeDensity(spec, m_sub=opts.get("m-sub", 8),
                            j_samples=opts.get("j-samples", 200), seed=seed)
         fit = mle_fit(td, obs, td.theta, seed=seed)

@@ -29,7 +29,7 @@ from .errors import DataFormatError, InvalidStartError, WeightSingularityError
 from .likelihood import nelder_mead
 from .models import DiffusionSpec
 from .observe import NoisyObservationSet, ObservationModel
-from .paths import Path
+from .paths import Path, series_arrays
 from .results import FitResult
 
 CUBIC_ORDER = 4  # polynomial degree 3
@@ -51,14 +51,14 @@ class BasisConfig:
     knots: np.ndarray
 
     def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=float)
+        knots, _ = series_arrays(self.knots)
         object.__setattr__(self, "knots", knots)
-        if len(knots) < 2 or np.any(np.diff(knots) <= 0):
-            raise ValueError("knots must be strictly increasing with at least 2 entries")
+        if len(knots) < 2:
+            raise ValueError("knots need at least 2 entries")
 
     @classmethod
     def from_times(cls, times) -> "BasisConfig":
-        return cls(knots=np.asarray(times, dtype=float))
+        return cls(knots=times)
 
     @property
     def n_basis(self) -> int:

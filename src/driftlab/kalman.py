@@ -15,6 +15,7 @@ from .densities import LOG_2PI
 from .errors import NumericalSingularityError
 from .models import OuParams
 from .observe import NoisyObservationSet, ObservationModel
+from .paths import series_arrays
 from .simulate import ou_transition_moments
 
 
@@ -94,8 +95,5 @@ def ou_to_ssm(p: OuParams, om: ObservationModel, times) -> LinearGaussianSSM:
     """
     if om.kind != "gaussian":
         raise ValueError("Kalman oracle requires a gaussian observation model")
-    times = np.asarray(times, dtype=float)
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing")
-    phi, offset, var = ou_transition_moments(p, np.diff(times))
+    phi, offset, var = ou_transition_moments(p, np.diff(series_arrays(times)[0]))
     return LinearGaussianSSM(F=phi, b=offset, Q=var, R=om.scale**2, m0=p.b0, P0=0.0)

@@ -181,6 +181,7 @@ class BridgeDensity(_SpecDensity):
     kind = "bridge_mc"
 
     def record_terms(self, dts, x, y):
+        dts, x, y = densities.record_arrays(dts, x, y)
         record = bridge.prepare_record(dts, x, y, bridge.proposal_normals(
             len(dts), self.m_sub, self.j_samples, self.seed))
         return lambda theta: bridge.record_logdensities(

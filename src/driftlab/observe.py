@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DataFormatError
-from .paths import read_csv_table, write_csv_table
+from .paths import read_csv_table, series_arrays, write_csv_table
 
 
 @dataclass(frozen=True)
@@ -20,16 +20,9 @@ class ObservationSet:
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        times, values = series_arrays(self.times, self.values, "observation")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("observation times must be strictly increasing")
-        if len(times) != len(values):
-            raise ValueError("times and values must have the same length")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("observation values must be finite")
 
     def __len__(self):
         return len(self.times)
@@ -53,16 +46,9 @@ class NoisyObservationSet:
     y_values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        y = np.asarray(self.y_values, dtype=float)
+        times, y = series_arrays(self.times, self.y_values, "observation")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "y_values", y)
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("observation times must be strictly increasing")
-        if len(times) != len(y):
-            raise ValueError("times and y_values must have the same length")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("observations must be finite")
 
     def __len__(self):
         return len(self.times)
@@ -173,10 +159,8 @@ def _read_table(file):
 
 def read_observations_csv(file) -> ObservationSet:
     """Read exact observations; accepts `t,x` or simulator `t,x1` headers."""
-    times, vals = _read_table(file)
-    return ObservationSet(times=times, values=vals)
+    return ObservationSet(*_read_table(file))
 
 
 def read_noisy_csv(file) -> NoisyObservationSet:
-    times, vals = _read_table(file)
-    return NoisyObservationSet(times=times, y_values=vals)
+    return NoisyObservationSet(*_read_table(file))

@@ -14,13 +14,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 
 def thread_limit() -> int:
-    raw = os.environ.get("DRIFTLAB_THREADS", "")
-    if raw:
-        n = int(raw)
-        if n < 1:
-            raise ValueError("DRIFTLAB_THREADS must be a positive integer")
-        return n
-    return 1
+    raw = os.environ.get("DRIFTLAB_THREADS") or "1"
+    if not (raw.strip().isdecimal() and int(raw) >= 1):
+        raise ValueError(f"DRIFTLAB_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def map_replicates(fn, n: int) -> list:

@@ -9,6 +9,29 @@ import numpy as np
 from .errors import DataFormatError, InsufficientDataError
 
 
+def series_arrays(times, values=None, what="path") -> tuple:
+    """(times, values) as float arrays, checked against the one time-axis rule:
+    times 1-D, finite and strictly increasing, and ``values``, if given, one
+    finite row per time.  A breach raises ValueError naming the first bad row."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"times must be 1-D, got shape {times.shape}")
+    bad = ~np.isfinite(times)  # first, so the order test meets no inf or nan
+    if not bad.any():
+        bad[1:] = times[1:] <= times[:-1]
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError("times must be finite and strictly increasing "
+                         f"(row {i}: t = {float(times[i])!r})")
+    if values is not None:
+        values = np.asarray(values, dtype=float)
+        if values.shape[:1] != times.shape:
+            raise ValueError(f"{what} values need one row per time, got shape {values.shape}")
+        if not np.isfinite(values).all():
+            raise ValueError(f"{what} values must be finite")
+    return times, values
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     t_start: float
@@ -16,8 +39,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not self.t_end > self.t_start:
-            raise ValueError("t_end must exceed t_start")
+        series_arrays([self.t_start, self.t_end])
         if self.n_steps < 1:
             raise ValueError("n_steps must be a positive integer")
 
@@ -40,18 +62,9 @@ class Path:
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim == 1:
-            values = values[:, None]
+        times, values = series_arrays(self.times, self.values)
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        if times.ndim != 1 or len(times) != len(values):
-            raise ValueError("times and values must have matching leading length")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("path values must be finite")
+        object.__setattr__(self, "values", values[:, None] if values.ndim == 1 else values)
 
     @property
     def state_dim(self) -> int:

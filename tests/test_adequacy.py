@@ -160,6 +160,13 @@ def test_thread_limit_is_one_without_env(monkeypatch):
     assert thread_limit() == 1
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
+def test_thread_limit_names_its_variable(monkeypatch, raw):
+    monkeypatch.setenv("DRIFTLAB_THREADS", raw)
+    with pytest.raises(ValueError, match=f"DRIFTLAB_THREADS must be a positive integer, got '{raw}'"):
+        thread_limit()
+
+
 def test_dataset_series_types():
     obs = ObservationSet(times=[0.0, 1.0], values=[1.0, 2.0])
     noisy = NoisyObservationSet(times=[0.0, 1.0], y_values=np.array([[1.0, 5.0],

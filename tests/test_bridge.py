@@ -125,6 +125,18 @@ def test_validation():
         BridgeDensity(spec, m_sub=4, j_samples=0, seed=0).logdensities([0.5], [1.0], [1.1])
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.5])
+def test_non_positive_dt_rejected_before_any_draw(monkeypatch, dt):
+    def no_draws(*args):
+        raise AssertionError("proposal normals drawn for an invalid record")
+
+    monkeypatch.setattr(bridge, "proposal_normals", no_draws)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        BridgeDensity(gbm_spec(P), m_sub=4, j_samples=10, seed=0).logdensities([dt], [1.0], [1.1])
+    with pytest.raises(ValueError, match="dt must be positive"):
+        logdensities(gbm_spec(P), [dt], [1.0], [1.1], np.zeros((1, 10, 3)))
+
+
 @st.composite
 def irregular_gbm_pairs(draw):
     """(dts, x, y) for the consecutive pairs of a positive record on random

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import warnings
@@ -513,11 +514,9 @@ def test_overflowing_ou_start_names_init_theta(tmp_path, capsys):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("sigma", ["1e-200", "1e200"])
 def test_bridge_fit_at_extreme_sigma_starts_warns_nothing(tmp_path, capsys, sigma):
-    # the CLI raises a sigma start below 1e-8 to 1e-8, so the 1e-200 case checks
-    # only that the clamped fit ends cleanly (test_bridge.py drives sigma^2 to
-    # underflow directly); at 1e200 sigma^2 overflows in the bridge's weights.
-    # Either way the fit ends in a result or a typed error, never a traceback
-    # or a numpy warning
+    # a given sigma start is used as given: at 1e-200 sigma^2 underflows and at
+    # 1e200 it overflows in the bridge's weights.  Either way the fit ends in a
+    # result or a typed error, never a traceback or a numpy warning
     data = tmp_path / "obs.csv"
     data.write_text("t,x\n0,1.0\n0.5,1.1\n1.0,0.9\n1.5,1.2\n2.0,1.15\n")
     code = cli_run(["fit", "--method", "bridge-mle", "--model", "gbm", "--sigma", sigma,
@@ -526,3 +525,63 @@ def test_bridge_fit_at_extreme_sigma_starts_warns_nothing(tmp_path, capsys, sigm
     err = capsys.readouterr().err
     assert code in (0, 2, 3)
     assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+def test_fixed_sigma_fit_runs_at_the_given_sigma(tmp_path):
+    # a given --sigma is not raised to the 1e-8 floor of the data-derived start
+    data = tmp_path / "obs.csv"
+    data.write_text("t,x\n0,1.0\n0.5,1.1\n1.0,0.9\n1.5,1.2\n2.0,1.15\n")
+    out = tmp_path / "f.json"
+    assert cli_run(["fit", "--method", "mle", "--model", "gbm", "--fix-sigma", "true",
+                    "--sigma", "1e-12", "--data", str(data), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    (beta_hat,) = payload["theta_hat"]
+    at_given = likelihood.discrete_loglikelihood(
+        likelihood.GbmDensity(cli.GbmParams(beta=beta_hat, sigma=1e-12)),
+        cli.read_observations_csv(io.StringIO(data.read_text())))
+    assert payload["objective"] == pytest.approx(at_given, rel=1e-12)
+
+
+@pytest.mark.parametrize("method, model", [("mle", "gbm"), ("mle", "ou"),
+                                           ("bridge-mle", "gbm")])
+@pytest.mark.parametrize("sigma", ["0", "-0.5"])
+def test_non_positive_sigma_start_exits_2(tmp_path, capsys, method, model, sigma):
+    data = tmp_path / "obs.csv"
+    data.write_text("t,x\n0,1.0\n0.5,1.1\n1.0,0.9\n1.5,1.2\n")
+    out = tmp_path / "f.json"
+    assert cli_run(["fit", "--method", method, "--model", model, "--sigma", sigma,
+                    "--data", str(data), "--out", str(out)]) == 2
+    assert "sigma must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# every command that reads a time axis, with {t} as one of its times
+TIME_AXIS_RUNS = {
+    "fit-mle-gbm": ["fit", "--method", "mle", "--model", "gbm", "--data", "{csv}"],
+    "fit-mle-ou": ["fit", "--method", "mle", "--model", "ou", "--data", "{csv}"],
+    "fit-ee": ["fit", "--method", "ee", "--model", "gbm", "--sigma", "0.2", "--j", "4",
+               "--data", "{csv}"],
+    "fit-bridge-mle": ["fit", "--method", "bridge-mle", "--model", "gbm", "--m-sub", "4",
+                       "--j-samples", "20", "--data", "{csv}"],
+    "filter": ["filter", "--model", "ou", "--obs-scale", "0.3", "--particles", "50",
+               "--data", "{csv}"],
+    "collocate": ["collocate", "--lambda", "1", "--obs-scale", "0.3", "--data", "{csv}"],
+    "diagnose": ["diagnose", "--model", "gbm", "--sigma", "0.2", "--k", "5",
+                 "--data", "{csv}"],
+    "simulate": ["simulate", "--model", "gbm", "--steps", "3", "--t-end={t}"],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("run_name", TIME_AXIS_RUNS)
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_non_finite_time_exits_2_naming_the_times(tmp_path, capsys, run_name, t):
+    csv = tmp_path / "obs.csv"
+    csv.write_text(f"t,x\n0,1.0\n0.5,1.1\n{t},0.9\n1.5,1.2\n")
+    out = tmp_path / "out"
+    argv = [a.format(csv=csv, t=t) for a in TIME_AXIS_RUNS[run_name]]
+    assert cli_run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "times must be finite and strictly increasing" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not out.exists()

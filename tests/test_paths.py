@@ -1,17 +1,27 @@
 import io
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from driftlab.collocation import BasisConfig
 from driftlab.errors import DataFormatError, InsufficientDataError
-from driftlab.models import DiffusionSpec
-from driftlab.observe import read_noisy_csv, read_observations_csv
+from driftlab.kalman import ou_to_ssm
+from driftlab.models import DiffusionSpec, OuParams
+from driftlab.observe import (
+    NoisyObservationSet,
+    ObservationModel,
+    ObservationSet,
+    read_noisy_csv,
+    read_observations_csv,
+)
 from driftlab.paths import (
     Path,
     TimeGrid,
     quadratic_variation,
     read_csv_table,
+    series_arrays,
     write_path_csv,
 )
 from driftlab.rng import stream
@@ -39,6 +49,55 @@ def test_path_requires_increasing_times():
 def test_path_requires_finite_values():
     with pytest.raises(ValueError):
         Path(times=[0.0, 1.0], values=[1.0, np.inf])
+
+
+BAD_TIMES = [  # (times, the row the error names)
+    ([np.nan, 1.0, 2.0], 0),
+    ([0.0, np.nan, 2.0], 1),
+    ([0.0, 1.0, np.nan], 2),
+    ([0.0, 1.0, np.inf], 2),
+    ([-np.inf, 1.0, 2.0], 0),
+    ([0.0, np.inf, np.inf], 1),
+    ([0.0, 2.0, 1.0], 2),
+]
+
+# every constructor that takes a time axis; a TimeGrid is built over each gap
+TIME_AXIS_CONSTRUCTORS = {
+    "TimeGrid": lambda t: [TimeGrid(a, b, 1) for a, b in zip(t[:-1], t[1:])],
+    "Path": lambda t: Path(times=t, values=np.zeros(len(t))),
+    "ObservationSet": lambda t: ObservationSet(times=t, values=np.ones(len(t))),
+    "NoisyObservationSet": lambda t: NoisyObservationSet(times=t, y_values=np.ones(len(t))),
+    "ou_to_ssm": lambda t: ou_to_ssm(OuParams(1.0, 0.0, 0.5),
+                                     ObservationModel("gaussian", 0.3), t),
+    "BasisConfig": lambda t: BasisConfig(knots=t),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("build", TIME_AXIS_CONSTRUCTORS.values(),
+                         ids=TIME_AXIS_CONSTRUCTORS.keys())
+@pytest.mark.parametrize("times, row", BAD_TIMES)
+def test_every_time_axis_rejects_nonfinite_and_unordered_times(build, times, row):
+    with pytest.raises(ValueError, match="times must be finite and strictly increasing"):
+        build(times)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("times, row", BAD_TIMES)
+def test_time_axis_error_names_the_first_offending_row(times, row):
+    with pytest.raises(ValueError, match=re.escape(f"(row {row}: t = {times[row]!r})")):
+        series_arrays(times, np.zeros(len(times)))
+
+
+def test_series_arrays_checks_rows_and_values():
+    times, values = series_arrays([0, 1], [[1, 2], [3, 4]])
+    assert times.dtype == values.dtype == float
+    with pytest.raises(ValueError, match="one row per time"):
+        series_arrays([0.0, 1.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="times must be 1-D"):
+        series_arrays([[0.0, 1.0]])
+    with pytest.raises(ValueError, match="observation values must be finite"):
+        ObservationSet(times=[0.0, 1.0], values=[1.0, np.nan])
 
 
 def test_quadratic_variation_constant_path():
