@@ -10,6 +10,7 @@ still written).
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import os
 import sys
@@ -37,6 +38,7 @@ from .paths import Path, TimeGrid, write_csv_table, write_path_csv
 from .simulate import simulate_gbm_exact, simulate_ou, simulate_tv_growth
 
 
+@functools.cache  # parsing does not change the parser, so one serves every cli_run
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="driftlab",
                                      description="SDE simulation and inference toolkit")

@@ -1,7 +1,8 @@
 """Transition log-densities p(t, x, y) for the built-in models and the Euler
 approximation.  All functions broadcast over numpy arrays in dt, x and y.
 Each density is a theta-free record part (checks, arrays) that a fit runs
-once and a ``*_record_logdensity`` part that it runs per theta.
+once and a ``*_moments`` part that it runs per theta: every pair's Gaussian
+target, mean and variance, whose ``normal_logpdf`` is the log-density.
 """
 
 from __future__ import annotations
@@ -67,33 +68,36 @@ def gbm_record(dt, x, y) -> tuple:
     return dt, log_y - np.log(x), log_y
 
 
-def gbm_record_logdensity(p: GbmParams, record: tuple):
-    dt, r, log_y = record
+def gbm_moments(p: GbmParams, dt, r) -> tuple:
+    """(target, mean, variance) of a GBM record's log-returns r under p."""
     if p.sigma == 0:
         raise DegenerateDensityError("GBM transition density degenerate at sigma = 0")
     var = np.float64(p.sigma) ** 2  # overflows to inf where a Python float raises
-    return normal_logpdf(r, (p.beta - 0.5 * var) * dt, var * dt) - log_y
+    return r, (p.beta - 0.5 * var) * dt, var * dt
 
 
 def gbm_transition_logdensity(p: GbmParams, dt, x, y):
     """Lognormal transition: log(y/x) ~ Normal((beta - sigma^2/2) dt, sigma^2 dt)."""
-    return gbm_record_logdensity(p, gbm_record(dt, x, y))
+    dt, r, log_y = gbm_record(dt, x, y)
+    return normal_logpdf(*gbm_moments(p, dt, r)) - log_y
 
 
-def ou_record_logdensity(p: OuParams, record: tuple):
+def ou_moments(p: OuParams, record: tuple) -> tuple:
+    """(target, mean, variance) of an OU record's end states under p."""
     dt, x, y = record
     if p.sigma == 0:
         raise DegenerateDensityError("OU transition density degenerate at sigma = 0")
     phi, offset, var = ou_transition_moments(p, dt)
-    return normal_logpdf(y, phi * x + offset, var)
+    return y, phi * x + offset, var
 
 
-def euler_record_logdensity(spec: DiffusionSpec, record: tuple, theta=None):
-    """Euler log-densities of a record under spec, at theta (default spec.theta)."""
+def euler_moments(spec: DiffusionSpec, record: tuple, theta=None) -> tuple:
+    """(target, mean, variance) of a record's one-step Euler Gaussian under
+    spec, at theta (default spec.theta)."""
     dt, x, y = record
     theta = spec.theta if theta is None else np.atleast_1d(np.asarray(theta, dtype=float))
     mu = np.asarray(spec.drift(x, theta), dtype=float)
     sig = np.asarray(spec.diffusion(x, theta), dtype=float)
     if np.any(sig == 0):
         raise DegenerateDensityError("Euler transition density degenerate at sigma(x) = 0")
-    return normal_logpdf(y, x + mu * dt, sig**2 * dt)
+    return y, x + mu * dt, sig**2 * dt

@@ -3,7 +3,8 @@
 A ``TransitionDensity`` bundles a model with one way of evaluating its
 transition density (closed form, Euler, Fokker-Planck solve, or bridge Monte
 Carlo) and exposes the free parameter vector; ``mle_fit`` maximizes the
-resulting log-likelihood by a derivative-free simplex search.
+resulting log-likelihood, by Fisher scoring where the density is Gaussian
+(closed form, Euler) and otherwise by a derivative-free simplex search.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import numpy as np
 
 from . import bridge, densities
 from .errors import (
+    DegenerateDensityError,
+    DegenerateImportanceError,
     DriftlabError,
     InsufficientDataError,
     InvalidGridError,
@@ -33,11 +36,11 @@ from .results import FitResult
 class TransitionDensity:
     """A model's transition density and the free parameters an optimizer moves.
 
-    ``record_terms(dts, x, y)``, the one method a density implements, checks
-    a record of observation pairs and prepares its theta-free work once
-    (arrays, grids, frozen Monte Carlo draws), and returns theta -> the
-    log-densities log p_theta(dts[i], x[i], y[i]) of every pair i in one
-    call, so irregular observation times cost no extra calls.
+    ``record_terms(dts, x, y)``, the one method a density implements (a
+    Gaussian one through ``record_moments``), checks a record of observation
+    pairs and prepares its theta-free work once (arrays, grids, frozen Monte
+    Carlo draws), and returns theta -> the log-densities log p_theta(dts[i],
+    x[i], y[i]) of every pair i in one call, so irregular times cost no extra calls.
     """
 
     kind: str
@@ -57,7 +60,17 @@ class TransitionDensity:
         return self.record_terms(dts, x, y)(self.theta)
 
 
-class _ClosedFormDensity(TransitionDensity):
+class _GaussianDensity(TransitionDensity):
+    """A density Gaussian in a per-pair target: ``record_moments(dts, x, y)``
+    returns (theta -> every pair's (target, mean, variance), the theta-free log
+    Jacobian of the target), and the log-density is the one formula below."""
+
+    def record_terms(self, dts, x, y):
+        moments, log_jacobian = self.record_moments(dts, x, y)
+        return lambda theta: densities.normal_logpdf(*moments(theta)) - log_jacobian
+
+
+class _ClosedFormDensity(_GaussianDensity):
     """Closed-form density of a params dataclass: theta is its ``free`` fields,
     and those named in ``positive`` are optimized on the log scale."""
 
@@ -73,10 +86,6 @@ class _ClosedFormDensity(TransitionDensity):
         updates = {f: float(v) for f, v in zip(self.free, np.atleast_1d(theta))}
         return replace(self.params, **updates)
 
-    def record_terms(self, dts, x, y):
-        record = self.record(dts, x, y)
-        return lambda theta: self.record_logdensity(self._params_at(theta), record)
-
 
 @dataclass(frozen=True)
 class GbmDensity(_ClosedFormDensity):
@@ -86,8 +95,10 @@ class GbmDensity(_ClosedFormDensity):
     free: tuple = ("beta", "sigma")
     kind = "closed_form_gbm"
     positive = ("sigma",)
-    record = staticmethod(densities.gbm_record)
-    record_logdensity = staticmethod(densities.gbm_record_logdensity)
+
+    def record_moments(self, dts, x, y):
+        dt, r, log_y = densities.gbm_record(dts, x, y)
+        return lambda theta: densities.gbm_moments(self._params_at(theta), dt, r), log_y
 
 
 @dataclass(frozen=True)
@@ -99,8 +110,10 @@ class OuDensity(_ClosedFormDensity):
     free: tuple = ("gamma", "beta_bar", "sigma")
     kind = "closed_form_ou"
     positive = ("gamma", "sigma")
-    record = staticmethod(densities.record_arrays)
-    record_logdensity = staticmethod(densities.ou_record_logdensity)
+
+    def record_moments(self, dts, x, y):
+        record = densities.record_arrays(dts, x, y)
+        return lambda theta: densities.ou_moments(self._params_at(theta), record), 0.0
 
 
 @dataclass(frozen=True)
@@ -124,14 +137,14 @@ class _SpecDensity(TransitionDensity):
         return self.spec.positive or tuple(False for _ in self.spec.theta)
 
 
-class EulerDensity(_SpecDensity):
+class EulerDensity(_GaussianDensity, _SpecDensity):
     """One-step Euler Gaussian approximation for an arbitrary scalar spec."""
 
     kind = "euler"
 
-    def record_terms(self, dts, x, y):
+    def record_moments(self, dts, x, y):
         record = densities.record_arrays(dts, x, y)
-        return lambda theta: densities.euler_record_logdensity(self.spec, record, theta)
+        return lambda theta: densities.euler_moments(self.spec, record, theta), 0.0
 
 
 @dataclass(frozen=True)
@@ -300,6 +313,47 @@ def minimize_simplex(fun, x0):
     return x, fval, nit, ok
 
 
+def _score_and_fisher(moments, z, mask):
+    """Score sum (r/v) dm + (r^2/v^2 - 1/v) dv / 2 and Fisher information
+    sum dm dm'/v + dv dv'/(2 v^2) of a Gaussian record at working point z, where
+    r = target - mean and dm, dv difference the mean and variance v at 1e-6 * max(|z|, 1)."""
+    target, mean, var = moments(from_working(z, mask))
+    h = 1e-6 * np.maximum(np.abs(z), 1.0)
+    dm, dv = np.empty((2, len(z), len(target)))
+    for i, e in enumerate(np.diag(h)):
+        _, m_up, v_up = moments(from_working(z + e, mask))
+        _, m_dn, v_dn = moments(from_working(z - e, mask))
+        dm[i], dv[i] = (m_up - m_dn) / (2.0 * h[i]), (v_up - v_dn) / (2.0 * h[i])
+    r = target - mean
+    score = dm @ (r / var) + 0.5 * (dv @ (r**2 / var**2 - 1.0 / var))
+    return score, (dm / var) @ dm.T + (dv / (2.0 * var**2)) @ dv.T
+
+
+def fisher_scoring(fun, moments, z0, mask):
+    """Minimize ``fun``, the negated log-likelihood of a Gaussian record with
+    per-theta ``moments``, in working coordinates from z0 by steps Fisher^-1
+    score, each halved until ``fun`` does not rise.  Returns (z, f, nit, ok):
+    ok once an accepted step moves every coordinate by at most 1e-9 * max(|z|, 1);
+    a singular Fisher matrix, a step halved below 1e-10 or 100 steps end it."""
+    z, f = z0, fun(z0)
+    for nit in range(1, 101):
+        try:
+            score, fisher = _score_and_fisher(moments, z, mask)
+            step = np.linalg.solve(fisher, score)
+        except (np.linalg.LinAlgError, DegenerateDensityError, ValueError):
+            break
+        t = 1.0
+        while (f_new := fun(z + t * step)) > f:  # a non-finite step never stops rising
+            t *= 0.5
+            if t < 1e-10:
+                return z, f, nit, False
+        done = np.all(np.abs(t * step) <= 1e-9 * np.maximum(np.abs(z), 1.0))
+        z, f = z + t * step, f_new
+        if done:
+            return z, f, nit, True
+    return z, f, nit, False
+
+
 def _hessian_stderr(loglik, theta_hat, positive_mask):
     """Standard errors from the observed information (central differences).
 
@@ -346,22 +400,25 @@ def mle_fit(td: TransitionDensity, obs: ObservationSet, init_theta, seed: int = 
             compute_stderr: bool = True) -> FitResult:
     """Maximize the discrete-observation log-likelihood over the free parameters.
 
-    Positivity-constrained parameters are optimized on the log scale.
-    Non-convergence is reported through ``converged=False``, not an exception;
-    a non-finite objective at the start raises InvalidStartError, and fewer
-    observation pairs than free parameters raises InsufficientDataError.
-    Standard errors whose probes raise a DriftlabError are None.
+    Positivity-constrained parameters are optimized on the log scale, by
+    ``fisher_scoring`` for a Gaussian density and, for any other or where the
+    scoring stalls, by ``minimize_simplex`` from the start.  Non-convergence is
+    reported through ``converged=False``; a non-finite objective at the start
+    raises InvalidStartError, and fewer observation pairs than free parameters
+    raises InsufficientDataError.  Standard errors whose probes raise a
+    DriftlabError are None.
     """
     mask = np.array(td.positive_mask, dtype=bool)
     init_theta = np.atleast_1d(np.asarray(init_theta, dtype=float))
     z0 = to_working(init_theta, mask)
-    record_terms = td.record_terms(*obs.pairs())
+    pairs = obs.pairs()
+    record_terms = td.record_terms(*pairs)
 
     def loglik(theta):
         try:
             return _loglik_at(record_terms, theta)
-        except NonFiniteTermError:
-            return -np.inf
+        except (NonFiniteTermError, DegenerateDensityError, ValueError):
+            return -np.inf  # or a theta outside the model: a scale exp underflowed to 0
 
     seen = {}  # working point bytes -> objective: the simplex revisits points
 
@@ -373,16 +430,26 @@ def mle_fit(td: TransitionDensity, obs: ObservationSet, init_theta, seed: int = 
         return seen[key]
 
     with np.errstate(all="ignore"):
-        if not np.isfinite(neg(z0)):
+        try:
+            f0 = neg(z0)
+        except DegenerateImportanceError as exc:  # the bridge's name for a non-finite start
+            raise InvalidStartError(
+                f"log-likelihood non-finite at init_theta={init_theta}") from exc
+        if not np.isfinite(f0):
             raise InvalidStartError(f"log-likelihood non-finite at init_theta={init_theta}")
         k = len(init_theta)
         if len(obs) - 1 < k:
             raise InsufficientDataError(f"mle needs at least {k} observation pairs for "
                                         f"{k} free parameters, got {len(obs) - 1}")
 
-        z_hat, fval, nit, ok = minimize_simplex(neg, z0)
+        ok = False
+        if isinstance(td, _GaussianDensity):
+            z_hat, fval, nit, ok = fisher_scoring(neg, td.record_moments(*pairs)[0], z0, mask)
+        optimizer = "fisher-scoring" if ok else "nelder-mead"
+        if not ok:  # no moments, or the scoring stalled: the simplex, from the same start
+            z_hat, fval, nit, ok = minimize_simplex(neg, z0)
         theta_hat = from_working(z_hat, mask)
-        diagnostics = {"optimizer": "nelder-mead", "kind": td.kind}
+        diagnostics = {"optimizer": optimizer, "kind": td.kind}
         stderr = None
         if compute_stderr:
             try:

@@ -486,9 +486,9 @@ TINY_GAP_ROWS = "t,x\n0,1\n1e-300,1.1\n2e-300,0.9\n3e-300,1.2\n4e-300,1.0\n"
     (CONSTANT_ROWS, ["diagnose", "--model", "gbm", "--k", "20", "--sigma", "1e200"], 0),
 ], ids=["ou-constant", "gbm-constant", "ou-tiny-gaps", "gbm-tiny-gaps", "simulate-overflow",
         "diagnose-overflow"])
-def test_no_numpy_warning_reaches_the_user(tmp_path, rows, argv, code):
+def test_no_numpy_warning_reaches_the_user(tmp_path, capsys, rows, argv, code):
     # numerical extremes end in the command's usual exit code, with no raw
-    # RuntimeWarning printed on the way
+    # RuntimeWarning printed on the way, and a fit's estimate is finite
     out = ["--out", str(tmp_path / ("out.csv" if argv[0] == "simulate" else "out.json"))]
     if rows is not None:
         (tmp_path / "obs.csv").write_text(rows)
@@ -497,6 +497,9 @@ def test_no_numpy_warning_reaches_the_user(tmp_path, rows, argv, code):
         warnings.simplefilter("always")
         assert cli_run(argv + out) == code
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if argv[0] == "fit":
+        assert capsys.readouterr().err == ""
+        assert np.all(np.isfinite(json.loads((tmp_path / "out.json").read_text())["theta_hat"]))
 
 
 def test_overflowing_ou_start_names_init_theta(tmp_path, capsys):
@@ -525,6 +528,21 @@ def test_bridge_fit_at_extreme_sigma_starts_warns_nothing(tmp_path, capsys, sigm
     err = capsys.readouterr().err
     assert code in (0, 2, 3)
     assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_bridge_fit_from_a_degenerate_start_names_init_theta(tmp_path, capsys):
+    # every importance weight underflows at sigma 1e-200: a bad start, said in
+    # the closed forms' words
+    data = tmp_path / "obs.csv"
+    data.write_text("t,x\n0,1.0\n0.5,1.1\n1.0,0.9\n1.5,1.2\n2.0,1.15\n")
+    out = tmp_path / "f.json"
+    assert cli_run(["fit", "--method", "bridge-mle", "--model", "gbm", "--sigma", "1e-200",
+                    "--j-samples", "20", "--data", str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "log-likelihood non-finite at init_theta=" in err
+    assert "importance weights" not in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_fixed_sigma_fit_runs_at_the_given_sigma(tmp_path):
@@ -585,3 +603,31 @@ def test_non_finite_time_exits_2_naming_the_times(tmp_path, capsys, run_name, t)
     assert "times must be finite and strictly increasing" in err
     assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not out.exists()
+
+
+def test_one_parser_serves_every_run_in_a_process(tmp_path, capsys):
+    # a run that fails to parse, a fit and another command give the same exit
+    # codes, messages and files through the shared parser as through fresh ones
+    data = tmp_path / "obs.csv"
+    data.write_text("t,x\n0,1.0\n0.5,1.1\n1.0,0.9\n1.5,1.2\n2.0,1.15\n")
+    runs = [["fit", "--method", "mle", "--no-such-option", "1"],
+            ["fit", "--method", "mle", "--model", "gbm", "--data", str(data),
+             "--out", "{out}/fit.json"],
+            ["simulate", "--model", "ou", "--sigma", "0.3", "--t-end", "1", "--steps", "5",
+             "--out", "{out}/path.csv"]]
+
+    def run_each(out, fresh):
+        out.mkdir()
+        seen = []
+        for argv in runs:
+            if fresh:
+                cli.build_parser.cache_clear()
+            seen.append((cli_run([a.format(out=out) for a in argv]), capsys.readouterr()))
+        return seen, {f.name: f.read_bytes() for f in out.iterdir()}
+
+    parser = cli.build_parser()
+    shared = run_each(tmp_path / "shared", fresh=False)
+    assert cli.build_parser() is parser
+    assert [code for code, _ in shared[0]] == [2, 0, 0]
+    assert run_each(tmp_path / "fresh", fresh=True) == shared
+    assert set(shared[1]) == {"fit.json", "path.csv"}

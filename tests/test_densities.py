@@ -6,14 +6,23 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from driftlab.densities import (
-    euler_record_logdensity,
+    euler_moments,
     gbm_transition_logdensity,
     logsumexp,
-    ou_record_logdensity,
+    normal_logpdf,
+    ou_moments,
     record_arrays,
 )
 from driftlab.errors import DegenerateDensityError
 from driftlab.models import DiffusionSpec, GbmParams, OuParams, gbm_spec
+
+
+def ou_record_logdensity(p, record):
+    return normal_logpdf(*ou_moments(p, record))
+
+
+def euler_record_logdensity(spec, record):
+    return normal_logpdf(*euler_moments(spec, record))
 
 
 def test_gbm_zero_mean_case():

@@ -23,10 +23,12 @@ from driftlab.likelihood import (
     TransitionDensity,
     _hessian_stderr,
     _loglik_at,
+    _score_and_fisher,
     discrete_loglikelihood,
     from_working,
     minimize_simplex,
     mle_fit,
+    to_working,
 )
 from driftlab.models import (
     DiffusionSpec,
@@ -40,6 +42,14 @@ from driftlab.observe import ObservationSet
 from driftlab.rng import stream
 
 P_GBM = GbmParams(beta=0.1, sigma=0.2, x0=1.0)
+
+
+def ou_record_logdensity(p, record):
+    return densities.normal_logpdf(*densities.ou_moments(p, record))
+
+
+def euler_record_logdensity(spec, record):
+    return densities.normal_logpdf(*densities.euler_moments(spec, record))
 
 
 def _gbm_obs(p, times, key):
@@ -114,10 +124,10 @@ def test_gbm_pairs_in_one_call_equal_per_pair_loop(obs, beta, sigma):
 def test_ou_and_euler_pairs_in_one_call_equal_per_pair_loop(obs, gamma, beta_bar, sigma):
     p = OuParams(gamma=gamma, beta_bar=beta_bar, sigma=sigma)
     _assert_equals_per_pair_loop(OuDensity(p), obs, lambda *pair:
-                                 densities.ou_record_logdensity(p, densities.record_arrays(*pair)))
+                                 ou_record_logdensity(p, densities.record_arrays(*pair)))
     spec = ou_spec(p)
     _assert_equals_per_pair_loop(EulerDensity(spec), obs, lambda *pair: (
-        densities.euler_record_logdensity(spec, densities.record_arrays(*pair))))
+        euler_record_logdensity(spec, densities.record_arrays(*pair))))
 
 
 def test_dt_array_with_a_zero_entry_rejected():
@@ -237,7 +247,7 @@ def test_fit_result_json_schema(tmp_path):
     assert set(d) == {"theta_hat", "objective", "converged", "iterations",
                       "seed", "stderr", "diagnostics"}
     assert d["seed"] == 5
-    assert d["diagnostics"] == {"optimizer": "nelder-mead", "kind": "closed_form_gbm"}
+    assert d["diagnostics"] == {"optimizer": "fisher-scoring", "kind": "closed_form_gbm"}
     from driftlab.ioutil import write_json
     write_json(str(tmp_path / "fit.json"), d)
     back = json.loads((tmp_path / "fit.json").read_text())
@@ -309,10 +319,10 @@ def test_record_terms_equal_the_public_densities(data):
     free, theta = _free_theta(data.draw, ("gamma", "beta_bar", "sigma"), ("gamma", "sigma"))
     p = replace(base, **dict(zip(free, theta)))
     check(OuDensity(base, free=free), obs, theta,
-          lambda *pair: densities.ou_record_logdensity(p, densities.record_arrays(*pair)))
+          lambda *pair: ou_record_logdensity(p, densities.record_arrays(*pair)))
     spec = ou_spec(p)
     check(EulerDensity(ou_spec(base)), obs, spec.theta,
-          lambda *pair: densities.euler_record_logdensity(spec, densities.record_arrays(*pair)))
+          lambda *pair: euler_record_logdensity(spec, densities.record_arrays(*pair)))
 
 
 def _counting(calls, name, fn):
@@ -338,13 +348,12 @@ def test_mle_fit_prepares_the_record_once(monkeypatch, make_td):
     fit = mle_fit(td, obs, td.theta)
     assert fit.standard_errors is not None
     assert calls["pairs"] == 1
-    assert calls["terms"] > 50  # the simplex and the Hessian probes
+    assert calls["terms"] > 10  # the line search and the Hessian probes
 
 
 def test_bad_record_raises_before_any_evaluation(monkeypatch):
     calls = {"theta": 0}
-    monkeypatch.setattr(GbmDensity, "record_logdensity", staticmethod(_counting(
-        calls, "theta", densities.gbm_record_logdensity)))
+    monkeypatch.setattr(densities, "gbm_moments", _counting(calls, "theta", densities.gbm_moments))
     obs = ObservationSet(times=[0.0, 0.5, 1.0], values=[1.0, -0.2, 1.1])
     with pytest.raises(ValueError, match="GBM states must be positive"):
         mle_fit(GbmDensity(P_GBM), obs, [0.1, 0.2])
@@ -484,6 +493,82 @@ def test_euler_record_terms_equal_a_spec_rebuilt_at_theta(obs, log_gamma, beta_b
     spec = ou_spec(OuParams(gamma=1.0, beta_bar=0.4, sigma=0.5))
     theta = np.array([np.exp(log_gamma), beta_bar, np.exp(log_sigma)])
     got = EulerDensity(spec).record_terms(*obs.pairs())(theta)
-    want = densities.euler_record_logdensity(spec.with_theta(theta),
-                                             densities.record_arrays(*obs.pairs()))
+    want = euler_record_logdensity(spec.with_theta(theta), densities.record_arrays(*obs.pairs()))
     assert np.array_equal(got, want)
+
+
+# Fisher scoring: the Gaussian densities' moments give the score, and the
+# scoring fit reaches at least the simplex's log-likelihood
+
+P_OU = OuParams(gamma=1.0, beta_bar=0.2, sigma=0.5)
+SCORED = {
+    "gbm": (lambda: GbmDensity(P_GBM), P_GBM),
+    "gbm-beta": (lambda: GbmDensity(P_GBM, free=("beta",)), P_GBM),
+    "ou": (lambda: OuDensity(P_OU), P_OU),
+    "euler-ou": (lambda: EulerDensity(ou_spec(P_OU)), P_OU),
+}
+
+
+@st.composite
+def scored_fits(draw):
+    """A Gaussian density, a record simulated from its model on regular or
+    irregular times, and a start moved off the truth in working coordinates."""
+    make_td, p = SCORED[draw(st.sampled_from(sorted(SCORED)))]
+    td, seed = make_td(), draw(st.integers(0, 10**6))
+    n_pairs = draw(st.integers(20, 80))
+    if draw(st.booleans()):
+        times = 0.1 * np.arange(n_pairs + 1)
+    else:
+        times = np.concatenate([[0.0], np.cumsum(stream(seed, "gaps").exponential(0.1, n_pairs))])
+    obs = _gbm_obs(p, times, (seed, "scored"))  # simulate_states_at takes either model
+    mask = np.array(td.positive_mask)
+    shift = draw(st.lists(st.floats(-0.5, 0.5), min_size=len(mask), max_size=len(mask)))
+    return td, obs, mask, to_working(td.theta, mask) + shift
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(case=scored_fits())
+def test_moments_score_equals_the_differenced_log_likelihood(case):
+    td, obs, mask, z = case
+    moments, _ = td.record_moments(*obs.pairs())
+    score, fisher = _score_and_fisher(moments, z, mask)
+    terms = td.record_terms(*obs.pairs())
+    h = 1e-5 * np.maximum(np.abs(z), 1.0)
+    numeric = [(terms(from_working(z + e, mask)).sum() - terms(from_working(z - e, mask)).sum())
+               / (2.0 * hi) for e, hi in zip(np.diag(h), h)]
+    # the score's own scale is the square root of the Fisher information
+    assert np.all(np.abs(score - numeric) <= 1e-7 * (np.abs(numeric) + np.sqrt(np.diag(fisher))))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(case=scored_fits())
+def test_scoring_fit_reaches_the_simplex_log_likelihood(case):
+    td, obs, mask, z0 = case
+    terms = td.record_terms(*obs.pairs())
+    fit = mle_fit(td, obs, from_working(z0, mask), compute_stderr=False)
+    with np.errstate(all="ignore"):
+        _, f_simplex, _, _ = minimize_simplex(
+            lambda z: -float(terms(from_working(z, mask)).sum()), z0)
+    assert fit.converged and fit.diagnostics["optimizer"] == "fisher-scoring"
+    assert fit.iterations <= 20
+    assert fit.objective_value >= -f_simplex - 1e-9
+
+
+def test_a_stalled_scoring_fit_is_the_simplex_fit_from_the_start():
+    # on constant values gamma and sigma move the OU variance alike, so the
+    # Fisher matrix is singular at the start and the simplex takes over
+    obs = ObservationSet(times=np.arange(5.0), values=np.ones(5))
+    td = OuDensity(OuParams(gamma=0.7, beta_bar=1.0, sigma=0.1))
+    mask = np.array(td.positive_mask)
+    terms = td.record_terms(*obs.pairs())
+
+    def neg(z):
+        total = float(terms(from_working(z, mask)).sum())
+        return -total if np.isfinite(total) else np.inf
+
+    with np.errstate(all="ignore"):
+        z, f, nit, ok = minimize_simplex(neg, to_working(td.theta, mask))
+    fit = mle_fit(td, obs, td.theta, compute_stderr=False)
+    assert fit.diagnostics["optimizer"] == "nelder-mead"
+    assert fit.theta_hat.tobytes() == from_working(z, mask).tobytes()
+    assert (fit.objective_value, fit.iterations, fit.converged) == (-f, nit, ok)
