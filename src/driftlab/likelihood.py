@@ -4,14 +4,15 @@ A ``TransitionDensity`` bundles a model with one way of evaluating its
 transition density (closed form, Euler, Fokker-Planck solve, or bridge Monte
 Carlo) and exposes the free parameter vector; ``mle_fit`` maximizes the
 resulting log-likelihood, by Fisher scoring where the density is Gaussian
-(closed form, Euler) and otherwise by a derivative-free simplex search.
+(closed form, Euler), by Newton steps on a differenced Hessian otherwise
+(bridge, Fokker-Planck), and by a derivative-free simplex where either stalls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import partial, reduce
 from operator import add
 
 import numpy as np
@@ -66,7 +67,10 @@ class _GaussianDensity(TransitionDensity):
     Jacobian of the target), and the log-density is the one formula below."""
 
     def record_terms(self, dts, x, y):
-        moments, log_jacobian = self.record_moments(dts, x, y)
+        return self.terms(*self.record_moments(dts, x, y))
+
+    @staticmethod
+    def terms(moments, log_jacobian):
         return lambda theta: densities.normal_logpdf(*moments(theta)) - log_jacobian
 
 
@@ -329,17 +333,15 @@ def _score_and_fisher(moments, z, mask):
     return score, (dm / var) @ dm.T + (dv / (2.0 * var**2)) @ dv.T
 
 
-def fisher_scoring(fun, moments, z0, mask):
-    """Minimize ``fun``, the negated log-likelihood of a Gaussian record with
-    per-theta ``moments``, in working coordinates from z0 by steps Fisher^-1
-    score, each halved until ``fun`` does not rise.  Returns (z, f, nit, ok):
-    ok once an accepted step moves every coordinate by at most 1e-9 * max(|z|, 1);
-    a singular Fisher matrix, a step halved below 1e-10 or 100 steps end it."""
+def descend(fun, step_at, z0):
+    """Minimize ``fun`` from working point z0 by steps ``step_at(z)``, each halved
+    until ``fun`` does not rise; returns (z, f, nit, ok), ok once an accepted step
+    moves each coordinate by at most 1e-9 * max(|z|, 1).  A raising step_at (singular
+    matrix, theta outside the model), halving below 1e-10 or 100 steps end it."""
     z, f = z0, fun(z0)
     for nit in range(1, 101):
         try:
-            score, fisher = _score_and_fisher(moments, z, mask)
-            step = np.linalg.solve(fisher, score)
+            step = step_at(z)
         except (np.linalg.LinAlgError, DegenerateDensityError, ValueError):
             break
         t = 1.0
@@ -354,6 +356,40 @@ def fisher_scoring(fun, moments, z0, mask):
     return z, f, nit, False
 
 
+def fisher_step(moments, mask, z):
+    """Fisher^-1 score at working point z of a Gaussian record with per-theta ``moments``."""
+    score, fisher = _score_and_fisher(moments, z, mask)
+    return np.linalg.solve(fisher, score)
+
+
+def newton_step(fun, z):
+    """Newton's -H^-1 g for ``fun`` at z, g and H central differences at 1e-4 *
+    max(|z|, 1) whose eigenvalues enter as |lambda| floored at 1e-8 * max |lambda|,
+    so it descends off the convex region too; a non-finite step raises LinAlgError."""
+    grad, hess = _central_differences(lambda dz: fun(z + dz), fun(z),
+                                      1e-4 * np.maximum(np.abs(z), 1.0))
+    lam, vec = np.linalg.eigh(hess)
+    step = -vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), 1e-8 * np.max(np.abs(lam))))
+    if not np.all(np.isfinite(step)):
+        raise np.linalg.LinAlgError("non-finite Newton step")
+    return step
+
+
+def _central_differences(f, f0, h):
+    """Gradient and Hessian at 0 of f(offsets), f0 = f(0), by central differences
+    with steps h: +-h_i e_i give the gradient and diagonal, four corners the rest."""
+    k, e = len(h), np.diag(h)
+    grad, hess = np.empty(k), np.empty((k, k))
+    for i in range(k):
+        f_up, f_dn = f(e[i]), f(-e[i])
+        grad[i] = (f_up - f_dn) / (2.0 * h[i])
+        hess[i, i] = (f_up - 2.0 * f0 + f_dn) / h[i] ** 2
+        for j in range(i + 1, k):
+            hess[i, j] = hess[j, i] = (f(e[i] + e[j]) - f(e[i] - e[j]) - f(-e[i] + e[j])
+                                       + f(-e[i] - e[j])) / (4.0 * h[i] * h[j])
+    return grad, hess
+
+
 def _hessian_stderr(loglik, theta_hat, positive_mask):
     """Standard errors from the observed information (central differences).
 
@@ -362,32 +398,18 @@ def _hessian_stderr(loglik, theta_hat, positive_mask):
     log scale instead: se(theta) = theta * se(log theta) by the delta method.
     Returns (stderr or None, log_scaled mask).
     """
-    k = len(theta_hat)
     log_scaled = np.array(positive_mask, dtype=bool) & (theta_hat <= 1e-4)
     u_hat = theta_hat.copy()
     u_hat[log_scaled] = np.log(theta_hat[log_scaled])
-    h = 1e-4 * np.maximum(np.abs(u_hat), 1.0)
-    hess = np.empty((k, k))
-    f0 = loglik(theta_hat)
 
     def f(offsets):
         u = u_hat + offsets
         u[log_scaled] = np.exp(u[log_scaled])
         return loglik(u)
 
-    for i in range(k):
-        ei = np.zeros(k)
-        ei[i] = h[i]
-        hess[i, i] = (f(ei) - 2.0 * f0 + f(-ei)) / h[i] ** 2
-        for j in range(i + 1, k):
-            ej = np.zeros(k)
-            ej[j] = h[j]
-            hess[i, j] = hess[j, i] = (
-                f(ei + ej) - f(ei - ej) - f(-ei + ej) + f(-ei - ej)
-            ) / (4.0 * h[i] * h[j])
-    info = -hess
+    _, hess = _central_differences(f, loglik(theta_hat), 1e-4 * np.maximum(np.abs(u_hat), 1.0))
     try:
-        cov = np.linalg.inv(info)
+        cov = np.linalg.inv(-hess)
     except np.linalg.LinAlgError:
         return None, log_scaled
     diag = np.diag(cov)
@@ -400,19 +422,23 @@ def mle_fit(td: TransitionDensity, obs: ObservationSet, init_theta, seed: int = 
             compute_stderr: bool = True) -> FitResult:
     """Maximize the discrete-observation log-likelihood over the free parameters.
 
-    Positivity-constrained parameters are optimized on the log scale, by
-    ``fisher_scoring`` for a Gaussian density and, for any other or where the
-    scoring stalls, by ``minimize_simplex`` from the start.  Non-convergence is
-    reported through ``converged=False``; a non-finite objective at the start
-    raises InvalidStartError, and fewer observation pairs than free parameters
-    raises InsufficientDataError.  Standard errors whose probes raise a
-    DriftlabError are None.
+    Positivity-constrained parameters are optimized on the log scale by
+    ``descend`` with a ``fisher_step`` for a Gaussian density, and for any
+    other (bridge, Fokker-Planck) with a ``newton_step``: central differences
+    at 1e-4 * max(|z|, 1), Hessian eigenvalues as |lambda| >= 1e-8 max |lambda|.
+    A stalled pass (singular or non-finite step, a step halved below 1e-10,
+    100 steps) hands over to ``minimize_simplex`` from the same start.
+    Non-convergence is reported through ``converged=False``; a non-finite
+    objective at the start raises InvalidStartError, and fewer observation
+    pairs than free parameters raises InsufficientDataError.  Standard errors
+    whose probes raise a DriftlabError are None.
     """
     mask = np.array(td.positive_mask, dtype=bool)
     init_theta = np.atleast_1d(np.asarray(init_theta, dtype=float))
     z0 = to_working(init_theta, mask)
-    pairs = obs.pairs()
-    record_terms = td.record_terms(*pairs)
+    gaussian = isinstance(td, _GaussianDensity)  # one preparation serves terms and score
+    prepared = td.record_moments(*obs.pairs()) if gaussian else None
+    record_terms = td.terms(*prepared) if gaussian else td.record_terms(*obs.pairs())
 
     def loglik(theta):
         try:
@@ -425,7 +451,12 @@ def mle_fit(td: TransitionDensity, obs: ObservationSet, init_theta, seed: int = 
     def neg(z):
         key = z.tobytes()
         if key not in seen:
-            val = loglik(from_working(z, mask))
+            try:
+                val = loglik(from_working(z, mask))
+            except DegenerateImportanceError:  # no bridge weight survived
+                if not seen:  # at the start: raised below as InvalidStartError
+                    raise
+                val = -np.inf
             seen[key] = -val if math.isfinite(val) else np.inf
         return seen[key]
 
@@ -442,11 +473,10 @@ def mle_fit(td: TransitionDensity, obs: ObservationSet, init_theta, seed: int = 
             raise InsufficientDataError(f"mle needs at least {k} observation pairs for "
                                         f"{k} free parameters, got {len(obs) - 1}")
 
-        ok = False
-        if isinstance(td, _GaussianDensity):
-            z_hat, fval, nit, ok = fisher_scoring(neg, td.record_moments(*pairs)[0], z0, mask)
-        optimizer = "fisher-scoring" if ok else "nelder-mead"
-        if not ok:  # no moments, or the scoring stalled: the simplex, from the same start
+        step = partial(fisher_step, prepared[0], mask) if gaussian else partial(newton_step, neg)
+        z_hat, fval, nit, ok = descend(neg, step, z0)
+        optimizer = ("fisher-scoring" if gaussian else "newton") if ok else "nelder-mead"
+        if not ok:  # the pass stalled: the simplex, from the same start
             z_hat, fval, nit, ok = minimize_simplex(neg, z0)
         theta_hat = from_working(z_hat, mask)
         diagnostics = {"optimizer": optimizer, "kind": td.kind}

@@ -203,22 +203,31 @@ def test_bridge_fit_draws_its_noise_once(monkeypatch):
     td = BridgeDensity(gbm_spec(P), m_sub=4, j_samples=50, seed=(7, "fit"))
     fit = mle_fit(td, obs, td.theta)
     assert fit.converged and fit.standard_errors is not None
-    assert len(calls) == 1  # simplex, restart and Hessian probes share one draw
+    assert len(calls) == 1  # Newton probes, line search and Hessian probes share one draw
 
     # the frozen draws are the ones a fresh evaluation draws
     at_fit = replace(td, spec=td.spec.with_theta(fit.theta_hat))
     assert fit.objective_value == discrete_loglikelihood(at_fit, obs)
 
     # and redrawing on every evaluation gives the same fit, byte for byte
+    evaluations = []
+
     def redrawing(self, dts, x, y):
-        return lambda theta: logdensities(self.spec.with_theta(theta), dts, x, y,
-                                          proposal_normals(len(dts), 4, 50, self.seed))
+        def at(theta):
+            evaluations.append(theta)
+            return logdensities(self.spec.with_theta(theta), dts, x, y,
+                                proposal_normals(len(dts), 4, 50, self.seed))
+        return at
 
     monkeypatch.setattr(BridgeDensity, "record_terms", redrawing)
+    calls.clear()
     redrawn = mle_fit(td, obs, td.theta)
     assert fit.theta_hat.tobytes() == redrawn.theta_hat.tobytes()
     assert fit.standard_errors.tobytes() == redrawn.standard_errors.tobytes()
-    assert len(calls) > 100
+    # each of the redrawn fit's evaluations drew anew: the start, each Newton
+    # step's eight probes and its trial, and the nine standard-error probes
+    assert len(calls) == len(evaluations)
+    assert len(evaluations) >= 9 * redrawn.iterations + 10
 
 
 def test_frozen_draws_follow_the_record():
@@ -318,8 +327,11 @@ def test_bridge_fit_prepares_its_record_once(monkeypatch):
     td = BridgeDensity(gbm_spec(P), m_sub=4, j_samples=50, seed=(7, "fit"))
     fit = mle_fit(td, _gbm_record(6, 41), td.theta)
     assert fit.converged and fit.standard_errors is not None
-    assert calls["prepare"] == 1  # simplex, restart and Hessian probes share it
-    assert calls["evaluate"] > 100
+    assert fit.diagnostics["optimizer"] == "newton"
+    # the start, each Newton step's eight probes and its trial, and the nine
+    # standard-error probes all evaluate the one prepared record
+    assert calls["prepare"] == 1
+    assert calls["evaluate"] >= 9 * fit.iterations + 10
 
 
 @pytest.mark.parametrize("sigma", [1e-200, 1e200])

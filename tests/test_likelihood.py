@@ -3,9 +3,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from driftlab import densities
+from driftlab import bridge, densities
 from driftlab.adequacy import simulate_states_at
 from driftlab.densities import gbm_transition_logdensity
 from driftlab.errors import (
@@ -21,6 +21,7 @@ from driftlab.likelihood import (
     GbmDensity,
     OuDensity,
     TransitionDensity,
+    _central_differences,
     _hessian_stderr,
     _loglik_at,
     _score_and_fisher,
@@ -338,17 +339,23 @@ def _counting(calls, name, fn):
     lambda: EulerDensity(gbm_spec(P_GBM)),
 ], ids=["gbm", "ou", "euler"])
 def test_mle_fit_prepares_the_record_once(monkeypatch, make_td):
-    calls = {"pairs": 0, "terms": 0}
+    calls = {"pairs": 0, "prepare": 0, "moments": 0}
     monkeypatch.setattr(ObservationSet, "pairs", _counting(calls, "pairs", ObservationSet.pairs))
     td = make_td()
-    record_terms = td.record_terms
-    monkeypatch.setattr(type(td), "record_terms", lambda self, *pairs: _counting(
-        calls, "terms", record_terms(*pairs)))
+    record_moments = td.record_moments
+
+    def counted(self, *pairs):
+        calls["prepare"] += 1
+        moments, log_jacobian = record_moments(*pairs)
+        return _counting(calls, "moments", moments), log_jacobian
+
+    monkeypatch.setattr(type(td), "record_moments", counted)
     obs = _gbm_obs(P_GBM, 0.1 * np.arange(51), (91, 0))
     fit = mle_fit(td, obs, td.theta)
     assert fit.standard_errors is not None
     assert calls["pairs"] == 1
-    assert calls["terms"] > 10  # the line search and the Hessian probes
+    assert calls["prepare"] == 1  # the terms and the score share one preparation
+    assert calls["moments"] > 10  # the scoring's probes, the line search and the Hessian probes
 
 
 def test_bad_record_raises_before_any_evaluation(monkeypatch):
@@ -390,19 +397,19 @@ def test_mle_fit_evaluates_each_working_point_once():
 
 def test_failing_stderr_probes_leave_the_estimate_standing(monkeypatch):
     evaluations, budget = [], [np.inf]
-    record_terms = GbmDensity.record_terms
+    record_moments = GbmDensity.record_moments
 
     def failing_after_budget(self, dts, x, y):
-        terms = record_terms(self, dts, x, y)
+        moments, log_jacobian = record_moments(self, dts, x, y)
 
         def at(theta):
             evaluations.append(theta)
             if len(evaluations) > budget[0]:
                 raise DegenerateImportanceError(0)
-            return terms(theta)
-        return at
+            return moments(theta)
+        return at, log_jacobian
 
-    monkeypatch.setattr(GbmDensity, "record_terms", failing_after_budget)
+    monkeypatch.setattr(GbmDensity, "record_moments", failing_after_budget)
     obs = _gbm_obs(P_GBM, 0.1 * np.arange(51), (93, 0))
     plain = mle_fit(GbmDensity(P_GBM), obs, [0.1, 0.2], compute_stderr=False)
     # the same fit again, now with every standard-error probe raising
@@ -554,11 +561,8 @@ def test_scoring_fit_reaches_the_simplex_log_likelihood(case):
     assert fit.objective_value >= -f_simplex - 1e-9
 
 
-def test_a_stalled_scoring_fit_is_the_simplex_fit_from_the_start():
-    # on constant values gamma and sigma move the OU variance alike, so the
-    # Fisher matrix is singular at the start and the simplex takes over
-    obs = ObservationSet(times=np.arange(5.0), values=np.ones(5))
-    td = OuDensity(OuParams(gamma=0.7, beta_bar=1.0, sigma=0.1))
+def _simplex_from(td, obs, z0):
+    """``minimize_simplex`` on the fit's objective, in working coordinates."""
     mask = np.array(td.positive_mask)
     terms = td.record_terms(*obs.pairs())
 
@@ -567,8 +571,138 @@ def test_a_stalled_scoring_fit_is_the_simplex_fit_from_the_start():
         return -total if np.isfinite(total) else np.inf
 
     with np.errstate(all="ignore"):
-        z, f, nit, ok = minimize_simplex(neg, to_working(td.theta, mask))
+        return neg, minimize_simplex(neg, z0)
+
+
+def test_a_stalled_scoring_fit_is_the_simplex_fit_from_the_start():
+    # on constant values gamma and sigma move the OU variance alike, so the
+    # Fisher matrix is singular at the start and the simplex takes over
+    obs = ObservationSet(times=np.arange(5.0), values=np.ones(5))
+    td = OuDensity(OuParams(gamma=0.7, beta_bar=1.0, sigma=0.1))
+    mask = np.array(td.positive_mask)
+    _, (z, f, nit, ok) = _simplex_from(td, obs, to_working(td.theta, mask))
     fit = mle_fit(td, obs, td.theta, compute_stderr=False)
     assert fit.diagnostics["optimizer"] == "nelder-mead"
     assert fit.theta_hat.tobytes() == from_working(z, mask).tobytes()
+    assert (fit.objective_value, fit.iterations, fit.converged) == (-f, nit, ok)
+
+
+# Newton steps: the bridge and Fokker-Planck fits difference the objective and
+# reach the simplex's estimate from the same start
+
+NEWTON = {  # density for a record, the model the record is simulated from, its pair counts
+    "bridge-gbm": (lambda obs: BridgeDensity(gbm_spec(P_GBM), m_sub=4, j_samples=50, seed=5),
+                   P_GBM, (4, 12)),
+    "bridge-ou": (lambda obs: BridgeDensity(ou_spec(P_OU), m_sub=4, j_samples=50, seed=5),
+                  P_OU, (12, 20)),
+    "fokker-planck-beta": (lambda obs: FokkerPlanckDensity(
+        gbm_beta_spec(0.1, 0.2), 0.5 * obs.values.min(), 2.0 * obs.values.max(), 80, 20),
+        P_GBM, (2, 6)),
+}
+
+
+@st.composite
+def newton_fits(draw):
+    """A bridge or Fokker-Planck density, a record simulated from its model on
+    regular or irregular times, and a start moved off the truth in working
+    coordinates.  Each start coordinate lies at least 0.05 from 0: the simplex
+    builds its first vertex 5% away, so it would not move a coordinate near 0."""
+    make_td, p, (lo, hi) = NEWTON[draw(st.sampled_from(sorted(NEWTON)))]
+    seed, n_pairs = draw(st.integers(0, 10**6)), draw(st.integers(lo, hi))
+    if draw(st.booleans()):
+        times = 0.5 * np.arange(n_pairs + 1)
+    else:
+        times = np.concatenate([[0.0], np.cumsum(stream(seed, "gaps").uniform(0.25, 0.75,
+                                                                               n_pairs))])
+    obs = _gbm_obs(p, times, (seed, "newton"))
+    td = make_td(obs)
+    mask = np.array(td.positive_mask)
+    shift = draw(st.lists(st.floats(-0.5, 0.5), min_size=len(mask), max_size=len(mask)))
+    z0 = to_working(td.theta, mask) + shift
+    assume(np.all(np.abs(z0) >= 0.05))
+    return td, obs, mask, z0
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(case=newton_fits())
+def test_newton_fit_reaches_the_simplex_estimate(case):
+    td, obs, mask, z0 = case
+    fit = mle_fit(td, obs, from_working(z0, mask), compute_stderr=False)
+    _, (z, f_simplex, _, ok) = _simplex_from(td, obs, z0)
+    assert ok and fit.converged and fit.diagnostics["optimizer"] == "newton"
+    theta = from_working(z, mask)
+    assert np.all(np.abs(fit.theta_hat - theta) <= 1e-6 * np.maximum(np.abs(theta), 1.0))
+    assert fit.objective_value >= -f_simplex - 1e-8
+
+
+def test_newton_fit_starts_where_the_hessian_is_indefinite():
+    # at this start the objective curves down along one direction, where a
+    # plain Newton step would climb; the floored |eigenvalues| still descend
+    obs = _gbm_obs(P_GBM, 0.5 * np.arange(4), (13, "indefinite"))
+    td = BridgeDensity(gbm_spec(P_GBM), m_sub=4, j_samples=50, seed=13)
+    z0 = to_working(td.theta, td.positive_mask)
+    neg, (z, f_simplex, _, _) = _simplex_from(td, obs, z0)
+    _, hess = _central_differences(lambda dz: neg(z0 + dz), neg(z0),
+                                   1e-4 * np.maximum(np.abs(z0), 1.0))
+    assert np.linalg.eigvalsh(hess)[0] < 0
+    fit = mle_fit(td, obs, td.theta, compute_stderr=False)
+    assert fit.converged and fit.diagnostics["optimizer"] == "newton"
+    assert np.allclose(fit.theta_hat, from_working(z, td.positive_mask), rtol=1e-6, atol=1e-8)
+    assert fit.objective_value >= -f_simplex - 1e-8
+
+
+def test_a_point_where_no_bridge_weight_survives_counts_as_minus_infinity(monkeypatch):
+    # from this start the first Newton steps overshoot to gamma = inf and sigma
+    # near 0, where every importance weight of a pair vanishes; the fit halves
+    # them as it would a falling log-likelihood and reaches the simplex's estimate
+    obs = _gbm_obs(P_OU, 0.5 * np.arange(5), (24, "x"))
+    td = BridgeDensity(ou_spec(P_OU), m_sub=4, j_samples=50, seed=5)
+    mask = np.array(td.positive_mask)
+    z0 = to_working(td.theta, mask) + stream(24, "shift").uniform(-0.5, 0.5, 3)
+    raised, evaluate = [], bridge.record_logdensities
+
+    def recording(*args):
+        try:
+            return evaluate(*args)
+        except DegenerateImportanceError:
+            raised.append(args[1])
+            raise
+
+    monkeypatch.setattr(bridge, "record_logdensities", recording)
+    fit = mle_fit(td, obs, from_working(z0, mask), compute_stderr=False)
+    assert raised
+    assert fit.converged and fit.diagnostics["optimizer"] == "newton"
+    _, (z, f_simplex, _, _) = _simplex_from(td, obs, z0)
+    assert np.allclose(fit.theta_hat, from_working(z, mask), rtol=1e-6, atol=1e-8)
+    assert fit.objective_value >= -f_simplex - 1e-8
+
+
+@dataclass(frozen=True)
+class _HoledDensity(TransitionDensity):
+    """Log-density -(theta - 3)^2 per pair, NaN within 1e-3 of the start but at
+    the start itself: every Newton probe (1e-4 away) is non-finite, while the
+    simplex's first vertex (5% away) and its later points are finite."""
+
+    start: float = 1.0
+    kind = "holed"
+    positive_mask = (False,)
+
+    @property
+    def theta(self):
+        return np.array([self.start])
+
+    def record_terms(self, dts, x, y):
+        def at(theta):
+            gap = abs(float(np.ravel(theta)[0]) - self.start)
+            return np.full(len(dts), np.nan if 0 < gap < 1e-3 else -(gap - 2.0) ** 2)
+        return at
+
+
+def test_non_finite_newton_probes_fall_back_to_the_simplex_fit():
+    obs = ObservationSet(times=np.arange(4.0), values=np.ones(4))
+    td = _HoledDensity()
+    _, (z, f, nit, ok) = _simplex_from(td, obs, td.theta)
+    fit = mle_fit(td, obs, td.theta, compute_stderr=False)
+    assert fit.diagnostics["optimizer"] == "nelder-mead"
+    assert fit.theta_hat.tobytes() == z.tobytes()
     assert (fit.objective_value, fit.iterations, fit.converged) == (-f, nit, ok)
