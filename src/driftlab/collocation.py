@@ -10,11 +10,10 @@ elementwise by the model diffusion.  The penalized fit coincides with MAP
 estimation in an SDE whose constant diffusion coefficient is 1/sqrt(2*lambda),
 so ``map_equivalent_sigma`` converts between the two parameterizations.
 
-The fit alternates a Nelder-Mead pass over theta with an L-BFGS-B pass over
-c.  The latter takes the gradient in c in closed form (Ramsay, Hooker,
-Campbell & Cao 2007): the observation score and the penalty residual are
-mapped back through the design matrices, and only the state derivatives of
-the drift, the diffusion and the observation link are central differences.
+Under Gaussian noise the fit is damped Gauss-Newton steps over (c, theta), in
+closed form in c (Ramsay, Hooker, Campbell & Cao 2007); otherwise, or if they
+stall, Nelder-Mead over theta alternates with L-BFGS-B over c on that gradient.
+Only the drift's, diffusion's and link's state slopes and dr/dtheta are differenced.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from scipy.interpolate import BSpline
 from scipy.optimize import minimize
 
 from .errors import DataFormatError, InvalidStartError, WeightSingularityError
-from .likelihood import nelder_mead
+from .likelihood import descend, nelder_mead
 from .models import DiffusionSpec
 from .observe import NoisyObservationSet, ObservationModel
 from .paths import Path, series_arrays
@@ -98,16 +97,13 @@ def _quadrature_nodes(basis: BasisConfig, n_sub: int = QUAD_SUBDIVISIONS):
     each inter-knot interval into ``n_sub`` (even) pieces."""
     if n_sub % 2:
         raise ValueError("Simpson subdivisions must be even")
-    nodes, weights = [], []
-    for a, b in zip(basis.knots[:-1], basis.knots[1:]):
-        xs = np.linspace(a, b, n_sub + 1)
-        h = (b - a) / n_sub
-        w = np.full(n_sub + 1, 2.0)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        nodes.append(xs)
-        weights.append(w * h / 3.0)
-    return np.concatenate(nodes), np.concatenate(weights)
+    a, b = basis.knots[:-1], basis.knots[1:]
+    h = (b - a) / n_sub
+    nodes = a[:, None] + np.arange(n_sub + 1) * h[:, None]  # np.linspace's bits
+    nodes[:, -1] = b
+    w = np.where(np.arange(n_sub + 1) % 2, 4.0, 2.0)
+    w[[0, -1]] = 1.0
+    return nodes.ravel(), (w * h[:, None] / 3.0).ravel()
 
 
 class CollocationProblem:
@@ -138,11 +134,9 @@ class CollocationProblem:
         self.pen = pen
         self.basis = basis
         self.B_obs = basis.design(obs.times)
-        q_nodes, q_weights = _quadrature_nodes(basis, n_quad)
-        self.q_nodes = q_nodes
-        self.q_weights = q_weights
-        self.Bq = basis.design(q_nodes)
-        self.dBq = basis.design(q_nodes, derivative=1)
+        self.q_nodes, self.q_weights = _quadrature_nodes(basis, n_quad)
+        self.Bq = basis.design(self.q_nodes)
+        self.dBq = basis.design(self.q_nodes, derivative=1)
         self.y = obs.y_values
 
     def _weight_sigma(self, x_q: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -159,12 +153,16 @@ class CollocationProblem:
         data = -float(np.sum(self.om.loglik_series(self.y, x_obs[:, None])))
         return data, self.Bq @ c, self.dBq @ c
 
-    def _penalty(self, x_q, dx_q, theta) -> float:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    def _residual(self, x_q, dx_q, theta) -> np.ndarray:
+        """The penalty residual dx/dt - mu at the nodes, over sigma when weighted."""
         resid = dx_q - np.asarray(self.spec.drift(x_q, theta), dtype=float)
         if self.pen.weight_mode == "sigma_weighted":
             resid = resid / self._weight_sigma(x_q, theta)
-        return self.pen.lam * float(self.q_weights @ resid**2)
+        return resid
+
+    def _penalty(self, x_q, dx_q, theta) -> float:
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        return self.pen.lam * float(self.q_weights @ self._residual(x_q, dx_q, theta)**2)
 
     def terms(self, c: np.ndarray, theta: np.ndarray) -> tuple:
         data, x_q, dx_q = self._data_and_nodes(c)
@@ -181,13 +179,16 @@ class CollocationProblem:
         return lambda theta: data + self._penalty(x_q, dx_q, theta)
 
     def working_gradient_c(self, c, theta) -> np.ndarray:
-        """Analytic gradient of the objective in c, as the inner optimizer uses it.
+        """Analytic gradient of the objective in c, as the inner optimizer uses it."""
+        return self._linearize(c, theta)[0]
 
-        Data term: -B_obs^T (score * dm/dx) summed over the observation
+    def _linearize(self, c, theta) -> tuple:
+        """The gradient in c, dm/dx, and at the nodes r, mu' + r sigma' and sigma.
+
+        Gradient: data term -B_obs^T (score * dm/dx) summed over the observation
         columns, with the closed-form score of the observation density and
-        dm/dx = 1 without a link.  Penalty, with
-        r the (weighted) residual at the quadrature nodes:
-        2 lam [dBq^T (w r / sigma) - Bq^T (w r (mu' + r sigma') / sigma)],
+        dm/dx = 1 without a link.  Penalty, with r the (weighted) residual at
+        the quadrature nodes: 2 lam [dBq^T (w r / sigma) - Bq^T (w r (mu' + r sigma') / sigma)],
         where sigma = 1, sigma' = 0 unweighted.  The link, mu' and sigma' are
         differentiated in the state by one central difference each.
         """
@@ -195,20 +196,48 @@ class CollocationProblem:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         x_obs = self.B_obs @ c
         score = self.om.score(self.obs.y2d(), self.om.mean(x_obs[:, None]))
-        if self.om.link is not None:
-            score = score * _state_slope(lambda x: self.om.mean(x[:, None]), x_obs)
-        grad = -(self.B_obs.T @ score.sum(axis=1))
+        dm = (np.ones_like(score) if self.om.link is None
+              else _state_slope(lambda x: self.om.mean(x[:, None]), x_obs))
+        grad = -(self.B_obs.T @ (score * dm).sum(axis=1))
         x_q = self.Bq @ c
-        resid = self.dBq @ c - np.asarray(self.spec.drift(x_q, theta), dtype=float)
+        resid = self._residual(x_q, self.dBq @ c, theta)
         slope = _state_slope(lambda x: self.spec.drift(x, theta), x_q)
+        sig = np.ones_like(resid)
         if self.pen.weight_mode == "sigma_weighted":
             sig = self._weight_sigma(x_q, theta)
-            resid = resid / sig
             slope = slope + resid * _state_slope(lambda x: self.spec.diffusion(x, theta), x_q)
-            wr = self.q_weights * resid / sig
-        else:
-            wr = self.q_weights * resid
-        return grad + 2.0 * self.pen.lam * (self.dBq.T @ wr - self.Bq.T @ (wr * slope))
+        wr = self.q_weights * resid / sig
+        grad = grad + 2.0 * self.pen.lam * (self.dBq.T @ wr - self.Bq.T @ (wr * slope))
+        return grad, dm, resid, slope, sig
+
+    def gauss_newton_system(self, v) -> tuple:
+        """Gradient g and Gauss-Newton matrix H = B_obs^T diag(sum (dm/dx)^2 /
+        scale^2) B_obs + 2 lam J^T W J at v = (c, theta), Gaussian noise; J =
+        [(dBq - diag(mu' + r sigma') Bq) / sigma, dr/dtheta], the latter central
+        differences at 1e-6 max(|theta|, 1).  H is the Hessian if r is linear in v."""
+        k = self.basis.n_basis
+        c, theta = v[:k], v[k:]
+        grad_c, dm, resid, slope, sig = self._linearize(c, theta)
+        x_q, dx_q = self.Bq @ c, self.dBq @ c
+        jac_theta = [(self._residual(x_q, dx_q, theta + e) - self._residual(x_q, dx_q, theta - e))
+                     / (2.0 * e.sum()) for e in np.diag(1e-6 * np.maximum(np.abs(theta), 1.0))]
+        jac = np.column_stack([(self.dBq - slope[:, None] * self.Bq) / sig[:, None]] + jac_theta)
+        root_w = np.sqrt(2.0 * self.pen.lam * self.q_weights)
+        scaled = root_w[:, None] * jac
+        hess = scaled.T @ scaled  # one syrk: OpenBLAS's threaded gemm stalled some processes
+        hess[:k, :k] += (self.B_obs.T * (dm**2).sum(axis=1) / self.om.scale**2) @ self.B_obs
+        return np.concatenate([grad_c, scaled[:, k:].T @ (root_w * resid)]), hess
+
+    def gauss_newton_step(self, v) -> np.ndarray:
+        """-H^-1 g at v; a non-finite step or a zero sigma raises LinAlgError."""
+        try:
+            grad, hess = self.gauss_newton_system(v)
+        except WeightSingularityError as exc:  # at a theta probe
+            raise np.linalg.LinAlgError(str(exc)) from exc
+        step = -np.linalg.solve(hess, grad)
+        if not np.all(np.isfinite(step)):
+            raise np.linalg.LinAlgError("non-finite Gauss-Newton step")
+        return step
 
 
 def _state_slope(f, x: np.ndarray) -> np.ndarray:
@@ -230,14 +259,17 @@ def collocation_fit(obs: NoisyObservationSet, om: ObservationModel, spec: Diffus
                     max_outer: int = 200) -> tuple:
     """Minimize the penalized objective jointly over (c, theta).
 
-    Alternates an inner quasi-Newton pass over the spline coefficients with a
-    simplex pass over theta until the objective decrease drops below
-    OUTER_TOL (or ``max_outer`` outer iterations pass, reported as
-    ``converged=False``).  Returns (FitResult, fitted Path); the Path carries
-    the fitted trajectory and its time derivative as two columns, and the fit
-    diagnostics record the separate data and penalty terms, the total
-    L-BFGS-B iterations (``inner_iterations``) and the number of analytic
-    gradients they took (``gradient_evaluations``).
+    Under Gaussian noise: damped ``gauss_newton_step``s, at most min(max_outer,
+    100), a non-finite objective or a zero sigma counting as +inf.  Otherwise,
+    or if they stall, from the same start: an inner quasi-Newton pass over the
+    spline coefficients alternating with a simplex pass over theta until the
+    objective decrease drops below OUTER_TOL (or ``max_outer`` outer iterations
+    pass, reported as ``converged=False``).  Returns (FitResult, fitted Path);
+    the Path carries the fitted trajectory and its time derivative as two
+    columns, and the diagnostics record the ``optimizer`` ("gauss-newton" or
+    "alternating"), the data and penalty terms, and the L-BFGS-B iterations
+    (``inner_iterations``) and gradients (``gradient_evaluations``), both the
+    step count after Gauss-Newton.
 
     The start is the ridge least-squares smoother of the first observation
     column, ignoring the penalty (identity-link start), with theta at
@@ -256,9 +288,26 @@ def collocation_fit(obs: NoisyObservationSet, om: ObservationModel, spec: Diffus
     if not np.isfinite(current):
         raise InvalidStartError(
             f"collocation objective is {current} at the start (theta={theta})")
-    converged = False
+    k = len(c)
+
+    def joint(v):
+        try:
+            val = prob.objective(v[:k], v[k:])
+        except WeightSingularityError:
+            return np.inf
+        return val if np.isfinite(val) else np.inf
+
+    converged, optimizer = False, "alternating"
     outer = inner_iterations = gradient_evaluations = 0
-    for outer in range(1, max_outer + 1):
+    if om.kind == "gaussian":
+        with np.errstate(all="ignore"):
+            v, f, nit, ok = descend(joint, prob.gauss_newton_step, np.concatenate([c, theta]),
+                                    max_steps=min(max_outer, 100))
+        if ok:
+            c, theta, current, converged, optimizer = v[:k], v[k:], f, True, "gauss-newton"
+            outer = inner_iterations = gradient_evaluations = nit
+    while not converged and outer < max_outer:
+        outer += 1
         theta_t, f_t, _, _ = nelder_mead(prob.theta_objective(c), theta, 400,
                                          THETA_XATOL, THETA_FATOL)
         if f_t <= current:
@@ -295,6 +344,7 @@ def collocation_fit(obs: NoisyObservationSet, om: ObservationModel, spec: Diffus
             "penalty_term": penalty_term,
             "lambda": pen.lam,
             "weight_mode": pen.weight_mode,
+            "optimizer": optimizer,
             "inner_iterations": inner_iterations,
             "gradient_evaluations": gradient_evaluations,
             "coeffs": [float(v) for v in c],

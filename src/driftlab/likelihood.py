@@ -333,13 +333,13 @@ def _score_and_fisher(moments, z, mask):
     return score, (dm / var) @ dm.T + (dv / (2.0 * var**2)) @ dv.T
 
 
-def descend(fun, step_at, z0):
+def descend(fun, step_at, z0, max_steps=100):
     """Minimize ``fun`` from working point z0 by steps ``step_at(z)``, each halved
     until ``fun`` does not rise; returns (z, f, nit, ok), ok once an accepted step
     moves each coordinate by at most 1e-9 * max(|z|, 1).  A raising step_at (singular
-    matrix, theta outside the model), halving below 1e-10 or 100 steps end it."""
+    matrix, theta outside the model), halving below 1e-10 or max_steps steps end it."""
     z, f = z0, fun(z0)
-    for nit in range(1, 101):
+    for nit in range(1, max_steps + 1):
         try:
             step = step_at(z)
         except (np.linalg.LinAlgError, DegenerateDensityError, ValueError):

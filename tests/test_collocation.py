@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,6 +9,7 @@ from driftlab.collocation import (
     BasisConfig,
     CollocationProblem,
     PenaltySpec,
+    _quadrature_nodes,
     collocation_fit,
     map_equivalent_sigma,
 )
@@ -405,3 +409,166 @@ def test_map_equivalent_sigma_round_trip(lam):
 def test_map_equivalent_sigma_requires_positive():
     with pytest.raises(ValueError):
         map_equivalent_sigma(0.0)
+
+
+def _linspace_nodes(knots, n_sub):
+    # the per-interval construction the vectorised nodes must reproduce
+    nodes, weights = [], []
+    for a, b in zip(knots[:-1], knots[1:]):
+        h = (b - a) / n_sub
+        w = np.full(n_sub + 1, 2.0)
+        w[1::2] = 4.0
+        w[0] = w[-1] = 1.0
+        nodes.append(np.linspace(a, b, n_sub + 1))
+        weights.append(w * h / 3.0)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def test_quadrature_nodes_equal_per_interval_linspace_bytes():
+    rng = stream(30)
+    for trial in range(2000):
+        n_knots = int(rng.integers(2, 60))
+        scale = 10.0 ** rng.uniform(-6, 6)
+        knots = np.cumsum(scale * rng.uniform(1e-3, 1.0, n_knots)) + rng.normal(0.0, scale)
+        n_sub = int(rng.choice([2, 4, 10, 20]))
+        got = _quadrature_nodes(BasisConfig(knots=knots), n_sub)
+        want = _linspace_nodes(knots, n_sub)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), trial
+
+
+def _random_fit_problem(drift, weight_mode, link, lam, seed):
+    times = np.linspace(0.0, 2.0, 15)
+    rng = stream(31, seed)
+    y = 1.0 + 0.5 * np.sin(times) + 0.05 * rng.standard_normal(len(times))
+    y_obs = _two_column_link(y[:, None]) if link == "two_column" else y
+    obs = NoisyObservationSet(times=times, y_values=y_obs)
+    om = ObservationModel(kind="gaussian", scale=0.1, link=LINKS[link])
+    mu, theta = DRIFTS[drift]
+    spec = DiffusionSpec(drift=mu, diffusion=lambda x, th: 0.4 + x**2, theta=theta, x0=[1.0])
+    prob = CollocationProblem(BasisConfig.from_times(times), obs, om, spec,
+                              PenaltySpec(lam=lam, weight_mode=weight_mode))
+    c = np.linalg.lstsq(prob.B_obs, y, rcond=None)[0] + 0.2 * rng.standard_normal(len(y) + 2)
+    v = np.concatenate([c, np.asarray(theta) + 0.1 * rng.standard_normal(len(theta))])
+    return prob, v
+
+
+def _central_difference_v(prob, v, h_rel=1e-5):
+    k = prob.basis.n_basis
+    f = lambda w: prob.objective(w[:k], w[k:])  # noqa: E731
+    grad = np.empty_like(v)
+    for i in range(len(v)):
+        e = np.zeros_like(v)
+        e[i] = h_rel * max(1.0, abs(v[i]))
+        grad[i] = (f(v + e) - f(v - e)) / (2.0 * e[i])
+    return grad
+
+
+@settings(max_examples=40, deadline=None)
+@given(drift=st.sampled_from(sorted(DRIFTS)),
+       weight_mode=st.sampled_from(["unweighted", "sigma_weighted"]),
+       link=st.sampled_from(sorted(LINKS)),
+       lam=st.floats(min_value=0.1, max_value=100.0),
+       seed=st.integers(min_value=0, max_value=10_000))
+def test_gauss_newton_gradient_matches_central_difference(drift, weight_mode, link, lam, seed):
+    prob, v = _random_fit_problem(drift, weight_mode, link, lam, seed)
+    grad, hess = prob.gauss_newton_system(v)
+    central = _central_difference_v(prob, v)
+    assert np.max(np.abs(grad - central)) <= 1e-6 * np.max(np.abs(central))
+    assert np.allclose(hess, hess.T, rtol=1e-12, atol=1e-12 * np.max(np.abs(hess)))
+
+
+def _affine_drift_problem(n=15, seed=0):
+    # mu = theta - 0.7 x is linear in (x, theta): the residual is linear in
+    # (c, theta), so the objective is quadratic and H its Hessian
+    times = np.linspace(0.0, 2.0, n)
+    y = 1.0 + 0.5 * np.sin(times) + 0.05 * stream(32, seed).standard_normal(n)
+    spec = DiffusionSpec(drift=lambda x, th: th[0] - 0.7 * x,
+                         diffusion=lambda x, th: np.ones_like(x), theta=[0.3], x0=[1.0])
+    return (NoisyObservationSet(times=times, y_values=y), ObservationModel(kind="gaussian", scale=0.1),
+            spec, BasisConfig.from_times(times), PenaltySpec(lam=5.0))
+
+
+def test_gauss_newton_matrix_is_the_hessian_of_an_affine_drift():
+    obs, om, spec, basis, pen = _affine_drift_problem()
+    prob = CollocationProblem(basis, obs, om, spec, pen)
+    v = np.concatenate([np.linalg.lstsq(prob.B_obs, obs.y_values, rcond=None)[0], [0.9]])
+    _, hess = prob.gauss_newton_system(v)
+    k = len(v)
+    central = np.empty((k, k))
+    for i in range(k):  # central differences of the (central-difference) gradient
+        e = np.zeros(k)
+        e[i] = 1e-3 * max(1.0, abs(v[i]))
+        central[i] = (_central_difference_v(prob, v + e, 1e-3)
+                      - _central_difference_v(prob, v - e, 1e-3)) / (2.0 * e[i])
+    assert np.max(np.abs(hess - central)) <= 1e-6 * np.max(np.abs(hess))
+    fit, _ = collocation_fit(obs, om, spec, basis, pen)
+    assert fit.diagnostics["optimizer"] == "gauss-newton"
+    assert fit.converged and fit.iterations <= 3
+    assert fit.iterations == fit.diagnostics["inner_iterations"] \
+        == fit.diagnostics["gradient_evaluations"]
+
+
+def _pinned_problem(kind):
+    times = np.linspace(0.0, 2.0, 20)
+    y = np.exp(0.3 * times) + 0.05 * stream(21).standard_normal(20)
+    om = ObservationModel(kind=kind, scale=0.05, dof=4.0 if kind == "student_t" else None)
+    return (NoisyObservationSet(times=times, y_values=y), om, gbm_beta_spec(0.5, 1.0),
+            BasisConfig.from_times(times), PenaltySpec(lam=10.0, weight_mode="sigma_weighted"))
+
+
+def _stall(monkeypatch):
+    def singular(self, v):
+        raise np.linalg.LinAlgError("forced stall")
+    monkeypatch.setattr(CollocationProblem, "gauss_newton_step", singular)
+
+
+@pytest.mark.parametrize("kind, stall, digest", [
+    # the alternating fit before the Gauss-Newton pass existed, without its
+    # "optimizer" key: a Student-t fit, and a Gaussian one whose pass stalls
+    ("student_t", False, "c233cf2be14bafb2056b17f9a1d3dde40b36f48894ad2fd23243dfa325cad15c"),
+    ("gaussian", True, "ed19fd527edb432902ff3a88a3b01d394ad4e87fc58255d62ba19c5954123c2d"),
+])
+def test_alternating_fit_keeps_its_pinned_digest(monkeypatch, kind, stall, digest):
+    if stall:
+        _stall(monkeypatch)
+    fit, _ = collocation_fit(*_pinned_problem(kind))
+    payload = fit.to_json_dict()
+    assert payload["diagnostics"].pop("optimizer") == "alternating"
+    assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("drift", sorted(DRIFTS))
+@pytest.mark.parametrize("weight_mode", ["unweighted", "sigma_weighted"])
+@pytest.mark.parametrize("link", ["none", "cubic", "two_column"])
+def test_gauss_newton_ends_no_higher_than_the_alternation(monkeypatch, drift, weight_mode, link):
+    prob, _ = _random_fit_problem(drift, weight_mode, link, 10.0, 0)
+    args = (prob.obs, prob.om, prob.spec, prob.basis, prob.pen)
+    fit, _ = collocation_fit(*args, max_outer=60)
+    _stall(monkeypatch)
+    alternated, _ = collocation_fit(*args, max_outer=60)
+    assert alternated.diagnostics["optimizer"] == "alternating"
+    if fit.diagnostics["optimizer"] == "gauss-newton":
+        f_alt = alternated.objective_value
+        assert fit.objective_value <= f_alt + 1e-9 * max(1.0, abs(f_alt))
+
+
+def test_non_finite_trial_point_is_rejected(monkeypatch):
+    # a NaN objective at the first trial point must halve the step, not be
+    # accepted: NaN > f is False, so it would pass a plain comparison
+    obs, om, basis = _growth_problem(30)
+    spec, pen = gbm_beta_spec(0.5, 1.0), PenaltySpec(lam=100.0)
+    reference, _ = collocation_fit(obs, om, spec, basis, pen)
+    objective, thetas = CollocationProblem.objective, []
+
+    def nan_at_first_trial(self, c, theta):
+        thetas.append(float(theta[0]))
+        if len([t for t in thetas if t != 0.5]) == 1:  # the first point away from the start
+            return np.nan
+        return objective(self, c, theta)
+    monkeypatch.setattr(CollocationProblem, "objective", nan_at_first_trial)
+    fit, _ = collocation_fit(obs, om, spec, basis, pen)
+    poisoned = next(i for i, t in enumerate(thetas) if t != 0.5)
+    assert thetas[poisoned + 1] == pytest.approx(0.5 + 0.5 * (thetas[poisoned] - 0.5), rel=1e-12)
+    assert fit.diagnostics["optimizer"] == "gauss-newton" and np.isfinite(fit.objective_value)
+    assert fit.objective_value <= reference.objective_value + 1e-9 * abs(reference.objective_value)
+    assert fit.theta_hat[0] == pytest.approx(reference.theta_hat[0], rel=1e-8)
