@@ -38,27 +38,25 @@ def prepare_record(dts, x, y, z: np.ndarray) -> tuple:
     dts, x, y = dts[:, None], x[:, None], y[:, None]
     delta = dts / (z.shape[2] + 1)
     z = np.ascontiguousarray(np.moveaxis(z, 2, 0))  # (m_sub - 1, n_pairs, J)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fracs = delta / (dts - np.arange(len(z))[:, None, None] * delta)
-        const = sum(0.5 * (np.log(1.0 - f) + z_k * z_k) for f, z_k in zip(fracs, z))
-        w = np.sqrt(delta * (1.0 - fracs)) * z
+    fracs = delta / (dts - np.arange(len(z))[:, None, None] * delta)
+    const = sum(0.5 * (np.log(1.0 - f) + z_k * z_k) for f, z_k in zip(fracs, z))
+    w = np.sqrt(delta * (1.0 - fracs)) * z
     return x, y, delta, fracs, w, const
 
 
 def record_logdensities(spec: DiffusionSpec, theta, record: tuple) -> np.ndarray:
     """Estimates of log p_theta for the pairs of a ``prepare_record`` record."""
     u, y, delta, fracs, w, logw = record
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for frac, w_k in zip(fracs, w):
-            sig = np.asarray(spec.diffusion(u, theta), dtype=float)
-            mu = np.asarray(spec.drift(u, theta), dtype=float)
-            d = (y - u) * frac + np.abs(sig) * w_k
-            r = d - mu * delta
-            logw = logw - r * r / (2.0 * sig**2 * delta)
-            u = u + d
+    for frac, w_k in zip(fracs, w):
         sig = np.asarray(spec.diffusion(u, theta), dtype=float)
         mu = np.asarray(spec.drift(u, theta), dtype=float)
-        logw += normal_logpdf(y, u + mu * delta, sig**2 * delta)
+        d = (y - u) * frac + np.abs(sig) * w_k
+        r = d - mu * delta
+        logw = logw - r * r / (2.0 * sig**2 * delta)
+        u = u + d
+    sig = np.asarray(spec.diffusion(u, theta), dtype=float)
+    mu = np.asarray(spec.drift(u, theta), dtype=float)
+    logw += normal_logpdf(y, u + mu * delta, sig**2 * delta)
 
     logw = np.where(np.isnan(logw), -np.inf, logw)
     degenerate = ~np.any(logw > -np.inf, axis=1)

@@ -22,7 +22,7 @@ from . import acceptance
 from .adequacy import DEFAULT_K, envelope_check, synthetic_replicates
 from .collocation import BasisConfig, PenaltySpec, collocation_fit
 from .config import OPTIONS, load_config, typed_options
-from .errors import ConfigError, DataFormatError, DriftlabError, InsufficientDataError
+from .errors import ConfigError, DataFormatError, DriftlabError, InsufficientDataError, _fp_policy
 from .estimating import EstimatingFunction, ee_solve, raw_moment_psi
 from .likelihood import BridgeDensity, GbmDensity, OuDensity, mle_fit
 from .ioutil import atomic_write_text, write_json
@@ -307,6 +307,7 @@ _DISPATCH = {
 }
 
 
+@_fp_policy()  # overflow at numerical extremes ends in a typed error or a result
 def cli_run(argv) -> int:
     parser = build_parser()
     try:
@@ -324,10 +325,7 @@ def cli_run(argv) -> int:
             flag = getattr(ns, key.replace("-", "_"))
             if flag is not None:
                 options[key] = flag
-        # overflow at numerical extremes ends in a typed error or a result,
-        # never in a raw numpy warning on stderr
-        with np.errstate(all="ignore"):
-            return _DISPATCH[ns.command](typed_options(ns.command, options))
+        return _DISPATCH[ns.command](typed_options(ns.command, options))
     except (ConfigError, DriftlabError, ValueError, OSError) as exc:
         print(f"driftlab {ns.command}: error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.interpolate import BSpline
 from scipy.optimize import minimize
 
-from .errors import DataFormatError, InvalidStartError, WeightSingularityError
+from .errors import DataFormatError, InvalidStartError, WeightSingularityError, _fp_policy
 from .likelihood import descend, nelder_mead
 from .models import DiffusionSpec
 from .observe import NoisyObservationSet, ObservationModel
@@ -229,15 +229,9 @@ class CollocationProblem:
         return np.concatenate([grad_c, scaled[:, k:].T @ (root_w * resid)]), hess
 
     def gauss_newton_step(self, v) -> np.ndarray:
-        """-H^-1 g at v; a non-finite step or a zero sigma raises LinAlgError."""
-        try:
-            grad, hess = self.gauss_newton_system(v)
-        except WeightSingularityError as exc:  # at a theta probe
-            raise np.linalg.LinAlgError(str(exc)) from exc
-        step = -np.linalg.solve(hess, grad)
-        if not np.all(np.isfinite(step)):
-            raise np.linalg.LinAlgError("non-finite Gauss-Newton step")
-        return step
+        """-H^-1 g at v; ``descend`` stalls on a zero sigma or a non-finite step."""
+        grad, hess = self.gauss_newton_system(v)
+        return -np.linalg.solve(hess, grad)
 
 
 def _state_slope(f, x: np.ndarray) -> np.ndarray:
@@ -254,22 +248,23 @@ def _state_slope(f, x: np.ndarray) -> np.ndarray:
     return (vals[:len(x)] - vals[len(x):]) / step
 
 
+@_fp_policy()
 def collocation_fit(obs: NoisyObservationSet, om: ObservationModel, spec: DiffusionSpec,
                     basis: BasisConfig, pen: PenaltySpec,
                     max_outer: int = 200) -> tuple:
     """Minimize the penalized objective jointly over (c, theta).
 
-    Under Gaussian noise: damped ``gauss_newton_step``s, at most min(max_outer,
-    100), a non-finite objective or a zero sigma counting as +inf.  Otherwise,
-    or if they stall, from the same start: an inner quasi-Newton pass over the
-    spline coefficients alternating with a simplex pass over theta until the
-    objective decrease drops below OUTER_TOL (or ``max_outer`` outer iterations
-    pass, reported as ``converged=False``).  Returns (FitResult, fitted Path);
-    the Path carries the fitted trajectory and its time derivative as two
-    columns, and the diagnostics record the ``optimizer`` ("gauss-newton" or
-    "alternating"), the data and penalty terms, and the L-BFGS-B iterations
-    (``inner_iterations``) and gradients (``gradient_evaluations``), both the
-    step count after Gauss-Newton.
+    Under Gaussian noise: ``descend`` by ``gauss_newton_step``s, at most
+    min(max_outer, 100), a non-finite objective or a zero sigma counting as
+    +inf.  Otherwise, or if that pass stalls, from the same start: an inner
+    quasi-Newton pass over the spline coefficients alternating with a simplex
+    pass over theta until the objective decrease drops below OUTER_TOL (or
+    ``max_outer`` outer iterations pass, reported as ``converged=False``).
+    Returns (FitResult, fitted Path); the Path carries the fitted trajectory
+    and its time derivative as two columns, and the diagnostics record the
+    ``optimizer`` ("gauss-newton" or "alternating"), the data and penalty
+    terms, and the L-BFGS-B iterations (``inner_iterations``) and gradients
+    (``gradient_evaluations``), both the step count after Gauss-Newton.
 
     The start is the ridge least-squares smoother of the first observation
     column, ignoring the penalty (identity-link start), with theta at
@@ -300,9 +295,8 @@ def collocation_fit(obs: NoisyObservationSet, om: ObservationModel, spec: Diffus
     converged, optimizer = False, "alternating"
     outer = inner_iterations = gradient_evaluations = 0
     if om.kind == "gaussian":
-        with np.errstate(all="ignore"):
-            v, f, nit, ok = descend(joint, prob.gauss_newton_step, np.concatenate([c, theta]),
-                                    max_steps=min(max_outer, 100))
+        v, f, nit, ok = descend(joint, prob.gauss_newton_step, np.concatenate([c, theta]),
+                                max_steps=min(max_outer, 100))
         if ok:
             c, theta, current, converged, optimizer = v[:k], v[k:], f, True, "gauss-newton"
             outer = inner_iterations = gradient_evaluations = nit

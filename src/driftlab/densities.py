@@ -43,7 +43,7 @@ def logsumexp(a, axis=None):
     a_max = a.max(axis, keepdims=True)
     if np.isfinite(a_max).all():
         out = _shifted_log_sum(a, a_max, axis)
-    else:
+    else:  # its own errstate: a public kernel, called directly with +-inf
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = _shifted_log_sum(a, a_max, axis)
             direct = np.log(np.exp(a).sum(axis, keepdims=True))

@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and its one floating-point policy."""
+
+from contextlib import contextmanager
+
+import numpy as np
 
 
 class DriftlabError(Exception):
@@ -86,3 +90,12 @@ class NonFiniteTermError(DriftlabError):
 
 class ConfigError(DriftlabError):
     """Invalid run configuration (unknown keys, missing files, bad values)."""
+
+
+@contextmanager
+def _fp_policy():
+    """The entry points' floating-point policy, ``@_fp_policy()``: numpy's events are
+    ignored and each result checks its own inf or NaN.  As a decorator it opens a fresh
+    np.errstate per call, since numpy 1.x's keeps the state it saves on the instance."""
+    with np.errstate(all="ignore"):
+        yield

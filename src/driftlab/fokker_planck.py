@@ -14,8 +14,8 @@ blocks stay independent.  A is LU-factored once per call (LAPACK ``dgttrf``).
 The right-hand operator I + (tau_k / 2) L is 2I - A, so each time step is one
 ``dgttrs`` solve and one axpy, p <- 2 A^-1 p - p.  The factorisation and the
 elimination order are those of a per-pair tridiagonal solve, so each pair's
-density does not depend on which other pairs share the call.
-``fokker_planck_transition_density`` is the one-pair view.
+density does not depend on which other pairs share the call.  ``report_rows``
+checks any solved rows; ``fokker_planck_transition_density`` is the one-pair view.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class FokkerPlanckResult:
     density: np.ndarray
     mass: float
     boundary_warning: str | None = None
-    min_raw_density: float = 0.0
 
 
 def check_time_steps(n_time_steps) -> None:
@@ -159,25 +158,26 @@ def fokker_planck_solve(spec: DiffusionSpec, dts, x, y_grid,
     return p
 
 
+def report_rows(rows: np.ndarray, y: np.ndarray) -> list:
+    """A FokkerPlanckResult per solved row (n_pairs, n_nodes) on grid ``y``: the row
+    clipped at zero, its trapezoid mass and a warning (or None) of boundary truncation
+    (a density at or next to an edge over 1e-12), else of mass leakage (|mass - 1| > 1e-3)."""
+    p = np.clip(rows, 0.0, None)
+    results = []
+    for row, mass in zip(p, np.trapezoid(p, y, axis=-1)):
+        warning = None
+        if row[[0, 1, -2, -1]].max() > BOUNDARY_DENSITY_TOL:
+            warning = ("boundary truncation: final density at the grid edge exceeds "
+                       f"{BOUNDARY_DENSITY_TOL:g}; widen y_grid")
+        elif abs(mass - 1.0) > 1e-3:
+            warning = f"mass leakage: trapezoid integral {mass:.6f} is off by more than 1e-3"
+        results.append(FokkerPlanckResult(y, row, float(mass), warning))
+    return results
+
+
 def fokker_planck_transition_density(spec: DiffusionSpec, dt: float, x: float,
                                      y_grid, n_time_steps: int = 200) -> FokkerPlanckResult:
-    """Density of X_{dt} given X_0 = x, evaluated on ``y_grid``.
-
-    ``y_grid`` must have at least 50 cells and span essentially all of the
-    transition mass; a boundary-truncation warning is attached when the final
-    boundary densities exceed 1e-12.  Negative round-off values are clipped
-    to zero on report.
-    """
+    """Density of X_{dt} given X_0 = x on ``y_grid``, reported by ``report_rows``.
+    ``y_grid`` must have at least 50 cells and span essentially all of the mass."""
     y = np.asarray(y_grid, dtype=float)
-    p = fokker_planck_solve(spec, [dt], [x], y, n_time_steps)[0]
-    min_raw = float(p.min())
-    p = np.clip(p, 0.0, None)
-    mass = float(np.trapezoid(p, y))
-    warning = None
-    if max(p[0], p[-1], abs(p[1]), abs(p[-2])) > BOUNDARY_DENSITY_TOL:
-        warning = ("boundary truncation: final density at the grid edge exceeds "
-                   f"{BOUNDARY_DENSITY_TOL:g}; widen y_grid")
-    elif abs(mass - 1.0) > 1e-3:
-        warning = f"mass leakage: trapezoid integral {mass:.6f} is off by more than 1e-3"
-    return FokkerPlanckResult(y_grid=y, density=p, mass=mass,
-                              boundary_warning=warning, min_raw_density=min_raw)
+    return report_rows(fokker_planck_solve(spec, [dt], [x], y, n_time_steps), y)[0]

@@ -27,6 +27,7 @@ from .errors import (
     InvalidStartError,
     NonFiniteTermError,
     UnsupportedDimensionError,
+    _fp_policy,
 )
 from .fokker_planck import check_time_steps, fokker_planck_solve, require_per_pair
 from .models import DiffusionSpec, GbmParams, OuParams
@@ -57,6 +58,7 @@ class TransitionDensity:
     def record_terms(self, dts, x, y):
         raise NotImplementedError
 
+    @_fp_policy()
     def logdensities(self, dts, x, y) -> np.ndarray:
         return self.record_terms(dts, x, y)(self.theta)
 
@@ -205,15 +207,14 @@ class BridgeDensity(_SpecDensity):
             self.spec, np.atleast_1d(np.asarray(theta, dtype=float)), record)
 
 
+@_fp_policy()
 def discrete_loglikelihood(td: TransitionDensity, obs: ObservationSet) -> float:
     """Sum of transition log-densities over consecutive observation pairs.
 
     The first observation is conditioned on and contributes no term.  A
     non-finite term raises NonFiniteTermError naming the offending pair.
     """
-    record_terms = td.record_terms(*obs.pairs())
-    with np.errstate(all="ignore"):
-        return _loglik_at(record_terms, td.theta)
+    return _loglik_at(td.record_terms(*obs.pairs()), td.theta)
 
 
 def bridge_loglikelihood(spec: DiffusionSpec, obs: ObservationSet, m_sub: int,
@@ -223,7 +224,7 @@ def bridge_loglikelihood(spec: DiffusionSpec, obs: ObservationSet, m_sub: int,
 
 
 def _loglik_at(record_terms, theta) -> float:
-    """Sum of the terms at theta, under the caller's ``np.errstate``.  Only a
+    """Sum of the terms at theta, under the entry point's floating-point policy.  Only a
     non-finite sum is searched: NonFiniteTermError names the first non-finite
     term, and finite terms whose sum overflows return it (+-inf)."""
     terms = record_terms(theta)
@@ -336,16 +337,19 @@ def _score_and_fisher(moments, z, mask):
 def descend(fun, step_at, z0, max_steps=100):
     """Minimize ``fun`` from working point z0 by steps ``step_at(z)``, each halved
     until ``fun`` does not rise; returns (z, f, nit, ok), ok once an accepted step
-    moves each coordinate by at most 1e-9 * max(|z|, 1).  A raising step_at (singular
-    matrix, theta outside the model), halving below 1e-10 or max_steps steps end it."""
+    moves each coordinate by at most 1e-9 * max(|z|, 1).  It stalls (ok False) on a step
+    that raises (LinAlgError, DriftlabError, ValueError) or is not finite, on halving below
+    1e-10 and after max_steps steps, the one safeguard of Dennis & Schnabel (1983, ch. 6)."""
     z, f = z0, fun(z0)
     for nit in range(1, max_steps + 1):
         try:
             step = step_at(z)
-        except (np.linalg.LinAlgError, DegenerateDensityError, ValueError):
+        except (np.linalg.LinAlgError, DriftlabError, ValueError):
+            break
+        if not np.all(np.isfinite(step)):
             break
         t = 1.0
-        while (f_new := fun(z + t * step)) > f:  # a non-finite step never stops rising
+        while (f_new := fun(z + t * step)) > f:
             t *= 0.5
             if t < 1e-10:
                 return z, f, nit, False
@@ -365,14 +369,11 @@ def fisher_step(moments, mask, z):
 def newton_step(fun, z):
     """Newton's -H^-1 g for ``fun`` at z, g and H central differences at 1e-4 *
     max(|z|, 1) whose eigenvalues enter as |lambda| floored at 1e-8 * max |lambda|,
-    so it descends off the convex region too; a non-finite step raises LinAlgError."""
+    so it descends off the convex region too; ``descend`` judges a non-finite step."""
     grad, hess = _central_differences(lambda dz: fun(z + dz), fun(z),
                                       1e-4 * np.maximum(np.abs(z), 1.0))
     lam, vec = np.linalg.eigh(hess)
-    step = -vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), 1e-8 * np.max(np.abs(lam))))
-    if not np.all(np.isfinite(step)):
-        raise np.linalg.LinAlgError("non-finite Newton step")
-    return step
+    return -vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), 1e-8 * np.max(np.abs(lam))))
 
 
 def _central_differences(f, f0, h):
@@ -418,6 +419,7 @@ def _hessian_stderr(loglik, theta_hat, positive_mask):
     return np.sqrt(diag) * np.where(log_scaled, theta_hat, 1.0), log_scaled
 
 
+@_fp_policy()
 def mle_fit(td: TransitionDensity, obs: ObservationSet, init_theta, seed: int = 0,
             compute_stderr: bool = True) -> FitResult:
     """Maximize the discrete-observation log-likelihood over the free parameters.
@@ -426,9 +428,8 @@ def mle_fit(td: TransitionDensity, obs: ObservationSet, init_theta, seed: int = 
     ``descend`` with a ``fisher_step`` for a Gaussian density, and for any
     other (bridge, Fokker-Planck) with a ``newton_step``: central differences
     at 1e-4 * max(|z|, 1), Hessian eigenvalues as |lambda| >= 1e-8 max |lambda|.
-    A stalled pass (singular or non-finite step, a step halved below 1e-10,
-    100 steps) hands over to ``minimize_simplex`` from the same start.
-    Non-convergence is reported through ``converged=False``; a non-finite
+    A stalled pass hands over to ``minimize_simplex`` from the same start;
+    non-convergence is reported through ``converged=False``.  A non-finite
     objective at the start raises InvalidStartError, and fewer observation
     pairs than free parameters raises InsufficientDataError.  Standard errors
     whose probes raise a DriftlabError are None.
@@ -460,34 +461,32 @@ def mle_fit(td: TransitionDensity, obs: ObservationSet, init_theta, seed: int = 
             seen[key] = -val if math.isfinite(val) else np.inf
         return seen[key]
 
-    with np.errstate(all="ignore"):
-        try:
-            f0 = neg(z0)
-        except DegenerateImportanceError as exc:  # the bridge's name for a non-finite start
-            raise InvalidStartError(
-                f"log-likelihood non-finite at init_theta={init_theta}") from exc
-        if not np.isfinite(f0):
-            raise InvalidStartError(f"log-likelihood non-finite at init_theta={init_theta}")
-        k = len(init_theta)
-        if len(obs) - 1 < k:
-            raise InsufficientDataError(f"mle needs at least {k} observation pairs for "
-                                        f"{k} free parameters, got {len(obs) - 1}")
+    try:
+        f0 = neg(z0)
+    except DegenerateImportanceError as exc:  # the bridge's name for a non-finite start
+        raise InvalidStartError(f"log-likelihood non-finite at init_theta={init_theta}") from exc
+    if not np.isfinite(f0):
+        raise InvalidStartError(f"log-likelihood non-finite at init_theta={init_theta}")
+    k = len(init_theta)
+    if len(obs) - 1 < k:
+        raise InsufficientDataError(f"mle needs at least {k} observation pairs for "
+                                    f"{k} free parameters, got {len(obs) - 1}")
 
-        step = partial(fisher_step, prepared[0], mask) if gaussian else partial(newton_step, neg)
-        z_hat, fval, nit, ok = descend(neg, step, z0)
-        optimizer = ("fisher-scoring" if gaussian else "newton") if ok else "nelder-mead"
-        if not ok:  # the pass stalled: the simplex, from the same start
-            z_hat, fval, nit, ok = minimize_simplex(neg, z0)
-        theta_hat = from_working(z_hat, mask)
-        diagnostics = {"optimizer": optimizer, "kind": td.kind}
-        stderr = None
-        if compute_stderr:
-            try:
-                stderr, log_scaled = _hessian_stderr(loglik, theta_hat, mask)
-            except DriftlabError:
-                log_scaled = ()
-            if np.any(log_scaled):
-                diagnostics["stderr_log_scale"] = [bool(v) for v in log_scaled]
+    step = partial(fisher_step, prepared[0], mask) if gaussian else partial(newton_step, neg)
+    z_hat, fval, nit, ok = descend(neg, step, z0)
+    optimizer = ("fisher-scoring" if gaussian else "newton") if ok else "nelder-mead"
+    if not ok:  # the pass stalled: the simplex, from the same start
+        z_hat, fval, nit, ok = minimize_simplex(neg, z0)
+    theta_hat = from_working(z_hat, mask)
+    diagnostics = {"optimizer": optimizer, "kind": td.kind}
+    stderr = None
+    if compute_stderr:
+        try:
+            stderr, log_scaled = _hessian_stderr(loglik, theta_hat, mask)
+        except DriftlabError:
+            log_scaled = ()
+        if np.any(log_scaled):
+            diagnostics["stderr_log_scale"] = [bool(v) for v in log_scaled]
     return FitResult(
         theta_hat=theta_hat,
         objective_value=-fval,

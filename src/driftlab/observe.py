@@ -101,22 +101,18 @@ class ObservationModel:
             raise DataFormatError(f"the observation link maps {len(states)} states to "
                                   f"means of shape {m.shape}, not (n_states, p)")
         u = (y - m) / self.scale
-        with np.errstate(over="ignore"):
-            if self.kind == "gaussian":
-                lp = -0.5 * u**2 - 0.5 * np.log(2.0 * np.pi) - np.log(self.scale)
-            else:
-                nu = self.dof
-                lp = (gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0)
-                      - 0.5 * np.log(nu * np.pi) - np.log(self.scale)
-                      - (nu + 1.0) / 2.0 * np.log1p(u**2 / nu))
+        if self.kind == "gaussian":
+            lp = -0.5 * u**2 - 0.5 * np.log(2.0 * np.pi) - np.log(self.scale)
+        else:
+            nu = self.dof
+            lp = (gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0)
+                  - 0.5 * np.log(nu * np.pi) - np.log(self.scale)
+                  - (nu + 1.0) / 2.0 * np.log1p(u**2 / nu))
         return lp.sum(axis=1)
 
     def loglik(self, y, states: np.ndarray) -> np.ndarray:
-        """Log f(y | x) for each state row; y is one observation.
-
-        Far-tail evaluations may overflow to -inf, which is the correct
-        degenerate-weight value for the filter.
-        """
+        """Log f(y | x) for each state row; y is one observation.  A far tail
+        overflows to -inf, the filter's degenerate weight, silently under ``_fp_policy``."""
         return self._loglik_rows(np.atleast_1d(np.asarray(y, dtype=float))[None, :], states)
 
     def loglik_series(self, y: np.ndarray, states: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .densities import logsumexp
-from .errors import FilterDegenerateError, SimulationDivergedError
+from .errors import FilterDegenerateError, SimulationDivergedError, _fp_policy
 from .ioutil import seed_key
 from .models import DiffusionSpec
 from .observe import NoisyObservationSet, ObservationModel
@@ -78,6 +78,7 @@ class FilterResult:
         }
 
 
+@_fp_policy()
 def particle_filter(model, om: ObservationModel, obs: NoisyObservationSet,
                     n_particles: int, substeps: int = 1, seed: int = 0) -> FilterResult:
     """Bootstrap filter returning the log-likelihood estimate, the filtered

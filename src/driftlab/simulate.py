@@ -29,7 +29,7 @@ def euler_advance(spec: DiffusionSpec, x, dts, z: np.ndarray, out=None) -> np.nd
     sqdts = np.sqrt(dts)
     if out is not None:
         out[0] = x
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # propagates inf and NaN to any caller
         for k in range(len(z)):
             x = x + spec.drift_at(x) * dts[k] + spec.diffusion_at(x) * sqdts[k] * z[k]
             if out is not None:
@@ -116,7 +116,7 @@ def simulate_tv_growth(ou: OuParams, x0: float, grid: TimeGrid, seed) -> tuple:
     dt = grid.dt
     x = np.empty(grid.n_steps + 1)
     x[0] = x0
-    with np.errstate(over="raise"):
+    with np.errstate(over="raise"):  # control flow: names the step k that overflows
         for k in range(grid.n_steps):
             try:
                 x[k + 1] = x[k] * np.exp(b[k] * dt)

@@ -15,6 +15,7 @@ from driftlab.fokker_planck import (
     _spatial_operator,
     fokker_planck_solve,
     fokker_planck_transition_density,
+    report_rows,
 )
 from driftlab.likelihood import FokkerPlanckDensity, mle_fit
 from driftlab.models import DiffusionSpec, GbmParams, gbm_beta_spec, gbm_spec
@@ -47,7 +48,7 @@ def test_density_nonnegative_and_clipping_small():
     grid = np.linspace(-6.0, 6.0, 801)
     res = fokker_planck_transition_density(BM, 0.25, 0.3, grid)
     assert np.all(res.density >= 0.0)
-    assert res.min_raw_density >= -1e-9
+    assert fokker_planck_solve(BM, [0.25], [0.3], grid)[0].min() >= -1e-9
 
 
 def test_coarse_grid_rejected():
@@ -63,6 +64,20 @@ def test_x_outside_grid_rejected():
 def test_truncation_warning_on_narrow_grid():
     res = fokker_planck_transition_density(BM, 0.5, 0.0, np.linspace(-1.0, 1.0, 101))
     assert res.boundary_warning is not None
+
+
+def test_report_rows_checks_each_row_of_a_batched_solve():
+    # the pair started near the edge truncates, the short one stays inside, and
+    # every row reports exactly as its one-pair view does
+    grid = np.linspace(-2.0, 2.0, 201)
+    dts, xs = [0.5, 0.05], [1.5, 0.0]
+    reports = report_rows(fokker_planck_solve(BM, dts, xs, grid), grid)
+    assert reports[0].boundary_warning.startswith("boundary truncation")
+    assert reports[1].boundary_warning is None
+    for report, dt, x in zip(reports, dts, xs):
+        one = fokker_planck_transition_density(BM, dt, x, grid)
+        assert np.array_equal(report.density, one.density) and report.mass == one.mass
+        assert report.boundary_warning == one.boundary_warning
 
 
 def test_grid_refinement_converges():
@@ -168,7 +183,7 @@ def test_stacked_solve_equals_per_pair_solves(batch, steps):
     for k, (dt, x) in enumerate(zip(dts, xs)):
         one = fokker_planck_transition_density(spec, dt, x, grid, n_time_steps=steps)
         assert np.array_equal(np.clip(rows[k], 0.0, None), one.density)
-        assert rows[k].min() == one.min_raw_density
+        assert np.array_equal(rows[k], fokker_planck_solve(spec, [dt], [x], grid, steps)[0])
         assert np.array_equal(rows[k], _banded_reference(spec, dt, x, grid, steps))
         two = _banded_reference(spec, dt, x, grid, steps, two_matrix=True)
         assert np.max(np.abs(rows[k] - two)) <= 1e-12 * np.max(np.abs(two))

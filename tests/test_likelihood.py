@@ -13,6 +13,8 @@ from driftlab.errors import (
     InvalidStartError,
     NonFiniteTermError,
     UnsupportedDimensionError,
+    WeightSingularityError,
+    _fp_policy,
 )
 from driftlab.likelihood import (
     BridgeDensity,
@@ -25,6 +27,7 @@ from driftlab.likelihood import (
     _hessian_stderr,
     _loglik_at,
     _score_and_fisher,
+    descend,
     discrete_loglikelihood,
     from_working,
     minimize_simplex,
@@ -706,3 +709,33 @@ def test_non_finite_newton_probes_fall_back_to_the_simplex_fit():
     assert fit.diagnostics["optimizer"] == "nelder-mead"
     assert fit.theta_hat.tobytes() == z.tobytes()
     assert (fit.objective_value, fit.iterations, fit.converged) == (-f, nit, ok)
+
+
+def _singular_step(z):
+    raise WeightSingularityError("sigma(x, theta) = 0 at a quadrature node; cannot weight")
+
+
+@pytest.mark.parametrize("step_at", [_singular_step, lambda z: np.array([np.nan])],
+                         ids=["raises", "non-finite"])
+def test_a_failed_step_ends_descend_at_once_as_a_stall(step_at):
+    calls = []
+
+    def fun(z):
+        calls.append(z.copy())
+        return float(z @ z)
+
+    z0 = np.array([2.0])
+    z, f, nit, ok = descend(fun, step_at, z0)
+    assert z is z0 and (f, nit, ok) == (4.0, 1, False)
+    assert len(calls) == 1
+
+
+def test_the_floating_point_policy_nests_and_restores_numpy_state():
+    # each call opens its own errstate, so nested entry points leave the state as found
+    seen = []
+    inner = _fp_policy()(lambda: seen.append(np.geterr()))
+    outer = _fp_policy()(lambda: (inner(), seen.append(np.geterr()), np.float64(1e308) * 10)[-1])
+    before = np.geterr()
+    assert outer() == np.inf
+    assert seen == [dict.fromkeys(before, "ignore")] * 2
+    assert np.geterr() == before

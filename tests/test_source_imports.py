@@ -11,9 +11,14 @@ collocation's theta pass call it on every fit.
 
 Every name the package exports is used by the package, its scripts or its
 benchmark, so no public function is kept alive by tests alone.
+
+numpy's floating-point state is set in one place: ``errors._fp_policy``, which
+the package's entry points apply.  Kernels set none of their own, apart from
+the few listed below with their reasons.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -23,6 +28,24 @@ SRC = ROOT / "src" / "driftlab"
 UNUSED_EXPORTS_KEPT = {
     # the unit-quadratic-variation check of the planned Lamperti-space bridge
     "quadratic_variation",
+}
+
+# the np.errstate calls allowed in src, by (module, enclosing function), each with its reason
+ERRSTATE_CALLS_ALLOWED = {
+    ("errors.py", "_fp_policy"): "the floating-point policy itself: every event ignored",
+    ("densities.py", "logsumexp"): "pinned bit for bit to scipy's, and called directly with +-inf",
+    ("simulate.py", "euler_advance"): "propagates non-finite states to any caller, by its contract",
+    ("simulate.py", "simulate_tv_growth"): 'over="raise" is control flow: it names the step k',
+}
+
+# the entry points that apply ``errors._fp_policy``, by module
+POLICY_ENTRY_POINTS = {
+    ("cli.py", "cli_run"),
+    ("likelihood.py", "mle_fit"),
+    ("likelihood.py", "discrete_loglikelihood"),
+    ("likelihood.py", "logdensities"),  # TransitionDensity's
+    ("collocation.py", "collocation_fit"),
+    ("particle.py", "particle_filter"),
 }
 
 
@@ -166,3 +189,54 @@ def test_kept_exports_are_still_exported_and_unused():
     # stops exporting, leaves the list
     assert UNUSED_EXPORTS_KEPT <= _package_exports()
     assert not UNUSED_EXPORTS_KEPT & _names_read_by_programs()
+
+
+def _errstate_calls(tree):
+    """The enclosing function name (None at module level) of every call to
+    ``errstate`` or ``seterr``, as ``np.errstate(...)`` or a bare ``errstate(...)``."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("errstate", "seterr"):
+                    found.append(function)
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_policy_and_the_listed_kernels_set_numpy_error_state():
+    calls = [(name, function) for name, tree in _trees().items()
+             for function in _errstate_calls(tree)]
+    assert Counter(calls) == Counter(ERRSTATE_CALLS_ALLOWED.keys()), (
+        "set numpy's floating-point state through errors._fp_policy at an entry point, "
+        f"not in a kernel: {calls}")
+
+
+def test_each_entry_point_applies_the_policy():
+    trees = _trees()
+    applied = {(name, node.name) for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_fp_policy"
+                       for d in node.decorator_list)}
+    assert applied == POLICY_ENTRY_POINTS
+    assert any(isinstance(node, ast.FunctionDef) and node.name == "_fp_policy"
+               for node in trees["errors.py"].body)
+
+
+def test_the_errstate_check_catches_a_kernel_that_sets_its_own():
+    kernel = ("def record_logdensities(spec, theta, record):\n"
+              "    with np.errstate(divide='ignore'):\n"
+              "        return theta\n")
+    for text in (kernel, kernel.replace("np.errstate", "errstate"),
+                 kernel.replace("np.errstate(divide='ignore')", "np.seterr(all='ignore')")):
+        assert _errstate_calls(ast.parse(text)) == ["record_logdensities"], text
+    assert _errstate_calls(ast.parse("x = np.errstate(over='raise')")) == [None]
+    assert not _errstate_calls(ast.parse("def f():\n    return np.geterr()"))
