@@ -11,6 +11,7 @@ resulting log-likelihood, by Fisher scoring where the density is Gaussian
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import partial, reduce
 from operator import add
@@ -43,9 +44,12 @@ class TransitionDensity:
     pairs and prepares its theta-free work once (arrays, grids, frozen Monte
     Carlo draws), and returns theta -> the log-densities log p_theta(dts[i],
     x[i], y[i]) of every pair i in one call, so irregular times cost no extra calls.
+    One that also takes an (m, k) stack of thetas, returning (m, n_pairs) terms and -inf
+    for a pair that degenerates, sets ``stacks``; fits call others row by row.
     """
 
     kind: str
+    stacks = False
 
     @property
     def theta(self) -> np.ndarray:
@@ -198,13 +202,22 @@ class BridgeDensity(_SpecDensity):
     j_samples: int = 200
     seed: int = 0
     kind = "bridge_mc"
+    stacks = True
 
     def record_terms(self, dts, x, y):
         dts, x, y = densities.record_arrays(dts, x, y)
         record = bridge.prepare_record(dts, x, y, bridge.proposal_normals(
             len(dts), self.m_sub, self.j_samples, self.seed))
-        return lambda theta: bridge.record_logdensities(
-            self.spec, np.atleast_1d(np.asarray(theta, dtype=float)), record)
+        m = bridge.stack_size(self.spec, record)
+
+        def at(theta):
+            theta = np.atleast_1d(np.asarray(theta, dtype=float))
+            if theta.ndim == 1:
+                return bridge.record_logdensities(self.spec, theta, record)
+            return np.vstack([bridge.record_logdensities(
+                self.spec, theta[i:i + m] if m > 1 else theta[i], record)
+                for i in range(0, len(theta), m)])
+        return at
 
 
 @_fp_policy()
@@ -235,6 +248,23 @@ def _loglik_at(record_terms, theta) -> float:
             i = int(np.argmax(bad))
             raise NonFiniteTermError(i, float(terms[i]))
     return total
+
+
+def _logliks(record_terms, thetas, stacks) -> list:
+    """The log-likelihood at each row of an (m, k) stack of thetas, in one call where the
+    density ``stacks`` and m > 1: -inf where a row raises a DriftlabError or a ValueError
+    (a theta outside the model, say a scale whose exp underflowed to 0)."""
+    if stacks and len(thetas) > 1:
+        with suppress(DriftlabError, ValueError):  # else row by row, to find the rows that raise
+            return [float(terms.sum()) for terms in record_terms(thetas)]
+    return [_loglik(record_terms, theta) for theta in thetas]
+
+
+def _loglik(record_terms, theta) -> float:
+    try:
+        return float(record_terms(theta).sum())
+    except (DriftlabError, ValueError):
+        return -np.inf
 
 
 SIMPLEX_TOL = 1e-8  # Nelder-Mead fatol and xatol on the working scale
@@ -367,32 +397,37 @@ def fisher_step(moments, mask, z):
 
 
 def newton_step(fun, z):
-    """Newton's -H^-1 g for ``fun`` at z, g and H central differences at 1e-4 *
-    max(|z|, 1) whose eigenvalues enter as |lambda| floored at 1e-8 * max |lambda|,
-    so it descends off the convex region too; ``descend`` judges a non-finite step."""
-    grad, hess = _central_differences(lambda dz: fun(z + dz), fun(z),
+    """Newton's -H^-1 g for ``fun``, a function of an (m, k) stack of points, at z: g and
+    H central differences at 1e-4 * max(|z|, 1) whose eigenvalues enter as |lambda|
+    floored at 1e-8 * max |lambda|, so it descends off the convex region too;
+    ``descend`` judges a non-finite step."""
+    grad, hess = _central_differences(lambda dz: fun(z + dz), fun(z[None])[0],
                                       1e-4 * np.maximum(np.abs(z), 1.0))
     lam, vec = np.linalg.eigh(hess)
     return -vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), 1e-8 * np.max(np.abs(lam))))
 
 
 def _central_differences(f, f0, h):
-    """Gradient and Hessian at 0 of f(offsets), f0 = f(0), by central differences
-    with steps h: +-h_i e_i give the gradient and diagonal, four corners the rest."""
+    """Gradient and Hessian at 0 of f, f0 = f at 0, by central differences with steps h:
+    +-h_i e_i give the gradient and diagonal, four corners the rest, all in one call of f."""
     k, e = len(h), np.diag(h)
+    corners = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    vals = iter(f(np.array([d for i in range(k) for d in (e[i], -e[i])]
+                           + [d for i, j in corners
+                              for d in (e[i] + e[j], e[i] - e[j], -e[i] + e[j], -e[i] - e[j])])))
     grad, hess = np.empty(k), np.empty((k, k))
     for i in range(k):
-        f_up, f_dn = f(e[i]), f(-e[i])
+        f_up, f_dn = next(vals), next(vals)
         grad[i] = (f_up - f_dn) / (2.0 * h[i])
         hess[i, i] = (f_up - 2.0 * f0 + f_dn) / h[i] ** 2
-        for j in range(i + 1, k):
-            hess[i, j] = hess[j, i] = (f(e[i] + e[j]) - f(e[i] - e[j]) - f(-e[i] + e[j])
-                                       + f(-e[i] - e[j])) / (4.0 * h[i] * h[j])
+    for i, j in corners:  # (f(++) - f(+-) - f(-+) + f(--)) / (4 h_i h_j)
+        hess[i, j] = hess[j, i] = (next(vals) - next(vals) - next(vals)
+                                   + next(vals)) / (4.0 * h[i] * h[j])
     return grad, hess
 
 
-def _hessian_stderr(loglik, theta_hat, positive_mask):
-    """Standard errors from the observed information (central differences).
+def _hessian_stderr(logliks, theta_hat, positive_mask):
+    """Standard errors from the observed information (central differences) of ``logliks``.
 
     Probes step by 1e-4 * max(|theta|, 1).  A positive parameter at or below
     1e-4, which that step would push out of its domain, is differenced on the
@@ -405,10 +440,11 @@ def _hessian_stderr(loglik, theta_hat, positive_mask):
 
     def f(offsets):
         u = u_hat + offsets
-        u[log_scaled] = np.exp(u[log_scaled])
-        return loglik(u)
+        u[:, log_scaled] = np.exp(u[:, log_scaled])
+        return logliks(u)
 
-    _, hess = _central_differences(f, loglik(theta_hat), 1e-4 * np.maximum(np.abs(u_hat), 1.0))
+    _, hess = _central_differences(f, logliks(theta_hat[None])[0],
+                                   1e-4 * np.maximum(np.abs(u_hat), 1.0))
     try:
         cov = np.linalg.inv(-hess)
     except np.linalg.LinAlgError:
@@ -431,8 +467,9 @@ def mle_fit(td: TransitionDensity, obs: ObservationSet, init_theta, seed: int = 
     A stalled pass hands over to ``minimize_simplex`` from the same start;
     non-convergence is reported through ``converged=False``.  A non-finite
     objective at the start raises InvalidStartError, and fewer observation
-    pairs than free parameters raises InsufficientDataError.  Standard errors
-    whose probes raise a DriftlabError are None.
+    pairs than free parameters raises InsufficientDataError.  A trial point or
+    probe whose evaluation raises a DriftlabError counts as -inf, so standard
+    errors whose probes raise are None.
     """
     mask = np.array(td.positive_mask, dtype=bool)
     init_theta = np.atleast_1d(np.asarray(init_theta, dtype=float))
@@ -441,38 +478,36 @@ def mle_fit(td: TransitionDensity, obs: ObservationSet, init_theta, seed: int = 
     prepared = td.record_moments(*obs.pairs()) if gaussian else None
     record_terms = td.terms(*prepared) if gaussian else td.record_terms(*obs.pairs())
 
-    def loglik(theta):
-        try:
-            return _loglik_at(record_terms, theta)
-        except (NonFiniteTermError, DegenerateDensityError, ValueError):
-            return -np.inf  # or a theta outside the model: a scale exp underflowed to 0
-
-    seen = {}  # working point bytes -> objective: the simplex revisits points
+    logliks = partial(_logliks, record_terms, stacks=td.stacks)
+    cause = None
+    try:
+        f0 = -_loglik_at(record_terms, from_working(z0, mask))
+    except (NonFiniteTermError, DegenerateDensityError, DegenerateImportanceError,
+            ValueError) as exc:  # the bridge names a degenerate start: chained
+        f0, cause = np.inf, exc
+    if not math.isfinite(f0):
+        raise InvalidStartError(f"log-likelihood non-finite at init_theta={init_theta}") from cause
+    seen = {z0.tobytes(): f0}  # working point bytes -> objective: the simplex revisits points
 
     def neg(z):
         key = z.tobytes()
         if key not in seen:
-            try:
-                val = loglik(from_working(z, mask))
-            except DegenerateImportanceError:  # no bridge weight survived
-                if not seen:  # at the start: raised below as InvalidStartError
-                    raise
-                val = -np.inf
+            val = _loglik(record_terms, from_working(z, mask))
             seen[key] = -val if math.isfinite(val) else np.inf
         return seen[key]
 
-    try:
-        f0 = neg(z0)
-    except DegenerateImportanceError as exc:  # the bridge's name for a non-finite start
-        raise InvalidStartError(f"log-likelihood non-finite at init_theta={init_theta}") from exc
-    if not np.isfinite(f0):
-        raise InvalidStartError(f"log-likelihood non-finite at init_theta={init_theta}")
+    def negs(zs):  # a Newton step's probes: those not yet seen, in one call
+        new = [z for z in zs if z.tobytes() not in seen]
+        for z, val in zip(new, logliks(np.array([from_working(z, mask) for z in new]))):
+            seen[z.tobytes()] = -val if math.isfinite(val) else np.inf
+        return [neg(z) for z in zs]
+
     k = len(init_theta)
     if len(obs) - 1 < k:
         raise InsufficientDataError(f"mle needs at least {k} observation pairs for "
                                     f"{k} free parameters, got {len(obs) - 1}")
 
-    step = partial(fisher_step, prepared[0], mask) if gaussian else partial(newton_step, neg)
+    step = partial(fisher_step, prepared[0], mask) if gaussian else partial(newton_step, negs)
     z_hat, fval, nit, ok = descend(neg, step, z0)
     optimizer = ("fisher-scoring" if gaussian else "newton") if ok else "nelder-mead"
     if not ok:  # the pass stalled: the simplex, from the same start
@@ -482,7 +517,7 @@ def mle_fit(td: TransitionDensity, obs: ObservationSet, init_theta, seed: int = 
     stderr = None
     if compute_stderr:
         try:
-            stderr, log_scaled = _hessian_stderr(loglik, theta_hat, mask)
+            stderr, log_scaled = _hessian_stderr(logliks, theta_hat, mask)
         except DriftlabError:
             log_scaled = ()
         if np.any(log_scaled):

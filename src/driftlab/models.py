@@ -25,7 +25,9 @@ class DiffusionSpec:
 
     Instances are immutable; ``with_theta`` returns a copy with a new
     parameter vector.  ``positive`` marks parameters that are constrained
-    positive (optimizers work on their logs).
+    positive (optimizers work on their logs).  The bridge passes drift and diffusion
+    a stack of m thetas as k columns (m, 1, 1) where they broadcast over them, as
+    ``th[0] * x`` does, and one 1-D theta at a time (m = 1) where they do not.
     """
 
     drift: Drift

@@ -8,20 +8,26 @@ from scipy import stats
 
 from driftlab import bridge
 from driftlab.adequacy import simulate_states_at
-from driftlab.bridge import logdensities, proposal_normals
-from driftlab.densities import gbm_transition_logdensity, logsumexp
-from driftlab.errors import DegenerateImportanceError, UnsupportedDimensionError
+from driftlab.bridge import prepare_record, proposal_normals, record_logdensities, stack_size
+from driftlab.densities import gbm_transition_logdensity, logsumexp, record_arrays
+from driftlab.errors import DegenerateImportanceError, UnsupportedDimensionError, _fp_policy
 from driftlab.likelihood import (
     BridgeDensity,
     bridge_loglikelihood,
     discrete_loglikelihood,
     mle_fit,
 )
-from driftlab.models import DiffusionSpec, GbmParams, gbm_beta_spec, gbm_spec
+from driftlab.models import DiffusionSpec, GbmParams, OuParams, gbm_beta_spec, gbm_spec, ou_spec
 from driftlab.observe import ObservationSet
 from driftlab.rng import stream
 
 P = GbmParams(beta=0.1, sigma=0.2, x0=1.0)
+
+
+def logdensities(spec, dts, x, y, z):
+    """Estimates of log p(dts[i], x[i], y[i]) at spec.theta, pair i driven by the
+    (J, m_sub - 1) proposal normals z[i]: prepare, then evaluate."""
+    return record_logdensities(spec, spec.theta, prepare_record(*record_arrays(dts, x, y), z))
 
 
 def bridge_pair_logdensity(spec, dt, x, y, m_sub, j_samples, seed, pair=0):
@@ -215,8 +221,8 @@ def test_bridge_fit_draws_its_noise_once(monkeypatch):
     def redrawing(self, dts, x, y):
         def at(theta):
             evaluations.append(theta)
-            return logdensities(self.spec.with_theta(theta), dts, x, y,
-                                proposal_normals(len(dts), 4, 50, self.seed))
+            return record_logdensities(self.spec, np.asarray(theta), prepare_record(
+                dts, x, y, proposal_normals(len(dts), 4, 50, self.seed)))
         return at
 
     monkeypatch.setattr(BridgeDensity, "record_terms", redrawing)
@@ -225,9 +231,9 @@ def test_bridge_fit_draws_its_noise_once(monkeypatch):
     assert fit.theta_hat.tobytes() == redrawn.theta_hat.tobytes()
     assert fit.standard_errors.tobytes() == redrawn.standard_errors.tobytes()
     # each of the redrawn fit's evaluations drew anew: the start, each Newton
-    # step's eight probes and its trial, and the nine standard-error probes
+    # step's one stack of probes and its trial, and the standard errors' centre and stack
     assert len(calls) == len(evaluations)
-    assert len(evaluations) >= 9 * redrawn.iterations + 10
+    assert len(evaluations) >= 2 * redrawn.iterations + 3
 
 
 def test_frozen_draws_follow_the_record():
@@ -328,10 +334,10 @@ def test_bridge_fit_prepares_its_record_once(monkeypatch):
     fit = mle_fit(td, _gbm_record(6, 41), td.theta)
     assert fit.converged and fit.standard_errors is not None
     assert fit.diagnostics["optimizer"] == "newton"
-    # the start, each Newton step's eight probes and its trial, and the nine
-    # standard-error probes all evaluate the one prepared record
+    # the start, each Newton step's stack of probes and its trial, and the
+    # standard errors' centre and stack all evaluate the one prepared record
     assert calls["prepare"] == 1
-    assert calls["evaluate"] >= 9 * fit.iterations + 10
+    assert calls["evaluate"] >= 2 * fit.iterations + 3
 
 
 @pytest.mark.parametrize("sigma", [1e-200, 1e200])
@@ -356,3 +362,116 @@ def test_record_terms_take_theta_as_any_array_like():
         *_gbm_record(5, 3).pairs())
     assert np.array_equal(at(0.1), at(np.array([0.1])))
     assert np.array_equal(at([0.1]), at(np.array([0.1])))
+
+
+# A Newton step's probes share one stacked pass: theta enters drift and
+# diffusion as columns (k, m, 1, 1), every substep is one (m, n_pairs, J) pass
+
+STACKED_SPECS = {  # spec, index of the theta entry that scales sigma (None: theta-free)
+    "gbm": (gbm_spec(P), 1),
+    "ou": (ou_spec(OuParams(gamma=0.8, beta_bar=1.0, sigma=0.3)), 2),
+    "theta-free": (DiffusionSpec(drift=lambda x, th: -0.3 * x,
+                                 diffusion=lambda x, th: 0.7 * np.ones_like(x),
+                                 theta=[0.0], x0=[1.0]), None),
+}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(name=st.sampled_from(sorted(STACKED_SPECS)), m_sub=st.sampled_from([2, 4, 8]),
+       j_samples=st.sampled_from([1, 20, 200]), n_pairs=st.integers(1, 6),
+       irregular=st.booleans(), m=st.integers(1, 12), key=st.integers(0, 2**32),
+       data=st.data())
+def test_stacked_terms_equal_the_per_theta_terms(name, m_sub, j_samples, n_pairs, irregular,
+                                                 m, key, data):
+    # each row of a stack, chunked by the record's stack size, carries the
+    # bytes of its own 1-D pass; a row with sigma 1e-200 (no weight survives)
+    # or NaN comes out -inf where the 1-D pass raises, and leaves its
+    # neighbours as they are
+    spec, sigma_at = STACKED_SPECS[name]
+    rng = stream(key, "stacked")
+    dts = rng.uniform(0.2, 0.8, n_pairs) if irregular else np.full(n_pairs, 0.5)
+    x, y = rng.uniform(0.5, 2.0, (2, n_pairs))
+    thetas = spec.theta * (1.0 + 0.1 * rng.standard_normal((m, len(spec.theta))))
+    special = []
+    if sigma_at is not None:
+        special = data.draw(st.lists(st.integers(0, m - 1), max_size=2, unique=True))
+        for row, sigma in zip(special, (1e-200, np.nan)):
+            thetas[row, sigma_at] = sigma
+    at = BridgeDensity(spec, m_sub, j_samples, seed=key).record_terms(dts, x, y)
+    with _fp_policy():
+        stacked = at(thetas)
+        assert stacked.shape == (m, n_pairs)
+        for row, theta in enumerate(thetas):
+            try:
+                assert stacked[row].tobytes() == at(theta).tobytes()
+            except DegenerateImportanceError as err:
+                assert row in special and stacked[row, err.pair] == -np.inf
+    assert not np.any(np.isnan(stacked))
+
+
+def test_stack_size_follows_the_record_and_the_spec():
+    record = prepare_record(np.full(3, 0.5), np.ones(3), np.ones(3),
+                            proposal_normals(3, 8, 200, 0))
+    assert stack_size(gbm_spec(P), record) == 8_000 // (3 * 200)
+    big = prepare_record(np.full(50, 0.5), np.ones(50), np.ones(50),
+                         proposal_normals(50, 8, 200, 0))
+    assert stack_size(gbm_spec(P), big) == 1
+    # a spec that takes theta entries as Python floats, or mixes the rows of a
+    # stack, is called with one 1-D theta at a time
+    as_float = DiffusionSpec(drift=lambda x, th: float(th[0]) * x,
+                             diffusion=lambda x, th: th[1] * x, theta=[0.1, 0.2], x0=[1.0])
+    mixing = DiffusionSpec(drift=lambda x, th: np.max(th[0]) * x,
+                           diffusion=lambda x, th: th[1] * x, theta=[0.1, 0.2], x0=[1.0])
+    assert stack_size(as_float, record) == stack_size(mixing, record) == 1
+
+
+def test_a_spec_of_python_floats_fits_as_the_broadcasting_spec():
+    # float(th[0]) cannot take a column of thetas: such a spec runs with m = 1,
+    # a 1-D theta per pass, and fits byte for byte as the same model written
+    # to broadcast, whose probes go in stacks
+    shapes = []
+
+    def drift(x, th):
+        shapes.append(np.shape(th))
+        return float(th[0]) * x
+
+    as_float = DiffusionSpec(drift=drift, diffusion=lambda x, th: float(th[1]) * x,
+                             theta=[P.beta, P.sigma], x0=[1.0], positive=(False, True))
+    obs = _gbm_record(6, 41)
+    fits = [mle_fit(BridgeDensity(spec, m_sub=4, j_samples=50, seed=3), obs, spec.theta)
+            for spec in (as_float, gbm_spec(P))]
+    assert fits[0].converged and fits[0].diagnostics["optimizer"] == "newton"
+    # the record's check tried columns once; every evaluation took a 1-D theta
+    assert shapes.count((2, 2, 1, 1)) == 1 and set(shapes) == {(2,), (2, 2, 1, 1)}
+    assert fits[0].theta_hat.tobytes() == fits[1].theta_hat.tobytes()
+    assert fits[0].standard_errors.tobytes() == fits[1].standard_errors.tobytes()
+    assert (fits[0].objective_value, fits[0].iterations) == (fits[1].objective_value,
+                                                            fits[1].iterations)
+
+
+def test_a_newton_step_evaluates_its_probes_in_one_call(monkeypatch):
+    # one call of the terms function (and one stacked pass) per step for the
+    # 2k + 2k(k - 1) probes, one per line-search trial and the start, and for
+    # the standard errors one 1-D call at the estimate and one stack
+    calls, passes = [], []
+    record_terms, evaluate = BridgeDensity.record_terms, bridge.record_logdensities
+
+    def counted_terms(self, dts, x, y):
+        at = record_terms(self, dts, x, y)
+        return lambda theta: calls.append(np.shape(theta)) or at(theta)
+
+    def counted_pass(spec, theta, record):
+        passes.append(theta.shape)
+        return evaluate(spec, theta, record)
+
+    monkeypatch.setattr(BridgeDensity, "record_terms", counted_terms)
+    monkeypatch.setattr(bridge, "record_logdensities", counted_pass)
+    td = BridgeDensity(gbm_spec(P), m_sub=4, j_samples=50, seed=(7, "fit"))
+    fit = mle_fit(td, _gbm_record(6, 41), td.theta)
+    assert fit.converged and fit.diagnostics["optimizer"] == "newton"
+    stacks = [shape for shape in calls if len(shape) == 2]
+    assert stacks == [(8, 2)] * (fit.iterations + 1)
+    assert [shape for shape in passes if len(shape) == 2] == stacks
+    trials = len(calls) - len(stacks) - 2  # less the start and the standard errors' centre
+    assert trials >= fit.iterations and all(shape == (2,) for shape in calls
+                                            if len(shape) != 2)

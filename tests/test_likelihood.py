@@ -10,6 +10,7 @@ from driftlab.adequacy import simulate_states_at
 from driftlab.densities import gbm_transition_logdensity
 from driftlab.errors import (
     DegenerateImportanceError,
+    InvalidGridError,
     InvalidStartError,
     NonFiniteTermError,
     UnsupportedDimensionError,
@@ -26,6 +27,7 @@ from driftlab.likelihood import (
     _central_differences,
     _hessian_stderr,
     _loglik_at,
+    _logliks,
     _score_and_fisher,
     descend,
     discrete_loglikelihood,
@@ -225,7 +227,8 @@ def test_log_scale_stderr_matches_natural_scale_curvature():
         assert th[0] > 0
         return -0.5 * ((th[0] - 5e-5) / 1e-5) ** 2
 
-    se, log_scaled = _hessian_stderr(loglik, np.array([5e-5]), (True,))
+    se, log_scaled = _hessian_stderr(lambda thetas: [loglik(th) for th in thetas],
+                                     np.array([5e-5]), (True,))
     assert log_scaled.tolist() == [True]
     assert se[0] == pytest.approx(1e-5, rel=1e-3)
 
@@ -415,10 +418,11 @@ def test_failing_stderr_probes_leave_the_estimate_standing(monkeypatch):
     monkeypatch.setattr(GbmDensity, "record_moments", failing_after_budget)
     obs = _gbm_obs(P_GBM, 0.1 * np.arange(51), (93, 0))
     plain = mle_fit(GbmDensity(P_GBM), obs, [0.1, 0.2], compute_stderr=False)
-    # the same fit again, now with every standard-error probe raising
+    # the same fit again, now with every standard-error probe raising: each
+    # counts as -inf, the centre and the eight probes of the two parameters
     budget[0], evaluations[:] = len(evaluations), []
     fit = mle_fit(GbmDensity(P_GBM), obs, [0.1, 0.2])
-    assert len(evaluations) == budget[0] + 1
+    assert len(evaluations) == budget[0] + 9
     assert fit.converged and fit.standard_errors is None
     assert np.array_equal(fit.theta_hat, plain.theta_hat)
 
@@ -645,7 +649,7 @@ def test_newton_fit_starts_where_the_hessian_is_indefinite():
     td = BridgeDensity(gbm_spec(P_GBM), m_sub=4, j_samples=50, seed=13)
     z0 = to_working(td.theta, td.positive_mask)
     neg, (z, f_simplex, _, _) = _simplex_from(td, obs, z0)
-    _, hess = _central_differences(lambda dz: neg(z0 + dz), neg(z0),
+    _, hess = _central_differences(lambda dzs: [neg(z0 + dz) for dz in dzs], neg(z0),
                                    1e-4 * np.maximum(np.abs(z0), 1.0))
     assert np.linalg.eigvalsh(hess)[0] < 0
     fit = mle_fit(td, obs, td.theta, compute_stderr=False)
@@ -713,6 +717,37 @@ def test_non_finite_newton_probes_fall_back_to_the_simplex_fit():
 
 def _singular_step(z):
     raise WeightSingularityError("sigma(x, theta) = 0 at a quadrature node; cannot weight")
+
+
+def test_a_trial_theta_that_raises_counts_as_minus_infinity():
+    # a Fokker-Planck start Gaussian with no mass on the grid raises
+    # InvalidGridError at some trial thetas of this fit; those count as -inf,
+    # as a non-finite log-likelihood does, and the fit goes on from its start
+    spec = DiffusionSpec(drift=lambda x, th: th[0] * np.ones_like(x),
+                         diffusion=lambda x, th: th[1] * np.ones_like(x),
+                         theta=[3.0, 0.05], x0=[0.0], positive=(False, True))
+    td = FokkerPlanckDensity(spec, -4.0, 4.0, 200, 20)
+    obs = ObservationSet(times=0.5 * np.arange(6), values=[0.0, 0.5, -0.3, 0.8, 0.1, 0.9])
+    start = discrete_loglikelihood(td, obs)
+    assert start == pytest.approx(-724.7, abs=0.05)
+    fit = mle_fit(td, obs, td.theta)
+    assert np.isfinite(fit.objective_value) and fit.objective_value > start
+    assert fit.converged
+
+
+def test_a_stack_that_raises_is_evaluated_row_by_row():
+    # a stacking density whose call raises for the whole stack: each row alone,
+    # -inf for the rows that raise, the others their 1-D sums
+    def terms(theta):
+        theta = np.asarray(theta)
+        if np.any(theta[..., 0] < 0):
+            raise InvalidGridError("negative theta")
+        return np.repeat(theta[..., :1], 3, axis=-1) * [1.0, 2.0, 3.0]
+
+    thetas = np.array([[1.0], [-1.0], [0.5]])
+    for stacks in (True, False):
+        assert _logliks(terms, thetas, stacks) == [6.0, -np.inf, 3.0]
+    assert _logliks(terms, thetas[[0, 2]], True) == [6.0, 3.0]
 
 
 @pytest.mark.parametrize("step_at", [_singular_step, lambda z: np.array([np.nan])],

@@ -9,8 +9,9 @@ No driftlab module runs scipy's Nelder-Mead: ``likelihood.nelder_mead`` is
 its exact port without the per-iteration array work, and the MLE and
 collocation's theta pass call it on every fit.
 
-Every name the package exports is used by the package, its scripts or its
-benchmark, so no public function is kept alive by tests alone.
+Every name the package exports, and every public function a module defines at
+its top level, is used by the package, its scripts or its benchmark, so no
+public function is kept alive by tests alone.
 
 numpy's floating-point state is set in one place: ``errors._fp_policy``, which
 the package's entry points apply.  Kernels set none of their own, apart from
@@ -28,6 +29,14 @@ SRC = ROOT / "src" / "driftlab"
 UNUSED_EXPORTS_KEPT = {
     # the unit-quadratic-variation check of the planned Lamperti-space bridge
     "quadratic_variation",
+}
+
+# module-level public functions no program calls, each with the reason it stays
+UNUSED_FUNCTIONS_KEPT = {
+    ("paths.py", "quadratic_variation"): "the unit-quadratic-variation check of the planned "
+                                         "Lamperti-space bridge",
+    ("acceptance.py", "run_all"): "the recipe of the acceptance hash: sha256 of the "
+                                  "concatenated CriterionResult.to_json() of its results",
 }
 
 # the np.errstate calls allowed in src, by (module, enclosing function), each with its reason
@@ -164,13 +173,18 @@ def _package_exports():
             if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
+def _program_files():
+    """The package modules, scripts and benchmark sources, tests left out."""
+    files = [path for path in SRC.glob("*.py") if path.name != "__init__.py"]
+    return files + [path for folder in ("scripts", "perfbench")
+                    for path in (ROOT / folder).rglob("*.py")
+                    if "tests" not in path.relative_to(ROOT).parts]
+
+
 def _names_read_by_programs():
     """Every name and attribute the package modules, scripts and benchmark read."""
-    files = [path for path in SRC.glob("*.py") if path.name != "__init__.py"]
-    files += [path for folder in ("scripts", "perfbench") for path in (ROOT / folder).rglob("*.py")
-              if "tests" not in path.relative_to(ROOT).parts]
     names = set()
-    for path in files:
+    for path in _program_files():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -189,6 +203,77 @@ def test_kept_exports_are_still_exported_and_unused():
     # stops exporting, leaves the list
     assert UNUSED_EXPORTS_KEPT <= _package_exports()
     assert not UNUSED_EXPORTS_KEPT & _names_read_by_programs()
+
+
+def _function_uses(tree, own, modules, exports):
+    """(module, name) of each top-level function a program reaches: by name in its own
+    module ``own``, imported from a module, read off one (``bridge.name``) or through a
+    package export (``from driftlab import name``, ``driftlab.name``)."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and own:
+            used.add((own, node.id))
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rsplit(".", 1)[-1] + ".py"
+            used.update((module if module in modules else exports.get(alias.name), alias.name)
+                        for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            module = node.value.id + ".py"
+            if module in modules:
+                used.add((module, node.attr))
+            elif node.value.id == "driftlab":
+                used.add((exports.get(node.attr), node.attr))
+    return used
+
+
+def _functions_no_program_calls(trees, uses):
+    """(module, name) of each public function defined at a module's top level that no
+    program reaches."""
+    return {(name, node.name) for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_") and (name, node.name) not in uses}
+
+
+def test_every_public_function_is_used_by_a_program():
+    # a listed function that a program starts using, or that goes, leaves the list
+    trees = _trees()
+    exports = {alias.asname or alias.name: f"{node.module}.py"
+               for node in trees["__init__.py"].body if isinstance(node, ast.ImportFrom)
+               for alias in node.names}
+    uses = set()
+    for path in _program_files():
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        uses |= _function_uses(tree, path.name if path.parent == SRC else None, trees, exports)
+    unused = _functions_no_program_calls(trees, uses)
+    assert unused == set(UNUSED_FUNCTIONS_KEPT), (
+        f"defined but called only by tests: {sorted(unused - set(UNUSED_FUNCTIONS_KEPT))}; "
+        f"kept but used or gone: {sorted(set(UNUSED_FUNCTIONS_KEPT) - unused)}")
+
+
+def test_the_function_check_catches_a_function_only_tests_call():
+    # bridge.logdensities was such a function: a method of the same name, read
+    # by programs, did not count as a use of it
+    bridge = ast.parse("def logdensities(spec, dts, x, y, z):\n"
+                       "    return record_logdensities(spec, spec.theta, prepare(dts, x, y, z))\n"
+                       "def record_logdensities(spec, theta, record):\n"
+                       "    return theta\n"
+                       "def prepare(dts, x, y, z):\n"
+                       "    return z\n"
+                       "def draws(n):\n"
+                       "    return n\n"
+                       "def exported(n):\n"
+                       "    return n\n")
+    program = ast.parse("from driftlab import exported\n"
+                        "from driftlab.bridge import prepare\n"
+                        "from . import bridge\n"
+                        "td.logdensities(prepare(1, 2, 3, bridge.draws(4)))\n")
+    modules = {"bridge.py": bridge}
+    exports = {"exported": "bridge.py"}
+    uses = _function_uses(program, "likelihood.py", modules, exports)
+    assert _functions_no_program_calls(modules, uses) == {
+        ("bridge.py", "logdensities"), ("bridge.py", "record_logdensities")}
+    uses |= _function_uses(bridge, "bridge.py", modules, exports)
+    assert _functions_no_program_calls(modules, uses) == {("bridge.py", "logdensities")}
 
 
 def _errstate_calls(tree):
