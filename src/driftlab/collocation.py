@@ -25,7 +25,7 @@ from scipy.interpolate import BSpline
 from scipy.optimize import minimize
 
 from .errors import DataFormatError, InvalidStartError, WeightSingularityError, _fp_policy
-from .likelihood import descend, nelder_mead
+from .likelihood import descend
 from .models import DiffusionSpec
 from .observe import NoisyObservationSet, ObservationModel
 from .paths import Path, series_arrays
@@ -302,10 +302,10 @@ def collocation_fit(obs: NoisyObservationSet, om: ObservationModel, spec: Diffus
             outer = inner_iterations = gradient_evaluations = nit
     while not converged and outer < max_outer:
         outer += 1
-        theta_t, f_t, _, _ = nelder_mead(prob.theta_objective(c), theta, 400,
-                                         THETA_XATOL, THETA_FATOL)
-        if f_t <= current:
-            theta = theta_t
+        res_t = minimize(prob.theta_objective(c), theta, method="Nelder-Mead",
+                         options={"maxiter": 400, "xatol": THETA_XATOL, "fatol": THETA_FATOL})
+        if res_t.fun <= current:
+            theta = res_t.x
         res_c = minimize(lambda cc: prob.objective(cc, theta), c, method="L-BFGS-B",
                          jac=lambda cc: prob.working_gradient_c(cc, theta),
                          options={"gtol": INNER_GTOL, "ftol": 1e-14,

@@ -9,13 +9,15 @@ estimator's asymptotic variance by the factor (1 + 1/J), so small J is fine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import EstimationFailedError
+from .errors import EstimationFailedError, InvalidStartError, _fp_policy
 from .ioutil import seed_key
+from .likelihood import descend
 from .models import DiffusionSpec
 from .observe import ObservationSet
 from .results import FitResult
@@ -23,7 +25,6 @@ from .rng import replicate_normals
 from .simulate import euler_advance
 
 EULER_SUBSTEPS = 20  # Euler substeps per observation gap in the Monte Carlo expectation
-NEWTON_MAX_ITER = 80
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,7 @@ def _mc_expectations(spec: DiffusionSpec, psi: Callable, x_s, dts, z: np.ndarray
     return sim.sum(axis=1) / ok.sum(axis=1)[:, None], int(np.sum(~ok))
 
 
+@_fp_policy()
 def ee_solve(spec: DiffusionSpec, ef: EstimatingFunction, obs: ObservationSet,
              init_theta, seed, expectation_fn: Callable | None = None,
              tol: float = 1e-6) -> FitResult:
@@ -85,69 +87,66 @@ def ee_solve(spec: DiffusionSpec, ef: EstimatingFunction, obs: ObservationSet,
     deterministic function of theta and the whole solve is reproducible.
     ``expectation_fn(x, dts, theta) -> (n, k)`` substitutes an exact
     conditional expectation for the Monte Carlo one (the J = infinity
-    baseline).  Root-finding is damped Newton on the residual with a
-    finite-difference Jacobian, at most NEWTON_MAX_ITER steps.
+    baseline).  The root is found by ``likelihood.descend`` on the residual norm
+    ||r||, a non-finite norm counting as +inf: Newton's -J^-1 r with a forward-difference
+    Jacobian at 1e-6 * max(|theta|, 1), and a zero step once ||r|| <= tol, which
+    converges.  A singular Jacobian, or a probe that raises a DriftlabError, stalls the
+    solve (converged False); a non-finite norm at the start raises InvalidStartError.
+    ``iterations`` counts the Jacobians formed, and ``divergent_replicates`` the
+    replicates dropped at theta_hat.
     """
     dts, x_s, x_t = obs.pairs()
     n_pairs = len(dts)
-    theta0 = np.atleast_1d(np.asarray(init_theta, dtype=float))
+    theta0 = np.array(init_theta, dtype=float, ndmin=1)
     k = len(theta0)
 
     if expectation_fn is None:
         z = replicate_normals(seed, n_pairs, (ef.J, EULER_SUBSTEPS), "ee")
-    divergent = 0
+    seen = {}  # theta bytes -> (residual, dropped replicates): descend re-evaluates its point
 
     def residual(theta):
-        nonlocal divergent
-        spec_th = spec.with_theta(theta)
-        psi_data = np.asarray(ef.psi(x_s, x_t, theta), dtype=float).reshape(n_pairs, k)
-        if expectation_fn is not None:
-            cond = np.asarray(expectation_fn(x_s, dts, theta), dtype=float).reshape(n_pairs, k)
-        else:
-            cond, divergent = _mc_expectations(spec_th, ef.psi, x_s, dts, z)
-        return (psi_data - cond).sum(axis=0)
+        key = theta.tobytes()
+        if key not in seen:
+            psi_data = np.asarray(ef.psi(x_s, x_t, theta), dtype=float).reshape(n_pairs, k)
+            if expectation_fn is not None:
+                cond = np.asarray(expectation_fn(x_s, dts, theta), dtype=float).reshape(n_pairs, k)
+                dropped = 0
+            else:
+                cond, dropped = _mc_expectations(spec.with_theta(theta), ef.psi, x_s, dts, z)
+            seen[key] = (psi_data - cond).sum(axis=0), dropped
+        return seen[key][0]
 
-    theta = theta0.copy()
-    r = residual(theta)
-    nrm = float(np.linalg.norm(r))
-    nit = 0
-    converged = nrm <= tol
-    while not converged and nit < NEWTON_MAX_ITER:
-        nit += 1
+    def norm(theta):
+        nrm = float(np.linalg.norm(residual(theta)))
+        return nrm if math.isfinite(nrm) else np.inf
+
+    jacobians = 0
+
+    def newton_step(theta):
+        nonlocal jacobians
+        r = residual(theta)
+        if norm(theta) <= tol:
+            return np.zeros(k)
+        jacobians += 1
         jac = np.empty((k, k))
         for j in range(k):
             h = 1e-6 * max(1.0, abs(theta[j]))
             tp = theta.copy()
             tp[j] += h
             jac[:, j] = (residual(tp) - r) / h
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            step = -r
-        # damp until the residual norm actually decreases
-        t_damp = 1.0
-        improved = False
-        while t_damp >= 1.0 / 1024.0:
-            cand = theta + t_damp * step
-            r_cand = residual(cand)
-            n_cand = float(np.linalg.norm(r_cand))
-            if np.isfinite(n_cand) and n_cand < nrm:
-                theta, r, nrm = cand, r_cand, n_cand
-                improved = True
-                break
-            t_damp *= 0.5
-        if not improved:
-            break
-        converged = nrm <= tol
+        return np.linalg.solve(jac, -r)
 
+    if norm(theta0) == np.inf:
+        raise InvalidStartError(f"estimating-equation residual non-finite at init_theta={theta0}")
+    theta, nrm, _, converged = descend(norm, newton_step, theta0)
     return FitResult(
         theta_hat=theta,
         objective_value=nrm,
-        iterations=nit,
+        iterations=jacobians,
         converged=converged,
         seed=seed,
         standard_errors=None,
-        diagnostics={"divergent_replicates": divergent, "residual_norm": nrm,
+        diagnostics={"divergent_replicates": seen[theta.tobytes()][1], "residual_norm": nrm,
                      "J": ef.J if expectation_fn is None else None,
                      "seed_key": seed_key(seed)},
     )

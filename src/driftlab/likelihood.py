@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from dataclasses import dataclass, replace
-from functools import partial, reduce
-from operator import add
+from functools import partial
 
 import numpy as np
+from scipy.optimize import minimize
 
 from . import bridge, densities
 from .errors import (
@@ -286,62 +286,17 @@ def from_working(z, positive_mask):
     return np.exp(theta, out=theta, where=np.asarray(positive_mask, dtype=bool))
 
 
-def nelder_mead(fun, x0, maxiter, xatol, fatol):
-    """Nelder & Mead's (1965) simplex: scipy 1.17's ``minimize(method="Nelder-Mead")``
-    with only maxiter, xatol and fatol set, ported step for step onto Python
-    floats.  It calls ``fun`` (with a new float64 array) at the same points and
-    returns its x, fun, nit and success bit for bit, as (x, f, nit, ok)."""
-    x0 = [float(v) for v in np.ravel(x0)]
-    n = len(x0)
-    sim = [x0] + [x0[:k] + [1.05 * v if v != 0 else 0.00025] + x0[k + 1:]
-                  for k, v in enumerate(x0)]
-    fsim = [float(fun(np.array(v))) for v in sim]
-
-    def ordered():  # as scipy, by np.argsort of a float64 fsim: its order of ties
-        idx = np.array(fsim).argsort()
-        return [sim[i] for i in idx], [fsim[i] for i in idx]
-
-    def trial(a, b):  # a * xbar + b * worst, and its value
-        v = [a * m + b * w for m, w in zip(xbar, sim[-1])]
-        return v, float(fun(np.array(v)))
-
-    sim, fsim = ordered()
-    sim, fsim = ordered()  # scipy sorts twice before its loop
-    nit = 1
-    while nit < maxiter:
-        if (all(abs(a - b) <= xatol for v in sim[1:] for a, b in zip(v, sim[0]))
-                and all(abs(fsim[0] - f) <= fatol for f in fsim[1:])):
-            break
-        xbar = [reduce(add, col) / n for col in zip(*sim[:-1])]  # from sim[0]: -0.0 stays
-        xr, fxr = trial(2, -1)
-        if fxr < fsim[0]:
-            xe, fxe = trial(3, -2)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            outside = fxr < fsim[-1]
-            xc, fxc = trial(1.5, -0.5) if outside else trial(0.5, 0.5)
-            if (fxc <= fxr) if outside else (fxc < fsim[-1]):
-                sim[-1], fsim[-1] = xc, fxc
-            else:  # shrink towards the best vertex
-                sim[1:] = [[a + 0.5 * (b - a) for a, b in zip(sim[0], v)] for v in sim[1:]]
-                fsim[1:] = [float(fun(np.array(v))) for v in sim[1:]]
-        nit += 1
-        sim, fsim = ordered()
-    return np.array(sim[0]), np.min(fsim), nit, nit < maxiter
-
-
 def minimize_simplex(fun, x0):
-    """Nelder-Mead with one restart from the incumbent; returns (x, f, nit, ok)."""
+    """scipy's Nelder-Mead with one restart from the incumbent; returns (x, f, nit, ok)."""
     x, fval, nit, ok = np.asarray(x0, dtype=float), np.inf, 0, False
     budget = SIMPLEX_MAX_ITER
     for _ in range(2):
-        x_run, f_run, nit_run, ok_run = nelder_mead(fun, x, budget, SIMPLEX_TOL, SIMPLEX_TOL)
-        nit += nit_run
-        budget -= nit_run
-        if f_run <= fval:
-            x, fval, ok = x_run, f_run, ok_run
+        run = minimize(fun, x, method="Nelder-Mead",
+                       options={"maxiter": budget, "xatol": SIMPLEX_TOL, "fatol": SIMPLEX_TOL})
+        nit += run.nit
+        budget -= run.nit
+        if run.fun <= fval:
+            x, fval, ok = run.x, run.fun, run.success
         if budget <= 0:
             ok = False
             break

@@ -1,7 +1,10 @@
+import hashlib
 import io
 import json
 import os
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -631,3 +634,47 @@ def test_one_parser_serves_every_run_in_a_process(tmp_path, capsys):
     assert [code for code, _ in shared[0]] == [2, 0, 0]
     assert run_each(tmp_path / "fresh", fresh=True) == shared
     assert set(shared[1]) == {"fit.json", "path.csv"}
+
+
+# sha256 of each file README's simulate and fit commands write
+README_OUTPUTS = {
+    "path.csv": "237cda9aad7ee5e19b21168a8f56c0a381d05d551bfab84e56e979b9382c0399",
+    "fit.json": "f110252f30a3cd2da90b6492f24e8f35bed9d944ef825dea558ef967be9501be",
+    "ee.json": "a178d1936669326fccd5eaea4374196d7a8e47ad113657ffa33b6535a19b06bd",
+    "bridge.json": "51597fcb5527620b769334b3484ccf2068413345cd88a7b8ec2c03ad4ef0491c",
+}
+
+
+def _readme_commands(*commands):
+    """The argument lists of README's ``driftlab <command>`` lines for ``commands``,
+    continuation lines joined, in README's order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = text.replace("\\\n", " ").splitlines()
+    return [words[1:] for words in (shlex.split(line) for line in lines
+                                     if line.startswith("driftlab "))
+            if words[1] in commands]
+
+
+def test_readme_commands_write_their_recorded_outputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands("simulate", "fit")
+    assert [argv[:3] for argv in commands] == [
+        ["simulate", "--model", "gbm"], ["fit", "--method", "mle"],
+        ["fit", "--method", "ee"], ["fit", "--method", "bridge-mle"]]
+    for argv in commands:
+        assert cli_run(argv) == 0, argv
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in README_OUTPUTS} == README_OUTPUTS
+
+
+def test_ee_fit_of_an_overflowing_record_exits_2(tmp_path, capsys, monkeypatch):
+    # README's path times 1e306: the residual overflows at the start
+    monkeypatch.chdir(tmp_path)
+    assert cli_run(_readme_commands("simulate")[0]) == 0
+    rows = np.loadtxt("path.csv", delimiter=",", skiprows=1)
+    np.savetxt("big.csv", rows * [1.0, 1e306], fmt="%.17g", delimiter=",", header="t,x1",
+               comments="")
+    assert cli_run(["fit", "--method", "ee", "--model", "gbm", "--data", "big.csv",
+                    "--sigma", "0.3", "--out", "ee.json"]) == 2
+    assert "init_theta" in capsys.readouterr().err
+    assert not (tmp_path / "ee.json").exists()

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from driftlab import estimating
 from driftlab.adequacy import simulate_states_at
-from driftlab.errors import EstimationFailedError
+from driftlab.errors import EstimationFailedError, InvalidStartError
 from driftlab.estimating import EULER_SUBSTEPS, EstimatingFunction, ee_solve, raw_moment_psi
 from driftlab.models import DiffusionSpec, GbmParams, gbm_beta_spec, gbm_spec
 from driftlab.observe import ObservationSet
@@ -145,3 +147,69 @@ def test_ee_records_full_seed_key():
     assert fit.to_json_dict()["seed"] == [35, "mc", 2]
     assert fit.to_json_dict()["diagnostics"]["seed_key"] == [35, "mc", 2]
     assert ee_solve(spec, ef, obs, [0.1], seed=7).diagnostics["seed_key"] == 7
+
+
+def _solve_rescaled(scale, orders=(1,)):
+    """ee from 0.2 at J 8, seed 5, on the GBM record (beta 0.1, sigma 0.3, 201 points at
+    dt 0.05, ``stream(5, "x")``) times ``scale``."""
+    obs = _obs(0.05 * np.arange(201), (5, "x"), GbmParams(beta=0.1, sigma=0.3, x0=1.0))
+    obs = ObservationSet(times=obs.times, values=scale * obs.values)
+    ef = EstimatingFunction(psi=raw_moment_psi(orders), J=8)
+    return ee_solve(gbm_beta_spec(0.2, 0.3), ef, obs, [0.2], seed=5)
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e6, 1e10, 1e12])
+def test_a_rescaled_record_converges_to_the_same_root(scale):
+    # at 1e12 rounding holds ||r|| near 1.2e-4, above tol, and the solve converges
+    # because its last Newton step no longer moves theta
+    fit = _solve_rescaled(scale)
+    assert fit.converged
+    assert fit.theta_hat[0] == pytest.approx(0.023885838120, abs=5e-13)
+    if scale == 1e12:
+        assert fit.iterations == 4
+
+
+@pytest.mark.parametrize("scale, orders, error", [
+    (1e306, (1,), InvalidStartError),  # the residual overflows at the start
+    (1e160, (2,), EstimationFailedError),  # every replicate's y^2 overflows
+])
+def test_overflowing_records_end_in_a_typed_error_without_a_warning(scale, orders, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            _solve_rescaled(scale, orders)
+
+
+def test_a_full_step_solve_evaluates_the_expectation_once_per_point(monkeypatch):
+    # the start, then one Jacobian probe and one trial per step; the re-evaluation
+    # of each accepted point and the final zero step come from the memo
+    calls = []
+    expectations = estimating._mc_expectations
+    monkeypatch.setattr(estimating, "_mc_expectations",
+                        lambda *args: calls.append(1) or expectations(*args))
+    fit = _solve_rescaled(1.0)
+    assert fit.converged and fit.iterations == 2
+    assert len(calls) == 1 + 2 * fit.iterations == 5
+
+
+def test_a_jacobian_probe_that_raises_stalls_at_the_start():
+    def expectation(x, dts, theta):
+        if theta[0] > 0.1:
+            raise EstimationFailedError("no expectation above 0.1")
+        return (x * np.exp(theta[0] * dts))[:, None]
+
+    ef = EstimatingFunction(psi=raw_moment_psi((1,)), J=1)
+    fit = ee_solve(gbm_beta_spec(0.1, 0.2), ef, _obs(0.1 * np.arange(11), (36, 0)), [0.1],
+                   seed=0, expectation_fn=expectation)
+    assert fit.theta_hat.tolist() == [0.1]
+    assert fit.iterations == 1 and not fit.converged
+
+
+def test_a_residual_free_of_theta_stalls_at_its_start():
+    # the Jacobian is zero, so the Newton step raises and the solve stalls
+    spec = DiffusionSpec(drift=lambda x, th: 0.1 * x, diffusion=lambda x, th: 0.2 * x,
+                         theta=[0.5], x0=[1.0])
+    ef = EstimatingFunction(psi=raw_moment_psi((1,)), J=4)
+    fit = ee_solve(spec, ef, _obs(0.1 * np.arange(11), (36, 0)), [0.5], seed=3)
+    assert fit.theta_hat.tolist() == [0.5]
+    assert fit.iterations == 1 and not fit.converged

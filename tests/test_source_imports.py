@@ -5,9 +5,9 @@ No driftlab module reduces with scipy.special.logsumexp: scipy's costs about
 bridge call it on every step and evaluation; ``densities.logsumexp`` is the
 same arithmetic at a fraction of that cost.
 
-No driftlab module runs scipy's Nelder-Mead: ``likelihood.nelder_mead`` is
-its exact port without the per-iteration array work, and the MLE and
-collocation's theta pass call it on every fit.
+Every fit steps through one damped loop, ``likelihood.descend``: the MLE, the
+Gauss-Newton collocation pass and the estimating-equation solve call it, and no
+other function halves a step.
 
 Every name the package exports, and every public function a module defines at
 its top level, is used by the package, its scripts or its benchmark, so no
@@ -54,6 +54,7 @@ POLICY_ENTRY_POINTS = {
     ("likelihood.py", "discrete_loglikelihood"),
     ("likelihood.py", "logdensities"),  # TransitionDensity's
     ("collocation.py", "collocation_fit"),
+    ("estimating.py", "ee_solve"),
     ("particle.py", "particle_filter"),
 }
 
@@ -91,20 +92,6 @@ def _scipy_logsumexp_uses(tree):
     return _scipy_uses(tree, "special", {"logsumexp"})
 
 
-def _scipy_nelder_mead_uses(tree):
-    """Line numbers of calls that ask any optimizer for method "Nelder-Mead"
-    (keyword or fourth positional argument, in any case), and of uses of
-    scipy.optimize's ``fmin`` or ``_minimize_neldermead``."""
-    lines = _scipy_uses(tree, "optimize", {"fmin", "_minimize_neldermead"})
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            methods = [kw.value for kw in node.keywords if kw.arg == "method"] + node.args[3:4]
-            if any(isinstance(m, ast.Constant) and str(m.value).lower() == "nelder-mead"
-                   for m in methods):
-                lines.append(node.lineno)
-    return lines
-
-
 def test_no_module_uses_scipy_logsumexp():
     trees = _trees()
     found = {name: lines for name, tree in trees.items()
@@ -130,41 +117,6 @@ def test_the_check_catches_each_import_form():
                  "import scipy.special\nscipy.special.logsumexp([0.0])"):
         assert _scipy_logsumexp_uses(ast.parse(text)), text
     assert not _scipy_logsumexp_uses(ast.parse("from .densities import logsumexp"))
-
-
-def test_no_module_runs_scipy_nelder_mead():
-    trees = _trees()
-    found = {name: lines for name, tree in trees.items()
-             if (lines := _scipy_nelder_mead_uses(tree))}
-    assert not found, f"use driftlab.likelihood.nelder_mead instead of scipy's: {found}"
-
-
-def test_mle_and_collocation_run_the_ported_simplex():
-    # the parse must see both callers, or the check above is empty
-    trees = _trees()
-    assert any(isinstance(node, ast.FunctionDef) and node.name == "nelder_mead"
-               for node in ast.walk(trees["likelihood.py"]))
-    for name, caller in (("likelihood.py", "minimize_simplex"),
-                         ("collocation.py", "collocation_fit")):
-        function = next(node for node in ast.walk(trees[name])
-                        if isinstance(node, ast.FunctionDef) and node.name == caller)
-        assert any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                   and node.func.id == "nelder_mead" for node in ast.walk(function)), name
-
-
-def test_the_nelder_mead_check_catches_each_form():
-    for text in ('from scipy.optimize import minimize\nminimize(f, x0, method="Nelder-Mead")',
-                 'import scipy.optimize as so\nso.minimize(f, x0, method="nelder-mead")',
-                 'minimize(f, x0, (), "NELDER-MEAD")',
-                 "from scipy.optimize import fmin",
-                 "from scipy import optimize\noptimize.fmin(f, x0)",
-                 "import scipy.optimize\nscipy.optimize.fmin(f, x0)",
-                 "from scipy.optimize._optimize import _minimize_neldermead"):
-        assert _scipy_nelder_mead_uses(ast.parse(text)), text
-    for text in ('minimize(f, x0, method="L-BFGS-B", jac=g)',
-                 "np.fmin(a, b)",
-                 "from .likelihood import nelder_mead\nnelder_mead(f, x0, 400, 1e-9, 1e-10)"):
-        assert not _scipy_nelder_mead_uses(ast.parse(text)), text
 
 
 def _package_exports():
@@ -276,9 +228,8 @@ def test_the_function_check_catches_a_function_only_tests_call():
     assert _functions_no_program_calls(modules, uses) == {("bridge.py", "logdensities")}
 
 
-def _errstate_calls(tree):
-    """The enclosing function name (None at module level) of every call to
-    ``errstate`` or ``seterr``, as ``np.errstate(...)`` or a bare ``errstate(...)``."""
+def _enclosing_functions(tree, match):
+    """The enclosing function name (None at module level) of every node ``match`` accepts."""
     found = []
 
     def visit(node, function):
@@ -286,15 +237,25 @@ def _errstate_calls(tree):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in ("errstate", "seterr"):
-                    found.append(function)
+            if match(child):
+                found.append(function)
             visit(child, function)
 
     visit(tree, None)
     return found
+
+
+def _errstate_calls(tree):
+    """The enclosing function name (None at module level) of every call to
+    ``errstate`` or ``seterr``, as ``np.errstate(...)`` or a bare ``errstate(...)``."""
+    def match(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        return name in ("errstate", "seterr")
+
+    return _enclosing_functions(tree, match)
 
 
 def test_only_the_policy_and_the_listed_kernels_set_numpy_error_state():
@@ -325,3 +286,25 @@ def test_the_errstate_check_catches_a_kernel_that_sets_its_own():
         assert _errstate_calls(ast.parse(text)) == ["record_logdensities"], text
     assert _errstate_calls(ast.parse("x = np.errstate(over='raise')")) == [None]
     assert not _errstate_calls(ast.parse("def f():\n    return np.geterr()"))
+
+
+def _step_halvings(tree):
+    """The enclosing function name of every ``x *= 0.5``."""
+    return _enclosing_functions(tree, lambda node: isinstance(node, ast.AugAssign)
+                                and isinstance(node.op, ast.Mult)
+                                and isinstance(node.value, ast.Constant)
+                                and node.value.value == 0.5)
+
+
+def test_every_fit_steps_through_the_one_descend_loop():
+    trees = _trees()
+    halvings = [(name, function) for name, tree in trees.items()
+                for function in _step_halvings(tree)]
+    assert halvings == [("likelihood.py", "descend")], (
+        f"halve steps in likelihood.descend, not in a loop of its own: {halvings}")
+    for name, caller in (("likelihood.py", "mle_fit"), ("collocation.py", "collocation_fit"),
+                         ("estimating.py", "ee_solve")):
+        function = next(node for node in ast.walk(trees[name])
+                        if isinstance(node, ast.FunctionDef) and node.name == caller)
+        assert any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == "descend" for node in ast.walk(function)), name
