@@ -11,8 +11,10 @@ estimation in an SDE whose constant diffusion coefficient is 1/sqrt(2*lambda),
 so ``map_equivalent_sigma`` converts between the two parameterizations.
 
 Under Gaussian noise the fit is damped Gauss-Newton steps over (c, theta), in
-closed form in c (Ramsay, Hooker, Campbell & Cao 2007); otherwise, or if they
-stall, Nelder-Mead over theta alternates with L-BFGS-B over c on that gradient.
+closed form in c (Ramsay, Hooker, Campbell & Cao 2007).  A B-spline row has at most
+4 non-zero entries (de Boor 1978), so each step is a banded Cholesky solve of the
+c-block and a Schur complement for theta.  Otherwise, or if the steps stall,
+Nelder-Mead over theta alternates with L-BFGS-B over c on that gradient.
 Only the drift's, diffusion's and link's state slopes and dr/dtheta are differenced.
 """
 
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import BSpline
+from scipy.linalg.lapack import dpbsv
 from scipy.optimize import minimize
 
 from .errors import DataFormatError, InvalidStartError, WeightSingularityError, _fp_policy
@@ -138,6 +141,16 @@ class CollocationProblem:
         self.Bq = basis.design(self.q_nodes)
         self.dBq = basis.design(self.q_nodes, derivative=1)
         self.y = obs.y_values
+        # each row's window of the 4 basis functions not zero on its knot span, their values,
+        # and where the window's 10 products land in the c-block's upper band storage (4, k)
+        k, (i, j) = basis.n_basis, np.triu_indices(CUBIC_ORDER)
+        obs_win, self._q_win = (np.arange(CUBIC_ORDER) + np.clip(np.searchsorted(
+            basis.augmented_knots(), t, side="right") - CUBIC_ORDER, 0, k - CUBIC_ORDER)[:, None]
+            for t in (obs.times, self.q_nodes))
+        self._local = [np.take_along_axis(m, win, axis=1) for m, win in
+                       ((self.B_obs, obs_win), (self.Bq, self._q_win), (self.dBq, self._q_win))]
+        self._pairs = np.array([i, j])
+        self._band_at = ((3 + i - j) * k + np.vstack([obs_win, self._q_win])[:, j]).ravel()
 
     def _weight_sigma(self, x_q: np.ndarray, theta: np.ndarray) -> np.ndarray:
         sig = np.asarray(self.spec.diffusion(x_q, theta), dtype=float)
@@ -183,7 +196,7 @@ class CollocationProblem:
         return self._linearize(c, theta)[0]
 
     def _linearize(self, c, theta) -> tuple:
-        """The gradient in c, dm/dx, and at the nodes r, mu' + r sigma' and sigma.
+        """The gradient in c, dm/dx, and at the nodes r, mu' + r sigma', sigma, x and dx/dt.
 
         Gradient: data term -B_obs^T (score * dm/dx) summed over the observation
         columns, with the closed-form score of the observation density and
@@ -199,8 +212,8 @@ class CollocationProblem:
         dm = (np.ones_like(score) if self.om.link is None
               else _state_slope(lambda x: self.om.mean(x[:, None]), x_obs))
         grad = -(self.B_obs.T @ (score * dm).sum(axis=1))
-        x_q = self.Bq @ c
-        resid = self._residual(x_q, self.dBq @ c, theta)
+        x_q, dx_q = self.Bq @ c, self.dBq @ c
+        resid = self._residual(x_q, dx_q, theta)
         slope = _state_slope(lambda x: self.spec.drift(x, theta), x_q)
         sig = np.ones_like(resid)
         if self.pen.weight_mode == "sigma_weighted":
@@ -208,30 +221,44 @@ class CollocationProblem:
             slope = slope + resid * _state_slope(lambda x: self.spec.diffusion(x, theta), x_q)
         wr = self.q_weights * resid / sig
         grad = grad + 2.0 * self.pen.lam * (self.dBq.T @ wr - self.Bq.T @ (wr * slope))
-        return grad, dm, resid, slope, sig
+        return grad, dm, resid, slope, sig, x_q, dx_q
 
     def gauss_newton_system(self, v) -> tuple:
         """Gradient g and Gauss-Newton matrix H = B_obs^T diag(sum (dm/dx)^2 /
         scale^2) B_obs + 2 lam J^T W J at v = (c, theta), Gaussian noise; J =
         [(dBq - diag(mu' + r sigma') Bq) / sigma, dr/dtheta], the latter central
-        differences at 1e-6 max(|theta|, 1).  H is the Hessian if r is linear in v."""
-        k = self.basis.n_basis
+        differences at 1e-6 max(|theta|, 1).  H is the Hessian if r is linear in v.  Returns
+        g, the banded c-block in LAPACK's upper band storage (4, k), summed from each row's
+        window of 4 in one bincount, the (k, p) c-theta block and the (p, p) theta block."""
+        k, p = self.basis.n_basis, len(v) - self.basis.n_basis
         c, theta = v[:k], v[k:]
-        grad_c, dm, resid, slope, sig = self._linearize(c, theta)
-        x_q, dx_q = self.Bq @ c, self.dBq @ c
+        grad_c, dm, resid, slope, sig, x_q, dx_q = self._linearize(c, theta)
         jac_theta = [(self._residual(x_q, dx_q, theta + e) - self._residual(x_q, dx_q, theta - e))
                      / (2.0 * e.sum()) for e in np.diag(1e-6 * np.maximum(np.abs(theta), 1.0))]
-        jac = np.column_stack([(self.dBq - slope[:, None] * self.Bq) / sig[:, None]] + jac_theta)
         root_w = np.sqrt(2.0 * self.pen.lam * self.q_weights)
-        scaled = root_w[:, None] * jac
-        hess = scaled.T @ scaled  # one syrk: OpenBLAS's threaded gemm stalled some processes
-        hess[:k, :k] += (self.B_obs.T * (dm**2).sum(axis=1) / self.om.scale**2) @ self.B_obs
-        return np.concatenate([grad_c, scaled[:, k:].T @ (root_w * resid)]), hess
+        # the theta columns bordered by r: g_theta is then a strided gemv, as in a dense J
+        bordered = root_w[:, None] * np.column_stack(jac_theta + [resid])
+        scaled_theta = bordered[:, :-1]
+        b_obs, bq, dbq = self._local
+        scaled_c = root_w[:, None] * ((dbq - slope[:, None] * bq) / sig[:, None])
+        rows = np.vstack([np.sqrt((dm**2).sum(axis=1))[:, None] / self.om.scale * b_obs, scaled_c])
+        band = np.bincount(self._band_at, rows[:, self._pairs].prod(axis=1).ravel(), 4 * k)
+        cross = np.bincount((self._q_win[:, :, None] * p + np.arange(p)).ravel(),
+                            (scaled_c[:, :, None] * scaled_theta[:, None, :]).ravel(), k * p)
+        return (np.concatenate([grad_c, scaled_theta.T @ bordered[:, -1]]), band.reshape(4, k),
+                cross.reshape(k, p), scaled_theta.T @ scaled_theta)
 
     def gauss_newton_step(self, v) -> np.ndarray:
-        """-H^-1 g at v; ``descend`` stalls on a zero sigma or a non-finite step."""
-        grad, hess = self.gauss_newton_system(v)
-        return -np.linalg.solve(hess, grad)
+        """-H^-1 g at v: a banded Cholesky solve (dpbsv) of the c-block against [g_c | H_c theta],
+        the p x p Schur complement for theta, back-substitution for c.  ``descend`` stalls on a
+        c-block that is not positive definite, a zero sigma or a non-finite step."""
+        grad, band, cross, hess_theta = self.gauss_newton_system(v)
+        _, solved, info = dpbsv(band, np.column_stack([grad[:len(cross)], cross]))
+        if info > 0:
+            raise np.linalg.LinAlgError("the Gauss-Newton c-block is not positive definite")
+        step_theta = -np.linalg.solve(hess_theta - cross.T @ solved[:, 1:],
+                                      grad[len(cross):] - cross.T @ solved[:, 0])
+        return np.concatenate([-solved[:, 0] - solved[:, 1:] @ step_theta, step_theta])
 
 
 def _state_slope(f, x: np.ndarray) -> np.ndarray:
@@ -283,9 +310,11 @@ def collocation_fit(obs: NoisyObservationSet, om: ObservationModel, spec: Diffus
     if not np.isfinite(current):
         raise InvalidStartError(
             f"collocation objective is {current} at the start (theta={theta})")
-    k = len(c)
+    k, z0 = len(c), np.concatenate([c, theta])
 
     def joint(v):
+        if v.tobytes() == z0.tobytes():  # descend's f(z0): the start, evaluated once above
+            return current
         try:
             val = prob.objective(v[:k], v[k:])
         except WeightSingularityError:
@@ -295,8 +324,7 @@ def collocation_fit(obs: NoisyObservationSet, om: ObservationModel, spec: Diffus
     converged, optimizer = False, "alternating"
     outer = inner_iterations = gradient_evaluations = 0
     if om.kind == "gaussian":
-        v, f, nit, ok = descend(joint, prob.gauss_newton_step, np.concatenate([c, theta]),
-                                max_steps=min(max_outer, 100))
+        v, f, nit, ok = descend(joint, prob.gauss_newton_step, z0, max_steps=min(max_outer, 100))
         if ok:
             c, theta, current, converged, optimizer = v[:k], v[k:], f, True, "gauss-newton"
             outer = inner_iterations = gradient_evaluations = nit

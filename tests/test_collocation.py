@@ -463,6 +463,30 @@ def _central_difference_v(prob, v, h_rel=1e-5):
     return grad
 
 
+def _densified_system(prob, v):
+    """gauss_newton_system's gradient and its matrix assembled densely from the
+    band (LAPACK upper storage: row 3 - d holds superdiagonal d), c-theta and theta blocks."""
+    grad, band, cross, hess_theta = prob.gauss_newton_system(v)
+    upper = sum(np.diag(band[3 - d, d:], d) for d in range(4))
+    c_block = upper + np.triu(upper, 1).T
+    return grad, np.block([[c_block, cross], [cross.T, hess_theta]])
+
+
+def _dense_gauss_newton_matrix(prob, v):
+    # the dense formula the banded system replaces: B_obs^T diag(sum (dm/dx)^2 / scale^2)
+    # B_obs + 2 lam J^T W J over the full (nodes x (k + p)) quadrature Jacobian J
+    k = prob.basis.n_basis
+    c, theta = v[:k], v[k:]
+    _, dm, _, slope, sig, x_q, dx_q = prob._linearize(c, theta)
+    jac_theta = [(prob._residual(x_q, dx_q, theta + e) - prob._residual(x_q, dx_q, theta - e))
+                 / (2.0 * e.sum()) for e in np.diag(1e-6 * np.maximum(np.abs(theta), 1.0))]
+    jac = np.column_stack([(prob.dBq - slope[:, None] * prob.Bq) / sig[:, None]] + jac_theta)
+    scaled = np.sqrt(2.0 * prob.pen.lam * prob.q_weights)[:, None] * jac
+    hess = scaled.T @ scaled
+    hess[:k, :k] += (prob.B_obs.T * (dm**2).sum(axis=1) / prob.om.scale**2) @ prob.B_obs
+    return hess
+
+
 @settings(max_examples=40, deadline=None)
 @given(drift=st.sampled_from(sorted(DRIFTS)),
        weight_mode=st.sampled_from(["unweighted", "sigma_weighted"]),
@@ -471,7 +495,7 @@ def _central_difference_v(prob, v, h_rel=1e-5):
        seed=st.integers(min_value=0, max_value=10_000))
 def test_gauss_newton_gradient_matches_central_difference(drift, weight_mode, link, lam, seed):
     prob, v = _random_fit_problem(drift, weight_mode, link, lam, seed)
-    grad, hess = prob.gauss_newton_system(v)
+    grad, hess = _densified_system(prob, v)
     central = _central_difference_v(prob, v)
     assert np.max(np.abs(grad - central)) <= 1e-6 * np.max(np.abs(central))
     assert np.allclose(hess, hess.T, rtol=1e-12, atol=1e-12 * np.max(np.abs(hess)))
@@ -492,7 +516,7 @@ def test_gauss_newton_matrix_is_the_hessian_of_an_affine_drift():
     obs, om, spec, basis, pen = _affine_drift_problem()
     prob = CollocationProblem(basis, obs, om, spec, pen)
     v = np.concatenate([np.linalg.lstsq(prob.B_obs, obs.y_values, rcond=None)[0], [0.9]])
-    _, hess = prob.gauss_newton_system(v)
+    _, hess = _densified_system(prob, v)
     k = len(v)
     central = np.empty((k, k))
     for i in range(k):  # central differences of the (central-difference) gradient
@@ -506,6 +530,73 @@ def test_gauss_newton_matrix_is_the_hessian_of_an_affine_drift():
     assert fit.converged and fit.iterations <= 3
     assert fit.iterations == fit.diagnostics["inner_iterations"] \
         == fit.diagnostics["gradient_evaluations"]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(weight_mode=st.sampled_from(["unweighted", "sigma_weighted"]),
+       lam=st.sampled_from([0.1, 10.0, 1e3]),
+       n_knots=st.integers(min_value=2, max_value=9),
+       seed=st.integers(min_value=0, max_value=10_000))
+def test_banded_gauss_newton_matrix_equals_the_dense_formula(weight_mode, lam, n_knots, seed):
+    # non-uniform knots, fewer than the observations: several observations and
+    # quadrature nodes fall in each knot span, the end observations on knots
+    rng = stream(33, seed)
+    times = np.concatenate([[0.0, 2.0], np.sort(rng.uniform(0.0, 2.0, 2 * n_knots + 3))])
+    times.sort()
+    knots = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 1.9, n_knots - 2)), [2.0]])
+    y = 1.0 + 0.5 * np.sin(times) + 0.05 * rng.standard_normal(len(times))
+    for drift in sorted(DRIFTS):
+        for link in sorted(LINKS):
+            y_obs = _two_column_link(y[:, None]) if link == "two_column" else y
+            obs = NoisyObservationSet(times=times, y_values=y_obs)
+            om = ObservationModel(kind="gaussian", scale=0.1, link=LINKS[link])
+            mu, theta = DRIFTS[drift]
+            spec = DiffusionSpec(drift=mu, diffusion=lambda x, th: 0.4 + x**2, theta=theta,
+                                 x0=[1.0])
+            prob = CollocationProblem(BasisConfig(knots=knots), obs, om, spec,
+                                      PenaltySpec(lam=lam, weight_mode=weight_mode))
+            c = (np.linalg.lstsq(prob.B_obs, y, rcond=None)[0]
+                 + 0.2 * rng.standard_normal(prob.basis.n_basis))
+            v = np.concatenate([c, np.asarray(theta) + 0.1 * rng.standard_normal(len(theta))])
+            _, hess = _densified_system(prob, v)
+            dense = _dense_gauss_newton_matrix(prob, v)
+            assert np.max(np.abs(hess - dense)) <= 1e-12 * np.max(np.abs(dense)), (drift, link)
+
+
+def test_gauss_newton_step_solves_the_dense_system():
+    prob, v = _random_fit_problem("logistic", "sigma_weighted", "two_column", 10.0, 3)
+    grad, hess = _densified_system(prob, v)
+    step = prob.gauss_newton_step(v)
+    assert np.max(np.abs(hess @ step + grad)) <= 1e-10 * np.max(np.abs(grad))
+
+
+def test_non_positive_definite_c_block_stalls_into_the_alternation():
+    # with lambda 0 no term reaches the basis functions on knot spans past the last
+    # observation: their rows of the c-block are zero, so the banded Cholesky fails, the
+    # step raises, and the fit falls back to the alternation from the same start
+    times = np.linspace(0.0, 1.0, 10)
+    obs = NoisyObservationSet(times=times, y_values=np.exp(0.3 * times))
+    basis, spec = BasisConfig(knots=np.linspace(0.0, 4.0, 9)), gbm_beta_spec(0.5, 1.0)
+    pen = PenaltySpec(lam=0.0)
+    prob = CollocationProblem(basis, obs, OM, spec, pen)
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        prob.gauss_newton_step(np.concatenate([np.ones(basis.n_basis), spec.theta]))
+    fit, _ = collocation_fit(obs, OM, spec, basis, pen, max_outer=3)
+    assert fit.diagnostics["optimizer"] == "alternating"
+
+
+def test_the_start_objective_is_evaluated_once(monkeypatch):
+    # the InvalidStartError check's value is descend's f(z0): one call for the start, then
+    # one per trial point; this fit takes each of its 6 steps whole (8 calls before)
+    calls, objective = [], CollocationProblem.objective
+
+    def counted(self, c, theta):
+        calls.append(theta)
+        return objective(self, c, theta)
+    monkeypatch.setattr(CollocationProblem, "objective", counted)
+    fit, _ = collocation_fit(*_pinned_problem("gaussian"))
+    assert fit.diagnostics["optimizer"] == "gauss-newton"
+    assert len(calls) == 1 + fit.iterations == 7
 
 
 def _pinned_problem(kind):
