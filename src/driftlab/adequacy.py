@@ -104,8 +104,10 @@ def synthetic_replicates(model, times, k: int, seed: int,
     With an observation model the result is a list of NoisyObservationSet
     (states sampled, then noised); otherwise exact-observation ObservationSet.
     Replicate r draws from the stream keyed (seed, "synthetic", r); the k
-    keys are derived in one pass.
+    keys are derived in one pass.  A negative k raises ValueError.
     """
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
     times = np.asarray(times, dtype=float)
     if isinstance(model, DiscreteKernel) and om is None:
         raise IncompleteContextError(

@@ -276,7 +276,12 @@ def _cmd_diagnose(opts: dict) -> int:
 def _cmd_accept(opts: dict) -> int:
     selected = None
     if "criteria" in opts:
-        selected = {int(v) for v in opts["criteria"].split(",")}
+        selected = set()
+        for v in opts["criteria"].split(","):
+            try:
+                selected.add(int(v))
+            except ValueError:
+                raise ConfigError(f"--criteria takes criterion numbers, got {v!r}") from None
         unknown = sorted(selected - set(range(1, 11)))
         if unknown:
             raise ConfigError(f"unknown acceptance criteria {unknown}: numbers run from 1 to 10")

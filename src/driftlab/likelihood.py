@@ -6,6 +6,7 @@ Carlo) and exposes the free parameter vector; ``mle_fit`` maximizes the
 resulting log-likelihood, by Fisher scoring where the density is Gaussian
 (closed form, Euler), by Newton steps on a differenced Hessian otherwise
 (bridge, Fokker-Planck), and by a derivative-free simplex where either stalls.
+Newton steps and standard errors difference by one working-scale rule.
 """
 
 from __future__ import annotations
@@ -352,14 +353,18 @@ def fisher_step(moments, mask, z):
 
 
 def newton_step(fun, z):
-    """Newton's -H^-1 g for ``fun``, a function of an (m, k) stack of points, at z: g and
-    H central differences at 1e-4 * max(|z|, 1) whose eigenvalues enter as |lambda|
-    floored at 1e-8 * max |lambda|, so it descends off the convex region too;
-    ``descend`` judges a non-finite step."""
-    grad, hess = _central_differences(lambda dz: fun(z + dz), fun(z[None])[0],
-                                      1e-4 * np.maximum(np.abs(z), 1.0))
+    """Newton's -H^-1 g for ``fun``, a function of an (m, k) stack of points, at z: g, H by
+    ``_working_differences``, H's eigenvalues as |lambda| >= 1e-8 * max |lambda| so it
+    descends off the convex region too; ``descend`` judges a non-finite step."""
+    grad, hess = _working_differences(fun, z, fun(z[None])[0])
     lam, vec = np.linalg.eigh(hess)
     return -vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), 1e-8 * np.max(np.abs(lam))))
+
+
+def _working_differences(fun, z, f_z):
+    """Gradient and Hessian at z of ``fun`` (of an (m, k) stack of points; f_z = fun at z):
+    central differences at 1e-4 * max(|z|, 1) (Dennis & Schnabel 1983, sec. 5.4)."""
+    return _central_differences(lambda dz: fun(z + dz), f_z, 1e-4 * np.maximum(np.abs(z), 1.0))
 
 
 def _central_differences(f, f0, h):
@@ -381,35 +386,6 @@ def _central_differences(f, f0, h):
     return grad, hess
 
 
-def _hessian_stderr(logliks, theta_hat, positive_mask):
-    """Standard errors from the observed information (central differences) of ``logliks``.
-
-    Probes step by 1e-4 * max(|theta|, 1).  A positive parameter at or below
-    1e-4, which that step would push out of its domain, is differenced on the
-    log scale instead: se(theta) = theta * se(log theta) by the delta method.
-    Returns (stderr or None, log_scaled mask).
-    """
-    log_scaled = np.array(positive_mask, dtype=bool) & (theta_hat <= 1e-4)
-    u_hat = theta_hat.copy()
-    u_hat[log_scaled] = np.log(theta_hat[log_scaled])
-
-    def f(offsets):
-        u = u_hat + offsets
-        u[:, log_scaled] = np.exp(u[:, log_scaled])
-        return logliks(u)
-
-    _, hess = _central_differences(f, logliks(theta_hat[None])[0],
-                                   1e-4 * np.maximum(np.abs(u_hat), 1.0))
-    try:
-        cov = np.linalg.inv(-hess)
-    except np.linalg.LinAlgError:
-        return None, log_scaled
-    diag = np.diag(cov)
-    if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
-        return None, log_scaled
-    return np.sqrt(diag) * np.where(log_scaled, theta_hat, 1.0), log_scaled
-
-
 @_fp_policy()
 def mle_fit(td: TransitionDensity, obs: ObservationSet, init_theta, seed: int = 0,
             compute_stderr: bool = True) -> FitResult:
@@ -417,14 +393,15 @@ def mle_fit(td: TransitionDensity, obs: ObservationSet, init_theta, seed: int = 
 
     Positivity-constrained parameters are optimized on the log scale by
     ``descend`` with a ``fisher_step`` for a Gaussian density, and for any
-    other (bridge, Fokker-Planck) with a ``newton_step``: central differences
-    at 1e-4 * max(|z|, 1), Hessian eigenvalues as |lambda| >= 1e-8 max |lambda|.
-    A stalled pass hands over to ``minimize_simplex`` from the same start;
-    non-convergence is reported through ``converged=False``.  A non-finite
-    objective at the start raises InvalidStartError, and fewer observation
-    pairs than free parameters raises InsufficientDataError.  A trial point or
-    probe whose evaluation raises a DriftlabError counts as -inf, so standard
-    errors whose probes raise are None.
+    other (bridge, Fokker-Planck) with a ``newton_step``.  A stalled pass hands
+    over to ``minimize_simplex`` from the same start; non-convergence is reported
+    through ``converged=False``.  A non-finite objective at the start raises
+    InvalidStartError, and fewer observation pairs than free parameters raises
+    InsufficientDataError.  Standard errors are the Newton step's
+    ``_working_differences`` at the estimate, se(theta) = theta * se(log theta) for
+    a positive parameter (``diagnostics["stderr_log_scale"]``); they are None where
+    the Hessian is singular, a variance is not positive and finite, or the probes
+    raise (a probe or trial point that raises a DriftlabError counts as -inf).
     """
     mask = np.array(td.positive_mask, dtype=bool)
     init_theta = np.atleast_1d(np.asarray(init_theta, dtype=float))
@@ -470,13 +447,14 @@ def mle_fit(td: TransitionDensity, obs: ObservationSet, init_theta, seed: int = 
     theta_hat = from_working(z_hat, mask)
     diagnostics = {"optimizer": optimizer, "kind": td.kind}
     stderr = None
-    if compute_stderr:
-        try:
-            stderr, log_scaled = _hessian_stderr(logliks, theta_hat, mask)
-        except DriftlabError:
-            log_scaled = ()
-        if np.any(log_scaled):
-            diagnostics["stderr_log_scale"] = [bool(v) for v in log_scaled]
+    if compute_stderr:  # the observed information at z_hat, by the delta method
+        _, hess = _working_differences(lambda zs: logliks(from_working(zs, mask)), z_hat, -fval)
+        with suppress(np.linalg.LinAlgError):
+            var = np.diag(np.linalg.inv(-hess))
+            if np.all((0 < var) & (var < np.inf)):
+                stderr = np.sqrt(var) * np.where(mask, theta_hat, 1.0)
+        if np.any(mask):
+            diagnostics["stderr_log_scale"] = mask.tolist()
     return FitResult(
         theta_hat=theta_hat,
         objective_value=-fval,

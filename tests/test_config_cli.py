@@ -1,8 +1,8 @@
-import hashlib
+import difflib
+import importlib.util
 import io
 import json
 import os
-import shlex
 import warnings
 from pathlib import Path
 
@@ -14,6 +14,13 @@ from driftlab.cli import cli_run
 from driftlab.config import parse_config_text, typed_options
 from driftlab.errors import ConfigError, DegenerateImportanceError
 from driftlab.ioutil import atomic_write_text
+
+# README's one parser, and its outputs, come from the script that records them
+_spec = importlib.util.spec_from_file_location(
+    "golden_acceptance", Path(__file__).resolve().parents[1] / "scripts" / "golden_acceptance.py")
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+README_GOLDEN = golden.DEFAULT_OUT.parent / "readme"
 
 
 def run(tmp_path, *argv):
@@ -58,8 +65,8 @@ def test_fit_round_trip(tmp_path):
 
 
 def test_fit_tiny_sigma_keeps_estimate(tmp_path):
-    # sigma-hat near 4e-5 sits below the 1e-4 standard-error probe step;
-    # the fit must still exit 0 and write its estimate and standard errors
+    # sigma-hat near 4e-5 sits below a natural-scale probe step of 1e-4; differenced
+    # on the log scale, the fit must still exit 0 and write its estimate and standard errors
     t = 0.1 * np.arange(21)
     b = np.concatenate([[0.0], np.cumsum(np.sqrt(0.1) * np.random.default_rng(0).normal(size=20))])
     data = tmp_path / "tiny.csv"
@@ -173,18 +180,31 @@ def test_bridge_mle_standard_errors_agree_with_closed_form(tmp_path, seed):
 
 
 def test_bridge_mle_keeps_its_estimate_when_stderr_probes_fail(tmp_path, monkeypatch):
+    calls, budget = [0], [np.inf]
+    record_terms = likelihood.BridgeDensity.record_terms
+
+    def failing_after_budget(self, dts, x, y):
+        at = record_terms(self, dts, x, y)
+
+        def counted(theta):
+            calls[0] += 1
+            if calls[0] > budget[0]:
+                raise DegenerateImportanceError(0)
+            return at(theta)
+        return counted
+
+    monkeypatch.setattr(likelihood.BridgeDensity, "record_terms", failing_after_budget)
     data = _gbm_csv(tmp_path, 1)
     _, reference = _fit(tmp_path, data, "bridge-mle", "--m-sub", "4", "--j-samples", "50")
     assert reference["stderr"] is not None
-
-    def probes_fail(*_args):
-        raise DegenerateImportanceError(0)
-
-    monkeypatch.setattr(likelihood, "_hessian_stderr", probes_fail)
+    # the same fit again, now with the standard errors' probes raising: their one
+    # stacked call is the fit's last, and each probe then counts as -inf row by row
+    budget[0], calls[0] = calls[0] - 1, 0
     code, fit = _fit(tmp_path, data, "bridge-mle", "--m-sub", "4", "--j-samples", "50")
     assert code == 0
     assert fit["stderr"] is None
     assert fit["theta_hat"] == reference["theta_hat"]
+    assert calls[0] == budget[0] + 1 + 8
 
 
 def test_filter_command(tmp_path):
@@ -352,16 +372,19 @@ def test_diagnose_gbm_sigma_overflowing_its_square_is_indeterminate(tmp_path):
     assert len(stats) == 5 and all(s["indeterminate"] for s in stats)
 
 
-@pytest.mark.parametrize("obs_flags", [["--obs-kind", "student_t"], ["--obs-dof", "4"]],
-                         ids=lambda f: f[0][2:])
-def test_diagnose_observation_options_need_obs_scale(tmp_path, capsys, obs_flags):
+@pytest.mark.parametrize("obs_flags, message", [
+    (["--obs-kind", "student_t"], "obs-scale is required"),
+    (["--obs-dof", "4"], "obs-scale is required"),
+    (["--k", "-1"], "k must be non-negative, got -1"),  # an option error names its option too
+], ids=["obs-kind", "obs-dof", "k"])
+def test_diagnose_observation_options_need_obs_scale(tmp_path, capsys, obs_flags, message):
     data = tmp_path / "obs.csv"
     data.write_text("t,y\n0,1.0\n0.5,1.2\n1,1.1\n")
     out = tmp_path / "report.json"
     code = cli_run(["diagnose", "--model", "gbm", "--beta", "0.1", "--sigma", "0.2",
                     *obs_flags, "--data", str(data), "--out", str(out)])
     assert code == 2
-    assert "obs-scale is required" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -441,7 +464,11 @@ def test_collocate_max_outer_below_one_rejected(tmp_path, capsys, max_outer):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("criteria, named", [("11", "[11]"), ("0,12", "[0, 12]")])
+@pytest.mark.parametrize("criteria, named", [
+    ("11", "[11]"), ("0,12", "[0, 12]"),
+    ("a", "--criteria takes criterion numbers, got 'a'"),
+    ("3,,4", "--criteria takes criterion numbers, got ''"),
+])
 def test_accept_rejects_criteria_outside_one_to_ten(tmp_path, capsys, criteria, named):
     out_dir = tmp_path / "acc"
     code = cli_run(["accept", "--criteria", criteria, "--out-dir", str(out_dir)])
@@ -636,41 +663,26 @@ def test_one_parser_serves_every_run_in_a_process(tmp_path, capsys):
     assert set(shared[1]) == {"fit.json", "path.csv"}
 
 
-# sha256 of each file README's simulate and fit commands write
-README_OUTPUTS = {
-    "path.csv": "237cda9aad7ee5e19b21168a8f56c0a381d05d551bfab84e56e979b9382c0399",
-    "fit.json": "f110252f30a3cd2da90b6492f24e8f35bed9d944ef825dea558ef967be9501be",
-    "ee.json": "a178d1936669326fccd5eaea4374196d7a8e47ad113657ffa33b6535a19b06bd",
-    "bridge.json": "51597fcb5527620b769334b3484ccf2068413345cd88a7b8ec2c03ad4ef0491c",
-}
-
-
-def _readme_commands(*commands):
-    """The argument lists of README's ``driftlab <command>`` lines for ``commands``,
-    continuation lines joined, in README's order."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    lines = text.replace("\\\n", " ").splitlines()
-    return [words[1:] for words in (shlex.split(line) for line in lines
-                                     if line.startswith("driftlab "))
-            if words[1] in commands]
-
-
-def test_readme_commands_write_their_recorded_outputs(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    commands = _readme_commands("simulate", "fit")
-    assert [argv[:3] for argv in commands] == [
+def test_readme_commands_write_their_recorded_outputs(tmp_path):
+    assert [argv[:3] for argv in golden.readme_commands("simulate", "fit")] == [
         ["simulate", "--model", "gbm"], ["fit", "--method", "mle"],
         ["fit", "--method", "ee"], ["fit", "--method", "bridge-mle"]]
-    for argv in commands:
-        assert cli_run(argv) == 0, argv
-    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in README_OUTPUTS} == README_OUTPUTS
+    outputs = golden.readme_outputs(tmp_path)
+    recorded = {p.name: p.read_bytes() for p in README_GOLDEN.iterdir()}
+    assert sorted(outputs) == sorted(recorded) == ["bridge.json", "ee.json", "fit.json",
+                                                   "path.csv"]
+    moved = {name: "".join(difflib.unified_diff(
+        recorded[name].decode().splitlines(keepends=True),
+        outputs[name].decode().splitlines(keepends=True), "recorded", "fresh"))
+        for name in recorded if outputs[name] != recorded[name]}
+    assert not moved, ("regenerate with scripts/golden_acceptance.py and declare:\n"
+                       + "\n".join(moved.values()))
 
 
 def test_ee_fit_of_an_overflowing_record_exits_2(tmp_path, capsys, monkeypatch):
     # README's path times 1e306: the residual overflows at the start
     monkeypatch.chdir(tmp_path)
-    assert cli_run(_readme_commands("simulate")[0]) == 0
+    assert cli_run(golden.readme_commands("simulate")[0]) == 0
     rows = np.loadtxt("path.csv", delimiter=",", skiprows=1)
     np.savetxt("big.csv", rows * [1.0, 1e306], fmt="%.17g", delimiter=",", header="t,x1",
                comments="")

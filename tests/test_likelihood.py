@@ -25,10 +25,10 @@ from driftlab.likelihood import (
     OuDensity,
     TransitionDensity,
     _central_differences,
-    _hessian_stderr,
     _loglik_at,
     _logliks,
     _score_and_fisher,
+    _working_differences,
     descend,
     discrete_loglikelihood,
     from_working,
@@ -220,17 +220,17 @@ def test_mle_asymptotically_centered():
 
 
 def test_log_scale_stderr_matches_natural_scale_curvature():
-    # a Gaussian log-likelihood in theta with sd 1e-5 around 5e-5: the natural
-    # probe (step 1e-4) would leave theta > 0, the log-scale probe plus the
-    # delta method still recovers the sd
+    # a Gaussian log-likelihood in theta with sd 1e-5 around 5e-5: a natural-scale
+    # probe of step 1e-4 would leave theta > 0, the working-scale (log) probe plus
+    # the delta method still recovers the sd
     def loglik(th):
         assert th[0] > 0
         return -0.5 * ((th[0] - 5e-5) / 1e-5) ** 2
 
-    se, log_scaled = _hessian_stderr(lambda thetas: [loglik(th) for th in thetas],
-                                     np.array([5e-5]), (True,))
-    assert log_scaled.tolist() == [True]
-    assert se[0] == pytest.approx(1e-5, rel=1e-3)
+    z_hat = np.log([5e-5])
+    _, hess = _working_differences(lambda zs: [loglik(np.exp(z)) for z in zs], z_hat, 0.0)
+    se = 5e-5 * np.sqrt(-1.0 / hess[0, 0])  # the delta method, as mle_fit applies it
+    assert se == pytest.approx(1e-5, rel=1e-3)
 
 
 def test_mle_tiny_sigma_returns_standard_errors():
@@ -254,7 +254,8 @@ def test_fit_result_json_schema(tmp_path):
     assert set(d) == {"theta_hat", "objective", "converged", "iterations",
                       "seed", "stderr", "diagnostics"}
     assert d["seed"] == 5
-    assert d["diagnostics"] == {"optimizer": "fisher-scoring", "kind": "closed_form_gbm"}
+    assert d["diagnostics"] == {"optimizer": "fisher-scoring", "kind": "closed_form_gbm",
+                                "stderr_log_scale": [False, True]}
     from driftlab.ioutil import write_json
     write_json(str(tmp_path / "fit.json"), d)
     back = json.loads((tmp_path / "fit.json").read_text())
@@ -418,11 +419,11 @@ def test_failing_stderr_probes_leave_the_estimate_standing(monkeypatch):
     monkeypatch.setattr(GbmDensity, "record_moments", failing_after_budget)
     obs = _gbm_obs(P_GBM, 0.1 * np.arange(51), (93, 0))
     plain = mle_fit(GbmDensity(P_GBM), obs, [0.1, 0.2], compute_stderr=False)
-    # the same fit again, now with every standard-error probe raising: each
-    # counts as -inf, the centre and the eight probes of the two parameters
+    # the same fit again, now with every standard-error probe raising: each of the
+    # eight probes of the two parameters counts as -inf; the centre is the fit's own value
     budget[0], evaluations[:] = len(evaluations), []
     fit = mle_fit(GbmDensity(P_GBM), obs, [0.1, 0.2])
-    assert len(evaluations) == budget[0] + 9
+    assert len(evaluations) == budget[0] + 8
     assert fit.converged and fit.standard_errors is None
     assert np.array_equal(fit.theta_hat, plain.theta_hat)
 
