@@ -20,7 +20,7 @@ from .observe import NoisyObservationSet, ObservationModel, ObservationSet
 from .particle import DiscreteKernel
 from .paths import Path
 from .rng import StreamRows
-from .simulate import euler_advance, ou_paths
+from .simulate import euler_advance, ou_paths, pow_square
 
 DEFAULT_K = 50
 BAND = (0.05, 0.95)  # quantile envelope of the synthetic statistics
@@ -70,8 +70,7 @@ def simulate_states_at(model, times: np.ndarray, rng: np.random.Generator) -> np
     dts = np.diff(times)
     if isinstance(model, GbmParams):
         z = rng.standard_normal(len(dts))
-        var = np.float64(model.sigma) ** 2  # inf, not OverflowError
-        incr = (model.beta - 0.5 * var) * dts + model.sigma * np.sqrt(dts) * z
+        incr = (model.beta - 0.5 * pow_square(model.sigma)) * dts + model.sigma * np.sqrt(dts) * z
         return (model.x0 * np.exp(np.concatenate([[0.0], np.cumsum(incr)])))[:, None]
     if isinstance(model, OuParams):
         return ou_paths(model, dts, rng.standard_normal(len(dts)))[:, None]

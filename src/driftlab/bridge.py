@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .densities import logsumexp, normal_logpdf
+from .densities import logsumexp, normal_logpdf, takes_columns
 from .errors import DegenerateImportanceError
 from .models import DiffusionSpec
 from .rng import replicate_normals
@@ -50,18 +50,8 @@ STACK_VALUES = 8_000
 
 
 def stack_size(spec: DiffusionSpec, record: tuple) -> int:
-    """Thetas per ``record_logdensities`` pass: as many as keep a substep within STACK_VALUES
-    values, or 1 where drift or diffusion raise on theta as columns (k, m, 1, 1) or return
-    rows other than their values at each 1-D theta."""
-    u, thetas = record[0], np.stack([spec.theta, spec.theta + 1.0])
-    cols = thetas.T[:, :, None, None]
-    try:  # whatever a user's spec raises on columns, it is called theta by theta
-        same = all(np.array_equal(np.broadcast_to(fn(u, cols), (2,) + u.shape),
-                                  [np.broadcast_to(fn(u, th), u.shape) for th in thetas],
-                                  equal_nan=True) for fn in (spec.drift, spec.diffusion))
-    except Exception:
-        same = False
-    return max(1, STACK_VALUES // record[4][0].size) if same else 1
+    """Thetas per pass: STACK_VALUES values a substep, or 1 where the spec takes no columns."""
+    return max(1, STACK_VALUES // record[4][0].size) if takes_columns(spec, record[0]) else 1
 
 
 def record_logdensities(spec: DiffusionSpec, theta: np.ndarray, record: tuple) -> np.ndarray:

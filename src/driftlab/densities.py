@@ -3,6 +3,8 @@ approximation.  All functions broadcast over numpy arrays in dt, x and y.
 Each density is a theta-free record part (checks, arrays) that a fit runs
 once and a ``*_moments`` part that it runs per theta: every pair's Gaussian
 target, mean and variance, whose ``normal_logpdf`` is the log-density.
+A stack's rows are byte for byte the 1-D values: sigma squares by libm pow, numpy's scalar
+``** 2`` (``simulate.pow_square``), not by the array ``** 2``, s * s, whose last bit can differ.
 """
 
 from __future__ import annotations
@@ -10,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateDensityError
-from .models import DiffusionSpec, GbmParams, OuParams
-from .simulate import ou_transition_moments
+from .models import DiffusionSpec, GbmParams, OuParams, on_rows
+from .simulate import ou_transition_moments, pow_square
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -69,10 +71,10 @@ def gbm_record(dt, x, y) -> tuple:
 
 
 def gbm_moments(p: GbmParams, dt, r) -> tuple:
-    """(target, mean, variance) of a GBM record's log-returns r under p."""
-    if p.sigma == 0:
+    """(target, mean, variance) of a GBM record's log-returns r under p (or its columns)."""
+    if on_rows(p.sigma == 0):
         raise DegenerateDensityError("GBM transition density degenerate at sigma = 0")
-    var = np.float64(p.sigma) ** 2  # overflows to inf where a Python float raises
+    var = pow_square(p.sigma)
     return r, (p.beta - 0.5 * var) * dt, var * dt
 
 
@@ -83,21 +85,37 @@ def gbm_transition_logdensity(p: GbmParams, dt, x, y):
 
 
 def ou_moments(p: OuParams, record: tuple) -> tuple:
-    """(target, mean, variance) of an OU record's end states under p."""
+    """(target, mean, variance) of an OU record's end states under p (or its columns)."""
     dt, x, y = record
-    if p.sigma == 0:
+    if on_rows(p.sigma == 0):
         raise DegenerateDensityError("OU transition density degenerate at sigma = 0")
     phi, offset, var = ou_transition_moments(p, dt)
     return y, phi * x + offset, var
 
 
 def euler_moments(spec: DiffusionSpec, record: tuple, theta=None) -> tuple:
-    """(target, mean, variance) of a record's one-step Euler Gaussian under
-    spec, at theta (default spec.theta)."""
+    """(target, mean, variance) of a record's one-step Euler Gaussian under spec at theta
+    (default spec.theta), or at an (m, k) stack passed as k columns (m, 1): (m, n) rows."""
     dt, x, y = record
     theta = spec.theta if theta is None else np.atleast_1d(np.asarray(theta, dtype=float))
-    mu = np.asarray(spec.drift(x, theta), dtype=float)
-    sig = np.asarray(spec.diffusion(x, theta), dtype=float)
+    th = theta if theta.ndim == 1 else theta.T[:, :, None]
+    mu = np.asarray(spec.drift(x, th), dtype=float)
+    sig = np.asarray(spec.diffusion(x, th), dtype=float)
     if np.any(sig == 0):
         raise DegenerateDensityError("Euler transition density degenerate at sigma(x) = 0")
+    if theta.ndim == 2:  # a theta-free drift or diffusion gives no row per theta of its own
+        mu, sig = (np.broadcast_to(v, (len(theta),) + x.shape) for v in (mu, sig))
     return y, x + mu * dt, sig**2 * dt
+
+
+def takes_columns(spec: DiffusionSpec, u: np.ndarray) -> bool:
+    """Whether drift and diffusion at states u take m thetas as k columns (k, m) + (1,) *
+    u.ndim, row i byte for byte their value at the 1-D theta i (not so where they raise)."""
+    thetas, values = spec.theta + np.array([[0.0], [1.0]]), np.empty((2, 2, 2) + u.shape)
+    cols = thetas.T.reshape(thetas.T.shape + (1,) * u.ndim)
+    try:  # whatever a user's spec raises on columns, it is called theta by theta
+        for fn, v in zip((spec.drift, spec.diffusion), values):  # v: columns, then 1-D thetas
+            v[0], v[1, 0], v[1, 1] = fn(u, cols), fn(u, thetas[0]), fn(u, thetas[1])
+    except Exception:
+        return False
+    return values[:, 0].tobytes() == values[:, 1].tobytes()

@@ -45,8 +45,8 @@ class TransitionDensity:
     pairs and prepares its theta-free work once (arrays, grids, frozen Monte
     Carlo draws), and returns theta -> the log-densities log p_theta(dts[i],
     x[i], y[i]) of every pair i in one call, so irregular times cost no extra calls.
-    One that also takes an (m, k) stack of thetas, returning (m, n_pairs) terms and -inf
-    for a pair that degenerates, sets ``stacks``; fits call others row by row.
+    One that also takes an (m, k) stack, returning (m, n_pairs) terms (row i those at theta i),
+    sets ``stacks``; fits call others row by row, and each row alone where a stack raises.
     """
 
     kind: str
@@ -69,9 +69,11 @@ class TransitionDensity:
 
 
 class _GaussianDensity(TransitionDensity):
-    """A density Gaussian in a per-pair target: ``record_moments(dts, x, y)``
-    returns (theta -> every pair's (target, mean, variance), the theta-free log
-    Jacobian of the target), and the log-density is the one formula below."""
+    """A density Gaussian in a per-pair target: ``record_moments(dts, x, y)`` returns
+    (theta -> every pair's (target, mean, variance), at an (m, k) stack (n,), (m, n), (m, n);
+    the theta-free log Jacobian of the target), and the log-density is the one formula below."""
+
+    stacks = True
 
     def record_terms(self, dts, x, y):
         return self.terms(*self.record_moments(dts, x, y))
@@ -94,8 +96,13 @@ class _ClosedFormDensity(_GaussianDensity):
         return tuple(f in self.positive for f in self.free)
 
     def _params_at(self, theta):
-        updates = {f: float(v) for f, v in zip(self.free, np.atleast_1d(theta))}
-        return replace(self.params, **updates)
+        """The params at a 1-D theta (floats) or (m, k) stack ((m, 1) columns, checked by row)."""
+        theta = np.atleast_1d(theta)
+        if theta.ndim == 1:
+            return replace(self.params, **{f: float(v) for f, v in zip(self.free, theta)})
+        fixed = {f: np.full((len(theta), 1), v) for f, v in vars(self.params).items()
+                 if f not in self.free}
+        return replace(self.params, **fixed, **dict(zip(self.free, theta.T[:, :, None])))
 
 
 @dataclass(frozen=True)
@@ -155,7 +162,14 @@ class EulerDensity(_GaussianDensity, _SpecDensity):
 
     def record_moments(self, dts, x, y):
         record = densities.record_arrays(dts, x, y)
-        return lambda theta: densities.euler_moments(self.spec, record, theta), 0.0
+        moments = partial(densities.euler_moments, self.spec, record)
+        if densities.takes_columns(self.spec, record[1]):
+            return moments, 0.0
+
+        def by_rows(theta):  # m = 1: each row of a stack in a 1-D call
+            target, mean, var = map(np.array, zip(*map(moments, np.atleast_2d(theta))))
+            return (target[0], mean, var) if np.ndim(theta) == 2 else (target[0], mean[0], var[0])
+        return by_rows, 0.0
 
 
 @dataclass(frozen=True)
@@ -307,15 +321,13 @@ def minimize_simplex(fun, x0):
 def _score_and_fisher(moments, z, mask):
     """Score sum (r/v) dm + (r^2/v^2 - 1/v) dv / 2 and Fisher information
     sum dm dm'/v + dv dv'/(2 v^2) of a Gaussian record at working point z, where
-    r = target - mean and dm, dv difference the mean and variance v at 1e-6 * max(|z|, 1)."""
-    target, mean, var = moments(from_working(z, mask))
+    r = target - mean and dm, dv difference the mean and variance v at 1e-6 * max(|z|, 1):
+    z and its probes z + h_i e_i, z - h_i e_i go to ``moments`` as one (2k + 1, k) stack."""
     h = 1e-6 * np.maximum(np.abs(z), 1.0)
-    dm, dv = np.empty((2, len(z), len(target)))
-    for i, e in enumerate(np.diag(h)):
-        _, m_up, v_up = moments(from_working(z + e, mask))
-        _, m_dn, v_dn = moments(from_working(z - e, mask))
-        dm[i], dv[i] = (m_up - m_dn) / (2.0 * h[i]), (v_up - v_dn) / (2.0 * h[i])
-    r = target - mean
+    probes = [z] + [d for e in np.diag(h) for d in (z + e, z - e)]
+    target, means, variances = moments(from_working(np.array(probes), mask))
+    dm, dv = ((a[1::2] - a[2::2]) / (2.0 * h[:, None]) for a in (means, variances))
+    r, var = target - means[0], variances[0]
     score = dm @ (r / var) + 0.5 * (dv @ (r**2 / var**2 - 1.0 / var))
     return score, (dm / var) @ dm.T + (dv / (2.0 * var**2)) @ dv.T
 

@@ -25,9 +25,9 @@ class DiffusionSpec:
 
     Instances are immutable; ``with_theta`` returns a copy with a new
     parameter vector.  ``positive`` marks parameters that are constrained
-    positive (optimizers work on their logs).  The bridge passes drift and diffusion
-    a stack of m thetas as k columns (m, 1, 1) where they broadcast over them, as
-    ``th[0] * x`` does, and one 1-D theta at a time (m = 1) where they do not.
+    positive (optimizers work on their logs).  The bridge and the Euler density pass drift
+    and diffusion a stack of m thetas as k columns, (m, 1, 1) and (m, 1), where they take
+    them as ``th[0] * x`` does, and one 1-D theta at a time (m = 1) where they do not.
     """
 
     drift: Drift
@@ -57,6 +57,11 @@ class DiffusionSpec:
         return np.asarray(self.diffusion(x, self.theta), dtype=float)
 
 
+def on_rows(flags, reduce=np.ndarray.any) -> bool:
+    """A check's flags reduced over a stack of params' rows ((m, 1) columns), or one bool."""
+    return reduce(flags) if isinstance(flags, np.ndarray) else flags
+
+
 @dataclass(frozen=True)
 class GbmParams:
     """Geometric Brownian motion dX = beta*X dt + sigma*X dB, X_0 = x0 > 0."""
@@ -66,9 +71,9 @@ class GbmParams:
     x0: float = 1.0
 
     def __post_init__(self):
-        if not self.x0 > 0:
+        if not on_rows(self.x0 > 0, np.ndarray.all):
             raise ValueError("x0 must be positive")
-        if self.sigma < 0:
+        if on_rows(self.sigma < 0):
             raise ValueError("sigma must be nonnegative")
 
 
@@ -82,9 +87,9 @@ class OuParams:
     b0: float = 0.0
 
     def __post_init__(self):
-        if not self.gamma > 0:
+        if not on_rows(self.gamma > 0, np.ndarray.all):
             raise ValueError("gamma must be positive")
-        if self.sigma < 0:
+        if on_rows(self.sigma < 0):
             raise ValueError("sigma must be nonnegative")
 
 

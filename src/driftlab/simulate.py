@@ -61,8 +61,7 @@ def simulate_gbm_exact(p: GbmParams, grid: TimeGrid, seed) -> Path:
     z = stream(seed).standard_normal(grid.n_steps)
     t = grid.times()
     b = np.concatenate([[0.0], np.cumsum(np.sqrt(grid.dt) * z)])
-    var = np.float64(p.sigma) ** 2  # inf, not OverflowError
-    values = p.x0 * np.exp((p.beta - 0.5 * var) * (t - t[0]) + p.sigma * b)
+    values = p.x0 * np.exp((p.beta - 0.5 * pow_square(p.sigma)) * (t - t[0]) + p.sigma * b)
     return Path(times=t, values=values)
 
 
@@ -71,12 +70,19 @@ def ou_transition_moments(p: OuParams, dt) -> tuple:
 
     b_{t+dt} | b_t ~ Normal(beta_bar + (b_t - beta_bar) e^{-gamma dt},
     sigma^2 (1 - e^{-2 gamma dt}) / (2 gamma)); returned as (phi, offset, var)
-    with mean = phi * b_t + offset.
+    with mean = phi * b_t + offset; p's fields may be (m, 1) columns, a row per theta.
     """
     phi = np.exp(-p.gamma * np.asarray(dt, dtype=float))
     offset = p.beta_bar * (1.0 - phi)
-    var = np.float64(p.sigma) ** 2 * (1.0 - phi**2) / (2.0 * p.gamma)  # inf, not OverflowError
+    var = pow_square(p.sigma) * (1.0 - phi**2) / (2.0 * p.gamma)
     return phi, offset, var
+
+
+def pow_square(s):
+    """s ** 2 by numpy's scalar power (libm pow; inf, not OverflowError), entry by entry."""
+    if isinstance(s, np.ndarray):  # the array power, s * s, can differ in the last bit
+        return np.array([np.float64(v) ** 2 for v in s.flat]).reshape(s.shape)
+    return np.float64(s) ** 2
 
 
 def ou_paths(p: OuParams, dts, z: np.ndarray) -> np.ndarray:

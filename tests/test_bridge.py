@@ -9,7 +9,7 @@ from scipy import stats
 from driftlab import bridge
 from driftlab.adequacy import simulate_states_at
 from driftlab.bridge import prepare_record, proposal_normals, record_logdensities, stack_size
-from driftlab.densities import gbm_transition_logdensity, logsumexp, record_arrays
+from driftlab.densities import gbm_transition_logdensity, logsumexp, record_arrays, takes_columns
 from driftlab.errors import DegenerateImportanceError, UnsupportedDimensionError, _fp_policy
 from driftlab.likelihood import (
     BridgeDensity,
@@ -417,12 +417,17 @@ def test_stack_size_follows_the_record_and_the_spec():
                          proposal_normals(50, 8, 200, 0))
     assert stack_size(gbm_spec(P), big) == 1
     # a spec that takes theta entries as Python floats, or mixes the rows of a
-    # stack, is called with one 1-D theta at a time
+    # stack, is called with one 1-D theta at a time; the bridge (theta as (k, m, 1, 1)
+    # against its (n_pairs, 1) states) and the Euler density ((k, m, 1) against (n_pairs,))
+    # ask the one helper
     as_float = DiffusionSpec(drift=lambda x, th: float(th[0]) * x,
                              diffusion=lambda x, th: th[1] * x, theta=[0.1, 0.2], x0=[1.0])
     mixing = DiffusionSpec(drift=lambda x, th: np.max(th[0]) * x,
                            diffusion=lambda x, th: th[1] * x, theta=[0.1, 0.2], x0=[1.0])
     assert stack_size(as_float, record) == stack_size(mixing, record) == 1
+    for u in (record[0], np.ones(3)):
+        assert takes_columns(gbm_spec(P), u)
+        assert not takes_columns(as_float, u) and not takes_columns(mixing, u)
 
 
 def test_a_spec_of_python_floats_fits_as_the_broadcasting_spec():

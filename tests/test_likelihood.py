@@ -3,12 +3,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from driftlab import bridge, densities
 from driftlab.adequacy import simulate_states_at
 from driftlab.densities import gbm_transition_logdensity
 from driftlab.errors import (
+    DegenerateDensityError,
     DegenerateImportanceError,
     InvalidGridError,
     InvalidStartError,
@@ -419,11 +420,13 @@ def test_failing_stderr_probes_leave_the_estimate_standing(monkeypatch):
     monkeypatch.setattr(GbmDensity, "record_moments", failing_after_budget)
     obs = _gbm_obs(P_GBM, 0.1 * np.arange(51), (93, 0))
     plain = mle_fit(GbmDensity(P_GBM), obs, [0.1, 0.2], compute_stderr=False)
-    # the same fit again, now with every standard-error probe raising: each of the
-    # eight probes of the two parameters counts as -inf; the centre is the fit's own value
+    # the same fit again, now with every standard-error probe raising: the stack of the
+    # eight probes of the two parameters raises, then each probe alone counts as -inf;
+    # the centre is the fit's own value
     budget[0], evaluations[:] = len(evaluations), []
     fit = mle_fit(GbmDensity(P_GBM), obs, [0.1, 0.2])
-    assert len(evaluations) == budget[0] + 8
+    assert len(evaluations) == budget[0] + 9
+    assert [np.shape(theta) for theta in evaluations[-9:]] == [(8, 2)] + [(2,)] * 8
     assert fit.converged and fit.standard_errors is None
     assert np.array_equal(fit.theta_hat, plain.theta_hat)
 
@@ -775,3 +778,112 @@ def test_the_floating_point_policy_nests_and_restores_numpy_state():
     assert outer() == np.inf
     assert seen == [dict.fromkeys(before, "ignore")] * 2
     assert np.geterr() == before
+
+
+# A Gaussian density takes an (m, k) stack in one moment call, the bridge in stacked
+# passes: row i of the terms, and the scoring's differences, carry the bytes of the 1-D
+# evaluations.  At sigma 0x1.8304189ee8af6p-3 numpy's scalar power (libm pow) gives
+# 0x1.248ab1409d6bep-5 and the array square s * s ...bdp-5, so a stack squares sigma
+# row by row.
+POW_SIGMA = float.fromhex("0x1.8304189ee8af6p-3")
+OU_STACKED = OuParams(gamma=0.8, beta_bar=1.0, sigma=0.3)
+FLOAT_GBM_SPEC = DiffusionSpec(drift=lambda x, th: float(th[0]) * x,
+                               diffusion=lambda x, th: float(th[1]) * x,
+                               theta=[0.1, 0.2], x0=[1.0], positive=(False, True))
+STACKING = {  # density (sigma its last parameter), whether its states must be positive
+    "gbm": (lambda: GbmDensity(P_GBM), True),
+    "ou": (lambda: OuDensity(OU_STACKED), False),
+    "ou_sigma": (lambda: OuDensity(OU_STACKED, free=("sigma",)), False),  # fixed fields as columns
+    "euler_ou": (lambda: EulerDensity(ou_spec(OU_STACKED)), False),
+    "euler_gbm": (lambda: EulerDensity(gbm_spec(P_GBM)), True),
+    "euler_floats": (lambda: EulerDensity(FLOAT_GBM_SPEC), True),
+    "euler_beta": (lambda: EulerDensity(gbm_beta_spec(0.1, POW_SIGMA)), True),  # theta-free sigma
+    "bridge": (lambda: BridgeDensity(gbm_spec(P_GBM), m_sub=4, j_samples=20, seed=5), True),
+}
+
+
+def _score_and_fisher_by_points(moments, z, mask):
+    """The reference: the centre and each probe in a 1-D call of its own."""
+    target, mean, var = moments(from_working(z, mask))
+    h = 1e-6 * np.maximum(np.abs(z), 1.0)
+    dm, dv = np.empty((2, len(z), len(target)))
+    for i, e in enumerate(np.diag(h)):
+        _, m_up, v_up = moments(from_working(z + e, mask))
+        _, m_dn, v_dn = moments(from_working(z - e, mask))
+        dm[i], dv[i] = (m_up - m_dn) / (2.0 * h[i]), (v_up - v_dn) / (2.0 * h[i])
+    r = target - mean
+    score = dm @ (r / var) + 0.5 * (dv @ (r**2 / var**2 - 1.0 / var))
+    return score, (dm / var) @ dm.T + (dv / (2.0 * var**2)) @ dv.T
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(name=st.sampled_from(sorted(STACKING)), n_pairs=st.integers(1, 30), m=st.integers(1, 7),
+       key=st.integers(0, 2**32), pow_row=st.booleans())
+@example(name="gbm", n_pairs=20, m=3, key=0, pow_row=True)
+@example(name="ou", n_pairs=20, m=3, key=0, pow_row=True)
+def test_a_stack_carries_the_bytes_of_its_rows(name, n_pairs, m, key, pow_row):
+    make_td, positive = STACKING[name]
+    td, rng = make_td(), stream(key, "stacked rows")
+    dts = rng.uniform(0.05, 1.0, n_pairs)
+    x, y = rng.uniform(0.5, 2.0, (2, n_pairs)) if positive else rng.normal(1.0, 0.5, (2, n_pairs))
+    mask = np.array(td.positive_mask)
+    z = to_working(td.theta, mask) + 0.3 * rng.standard_normal(len(mask))
+    thetas = from_working(z + 0.1 * rng.standard_normal((m, len(mask))), mask)
+    if pow_row:
+        thetas[0, -1] = POW_SIGMA
+    at = td.record_terms(dts, x, y)
+    with _fp_policy():
+        stacked = at(thetas)
+        assert stacked.shape == (m, n_pairs)
+        for row, theta in zip(stacked, thetas):
+            assert row.tobytes() == at(theta).tobytes()
+        if td.kind != "bridge_mc":
+            moments, _ = td.record_moments(dts, x, y)
+            got = _score_and_fisher(moments, z, mask)
+            want = _score_and_fisher_by_points(moments, z, mask)
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+@pytest.mark.parametrize("td, z, error", [
+    # sigma = exp(-800) underflows to 0: a degenerate density
+    (GbmDensity(P_GBM), [[0.1, np.log(0.2)], [0.1, -800.0], [0.3, np.log(0.5)]],
+     DegenerateDensityError),
+    # gamma = exp(-800) underflows to 0: OuParams rejects the row
+    (OuDensity(OU_STACKED), [[0.0, 1.0, -1.0], [-800.0, 1.0, -1.0], [0.5, 0.8, -1.5]],
+     ValueError),
+], ids=["gbm_sigma_0", "ou_gamma_0"])
+def test_a_degenerate_row_leaves_the_rest_of_its_stack_standing(td, z, error):
+    # the stack's one moment call raises, so each row goes alone: -inf for the
+    # degenerate one and their 1-D sums for the others
+    terms = td.record_terms(*_gbm_obs(P_GBM, 0.1 * np.arange(21), (94, 0)).pairs())
+    thetas = from_working(np.array(z), np.array(td.positive_mask))
+    assert 0.0 in thetas[1]
+    with _fp_policy():
+        with pytest.raises(error):
+            terms(thetas)
+        values = _logliks(terms, thetas, td.stacks)
+        assert values == [float(terms(thetas[0]).sum()), -np.inf, float(terms(thetas[2]).sum())]
+
+
+def test_an_euler_spec_of_python_floats_fits_as_the_broadcasting_spec():
+    # float(th[0]) cannot take a column of thetas: such a spec's stacks go row by row
+    # (m = 1), and it fits byte for byte as the same model written to broadcast
+    shapes = []
+
+    def drift(x, th):
+        shapes.append(np.shape(th))
+        return -float(th[0]) * (x - float(th[1]))
+
+    p = OuParams(gamma=1.0, beta_bar=0.2, sigma=0.5)
+    as_float = DiffusionSpec(drift=drift, diffusion=lambda x, th: float(th[2]) * np.ones_like(x),
+                             theta=[p.gamma, p.beta_bar, p.sigma], x0=[0.0],
+                             positive=(True, False, True))
+    obs = _gbm_obs(p, 0.1 * np.arange(101), (95, 0))  # simulate_states_at takes either model
+    fits = [mle_fit(EulerDensity(spec), obs, spec.theta) for spec in (as_float, ou_spec(p))]
+    assert fits[0].converged and fits[0].diagnostics["optimizer"] == "fisher-scoring"
+    # the record's check tried columns once; every evaluation took a 1-D theta
+    assert shapes.count((3, 2, 1)) == 1 and set(shapes) == {(3,), (3, 2, 1)}
+    assert fits[0].theta_hat.tobytes() == fits[1].theta_hat.tobytes()
+    assert fits[0].standard_errors.tobytes() == fits[1].standard_errors.tobytes()
+    assert (fits[0].objective_value, fits[0].iterations) == (fits[1].objective_value,
+                                                            fits[1].iterations)
