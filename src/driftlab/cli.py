@@ -20,7 +20,7 @@ import numpy as np
 
 from . import acceptance
 from .adequacy import DEFAULT_K, envelope_check, synthetic_replicates
-from .collocation import BasisConfig, PenaltySpec, collocation_fit
+from .collocation import MAX_OUTER, BasisConfig, PenaltySpec, collocation_fit
 from .config import OPTIONS, load_config, typed_options
 from .errors import ConfigError, DataFormatError, DriftlabError, InsufficientDataError, _fp_policy
 from .estimating import EstimatingFunction, ee_solve, raw_moment_psi
@@ -243,7 +243,7 @@ def _cmd_collocate(opts: dict) -> int:
     basis = BasisConfig.from_times(obs.times)
     pen = PenaltySpec(lam=opts["lambda"], weight_mode=opts.get("weight-mode", "unweighted"))
     fit, fitted = collocation_fit(obs, om, spec, basis, pen,
-                                  max_outer=opts.get("max-outer", 200))
+                                  max_outer=opts.get("max-outer", MAX_OUTER))
     payload = fit.to_json_dict()
     payload.update({
         "lambda": fit.diagnostics["lambda"],

@@ -14,8 +14,9 @@ Under Gaussian noise the fit is damped Gauss-Newton steps over (c, theta), in
 closed form in c (Ramsay, Hooker, Campbell & Cao 2007).  A B-spline row has at most
 4 non-zero entries (de Boor 1978), so each step is a banded Cholesky solve of the
 c-block and a Schur complement for theta.  Otherwise, or if the steps stall,
-Nelder-Mead over theta alternates with L-BFGS-B over c on that gradient.
-Only the drift's, diffusion's and link's state slopes and dr/dtheta are differenced.
+one L-BFGS-B pass over (c, theta) runs on the same gradient (Byrd, Lu, Nocedal &
+Zhu 1995).  Only the drift's, diffusion's and link's state slopes and dr/dtheta
+are differenced.
 """
 
 from __future__ import annotations
@@ -36,11 +37,9 @@ from .results import FitResult
 
 CUBIC_ORDER = 4  # polynomial degree 3
 QUAD_SUBDIVISIONS = 10  # Simpson subintervals per inter-knot interval
-OUTER_TOL = 1e-9  # outer loop stops once the objective decreases by less
-INNER_GTOL = 1e-8  # L-BFGS-B gradient tolerance of the coefficient pass
-INNER_MAXITER = 500
-THETA_XATOL = 1e-9  # Nelder-Mead tolerances of the theta pass
-THETA_FATOL = 1e-10
+JOINT_GTOL = 1e-8  # L-BFGS-B tolerances of the joint pass over (c, theta)
+JOINT_FTOL = 1e-13
+MAX_OUTER = 1000  # default ``max_outer``: the iteration cap of each pass
 REPORT_POINTS = 201  # evenly spaced times of the returned fitted trajectory
 
 
@@ -159,13 +158,6 @@ class CollocationProblem:
                 "sigma(x, theta) = 0 at a quadrature node; cannot weight")
         return sig
 
-    def _data_and_nodes(self, c) -> tuple:
-        """The theta-free part at c: the data term, x and dx/dt at the nodes."""
-        c = np.asarray(c, dtype=float)
-        x_obs = self.B_obs @ c
-        data = -float(np.sum(self.om.loglik_series(self.y, x_obs[:, None])))
-        return data, self.Bq @ c, self.dBq @ c
-
     def _residual(self, x_q, dx_q, theta) -> np.ndarray:
         """The penalty residual dx/dt - mu at the nodes, over sigma when weighted."""
         resid = dx_q - np.asarray(self.spec.drift(x_q, theta), dtype=float)
@@ -178,21 +170,17 @@ class CollocationProblem:
         return self.pen.lam * float(self.q_weights @ self._residual(x_q, dx_q, theta)**2)
 
     def terms(self, c: np.ndarray, theta: np.ndarray) -> tuple:
-        data, x_q, dx_q = self._data_and_nodes(c)
-        return data, self._penalty(x_q, dx_q, theta)
+        """The data term and the penalty at (c, theta)."""
+        c = np.asarray(c, dtype=float)
+        data = -float(np.sum(self.om.loglik_series(self.y, (self.B_obs @ c)[:, None])))
+        return data, self._penalty(self.Bq @ c, self.dBq @ c, theta)
 
     def objective(self, c, theta) -> float:
         data, penalty = self.terms(c, theta)
         return data + penalty
 
-    def theta_objective(self, c):
-        """theta -> objective(c, theta) for fixed c, with the data term and
-        the spline values computed once."""
-        data, x_q, dx_q = self._data_and_nodes(c)
-        return lambda theta: data + self._penalty(x_q, dx_q, theta)
-
     def working_gradient_c(self, c, theta) -> np.ndarray:
-        """Analytic gradient of the objective in c, as the inner optimizer uses it."""
+        """Analytic gradient of the objective in c: the c-part of ``gauss_newton_system``'s."""
         return self._linearize(c, theta)[0]
 
     def _linearize(self, c, theta) -> tuple:
@@ -224,8 +212,8 @@ class CollocationProblem:
         return grad, dm, resid, slope, sig, x_q, dx_q
 
     def gauss_newton_system(self, v) -> tuple:
-        """Gradient g and Gauss-Newton matrix H = B_obs^T diag(sum (dm/dx)^2 /
-        scale^2) B_obs + 2 lam J^T W J at v = (c, theta), Gaussian noise; J =
+        """Gradient g, for any observation noise, and Gauss-Newton matrix H = B_obs^T
+        diag(sum (dm/dx)^2 / scale^2) B_obs + 2 lam J^T W J, Gaussian noise, at v = (c, theta); J =
         [(dBq - diag(mu' + r sigma') Bq) / sigma, dr/dtheta], the latter central
         differences at 1e-6 max(|theta|, 1).  H is the Hessian if r is linear in v.  Returns
         g, the banded c-block in LAPACK's upper band storage (4, k), summed from each row's
@@ -278,20 +266,20 @@ def _state_slope(f, x: np.ndarray) -> np.ndarray:
 @_fp_policy()
 def collocation_fit(obs: NoisyObservationSet, om: ObservationModel, spec: DiffusionSpec,
                     basis: BasisConfig, pen: PenaltySpec,
-                    max_outer: int = 200) -> tuple:
+                    max_outer: int = MAX_OUTER) -> tuple:
     """Minimize the penalized objective jointly over (c, theta).
 
     Under Gaussian noise: ``descend`` by ``gauss_newton_step``s, at most
     min(max_outer, 100), a non-finite objective or a zero sigma counting as
-    +inf.  Otherwise, or if that pass stalls, from the same start: an inner
-    quasi-Newton pass over the spline coefficients alternating with a simplex
-    pass over theta until the objective decrease drops below OUTER_TOL (or
-    ``max_outer`` outer iterations pass, reported as ``converged=False``).
-    Returns (FitResult, fitted Path); the Path carries the fitted trajectory
-    and its time derivative as two columns, and the diagnostics record the
-    ``optimizer`` ("gauss-newton" or "alternating"), the data and penalty
-    terms, and the L-BFGS-B iterations (``inner_iterations``) and gradients
-    (``gradient_evaluations``), both the step count after Gauss-Newton.
+    +inf.  Otherwise, or if that pass stalls, from the same start: one L-BFGS-B
+    pass over (c, theta) on ``gauss_newton_system``'s gradient (NaN at a zero
+    sigma), at most ``max_outer`` iterations, ``converged=False`` if it stops
+    short of JOINT_GTOL or JOINT_FTOL.  Returns (FitResult, fitted Path); the Path
+    carries the fitted trajectory and its time derivative as two columns, and the
+    diagnostics record the ``optimizer`` ("gauss-newton" or "l-bfgs-b"), the data
+    and penalty terms, and the pass's iterations (``inner_iterations``, equal to
+    ``iterations``) and gradients (``gradient_evaluations``: the step count after
+    Gauss-Newton, L-BFGS-B's njev after it).
 
     The start is the ridge least-squares smoother of the first observation
     column, ignoring the penalty (identity-link start), with theta at
@@ -306,48 +294,37 @@ def collocation_fit(obs: NoisyObservationSet, om: ObservationModel, spec: Diffus
     c = np.linalg.solve(gram, B.T @ obs.y2d()[:, 0])
     theta = spec.theta.copy()
 
-    current = prob.objective(c, theta)
-    if not np.isfinite(current):
-        raise InvalidStartError(
-            f"collocation objective is {current} at the start (theta={theta})")
+    f0 = prob.objective(c, theta)
+    if not np.isfinite(f0):
+        raise InvalidStartError(f"collocation objective is {f0} at the start (theta={theta})")
     k, z0 = len(c), np.concatenate([c, theta])
 
     def joint(v):
-        if v.tobytes() == z0.tobytes():  # descend's f(z0): the start, evaluated once above
-            return current
+        if v.tobytes() == z0.tobytes():  # each pass's f(z0): the start, evaluated once above
+            return f0
         try:
             val = prob.objective(v[:k], v[k:])
         except WeightSingularityError:
             return np.inf
         return val if np.isfinite(val) else np.inf
 
-    converged, optimizer = False, "alternating"
-    outer = inner_iterations = gradient_evaluations = 0
+    def gradient(v):
+        try:
+            return prob.gauss_newton_system(v)[0]
+        except WeightSingularityError:
+            return np.full_like(v, np.nan)
+
+    converged, optimizer = False, "gauss-newton"
     if om.kind == "gaussian":
-        v, f, nit, ok = descend(joint, prob.gauss_newton_step, z0, max_steps=min(max_outer, 100))
-        if ok:
-            c, theta, current, converged, optimizer = v[:k], v[k:], f, True, "gauss-newton"
-            outer = inner_iterations = gradient_evaluations = nit
-    while not converged and outer < max_outer:
-        outer += 1
-        res_t = minimize(prob.theta_objective(c), theta, method="Nelder-Mead",
-                         options={"maxiter": 400, "xatol": THETA_XATOL, "fatol": THETA_FATOL})
-        if res_t.fun <= current:
-            theta = res_t.x
-        res_c = minimize(lambda cc: prob.objective(cc, theta), c, method="L-BFGS-B",
-                         jac=lambda cc: prob.working_gradient_c(cc, theta),
-                         options={"gtol": INNER_GTOL, "ftol": 1e-14,
-                                  "maxiter": INNER_MAXITER})
-        inner_iterations += res_c.nit
-        gradient_evaluations += res_c.njev
-        if res_c.fun <= current:
-            c = res_c.x
-        new = prob.objective(c, theta)
-        if current - new < OUTER_TOL:
-            converged = True
-            current = min(current, new)
-            break
-        current = new
+        v, current, nit, converged = descend(joint, prob.gauss_newton_step, z0,
+                                             max_steps=min(max_outer, 100))
+        njev = nit
+    if not converged:
+        res = minimize(joint, z0, method="L-BFGS-B", jac=gradient, options={
+            "gtol": JOINT_GTOL, "ftol": JOINT_FTOL, "maxiter": max_outer})
+        v, current, nit, njev, converged, optimizer = (
+            res.x, res.fun, res.nit, res.njev, res.success, "l-bfgs-b")
+    c, theta = v[:k], v[k:]
 
     data_term, penalty_term = prob.terms(c, theta)
     t_rep = np.linspace(basis.knots[0], basis.knots[-1], REPORT_POINTS)
@@ -357,7 +334,7 @@ def collocation_fit(obs: NoisyObservationSet, om: ObservationModel, spec: Diffus
     fit = FitResult(
         theta_hat=theta,
         objective_value=current,
-        iterations=outer,
+        iterations=nit,
         converged=converged,
         seed=0,
         standard_errors=None,
@@ -367,8 +344,8 @@ def collocation_fit(obs: NoisyObservationSet, om: ObservationModel, spec: Diffus
             "lambda": pen.lam,
             "weight_mode": pen.weight_mode,
             "optimizer": optimizer,
-            "inner_iterations": inner_iterations,
-            "gradient_evaluations": gradient_evaluations,
+            "inner_iterations": nit,
+            "gradient_evaluations": njev,
             "coeffs": [float(v) for v in c],
         },
     )

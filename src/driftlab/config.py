@@ -89,7 +89,7 @@ OPTIONS: dict[str, dict] = {
         "lambda": (float, "penalty weight"),
         "weight-mode": (str, "unweighted | sigma_weighted"),
         "obs-scale": (float, "gaussian observation scale"),
-        "max-outer": (int, "outer iteration cap"),
+        "max-outer": (int, "iteration cap of each collocation pass"),
     },
     "diagnose": {
         "data": (str, "observed dataset CSV"),

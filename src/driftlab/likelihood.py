@@ -272,14 +272,11 @@ def _logliks(record_terms, thetas, stacks) -> list:
     if stacks and len(thetas) > 1:
         with suppress(DriftlabError, ValueError):  # else row by row, to find the rows that raise
             return [float(terms.sum()) for terms in record_terms(thetas)]
-    return [_loglik(record_terms, theta) for theta in thetas]
-
-
-def _loglik(record_terms, theta) -> float:
-    try:
-        return float(record_terms(theta).sum())
-    except (DriftlabError, ValueError):
-        return -np.inf
+    logliks = [-np.inf] * len(thetas)
+    for i, theta in enumerate(thetas):
+        with suppress(DriftlabError, ValueError):
+            logliks[i] = float(record_terms(theta).sum())
+    return logliks
 
 
 SIMPLEX_TOL = 1e-8  # Nelder-Mead fatol and xatol on the working scale
@@ -433,18 +430,14 @@ def mle_fit(td: TransitionDensity, obs: ObservationSet, init_theta, seed: int = 
         raise InvalidStartError(f"log-likelihood non-finite at init_theta={init_theta}") from cause
     seen = {z0.tobytes(): f0}  # working point bytes -> objective: the simplex revisits points
 
-    def neg(z):
-        key = z.tobytes()
-        if key not in seen:
-            val = _loglik(record_terms, from_working(z, mask))
-            seen[key] = -val if math.isfinite(val) else np.inf
-        return seen[key]
-
-    def negs(zs):  # a Newton step's probes: those not yet seen, in one call
+    def negs(zs):  # trial points and a Newton step's probes: those not yet seen, in one call
         new = [z for z in zs if z.tobytes() not in seen]
         for z, val in zip(new, logliks(np.array([from_working(z, mask) for z in new]))):
             seen[z.tobytes()] = -val if math.isfinite(val) else np.inf
-        return [neg(z) for z in zs]
+        return [seen[z.tobytes()] for z in zs]
+
+    def neg(z):
+        return negs([z])[0]
 
     k = len(init_theta)
     if len(obs) - 1 < k:

@@ -4,7 +4,7 @@ heavy-tailed observation errors.
 Velocity performs a Gaussian random walk and position accumulates velocity;
 observations are the positions plus scaled Student-t noise, which keeps
 occasional wild fixes from dragging the filtered track without any manual
-outlier screening.  An optional mean-velocity drift is off by default.
+outlier screening.  The state starts at rest at the origin.
 """
 
 from __future__ import annotations
@@ -21,24 +21,17 @@ def position_indices(n_coords: int) -> np.ndarray:
 
 
 def preset_integrated_rw_t(step_sd: float, t_scale: float, t_dof: float,
-                           n_coords: int = 1, drift: float = 0.0,
-                           x0=None) -> tuple:
+                           n_coords: int = 1) -> tuple:
     """Integrated random walk state model plus a Student-t observation model.
 
     Per coordinate: v_{k+1} = v_k + Normal(0, step_sd^2) and
-    p_{k+1} = p_k + drift + v_{k+1}.  Returns (kernel, observation_model)
+    p_{k+1} = p_k + v_{k+1}, from x0 = 0.  Returns (kernel, observation_model)
     ready for ``particle_filter``.
     """
     if not step_sd >= 0:
         raise ValueError("step_sd must be nonnegative")
     if not (t_scale > 0 and t_dof > 0):
         raise ValueError("t_scale and t_dof must be positive")
-    d = 2 * n_coords
-    if x0 is None:
-        x0 = np.zeros(d)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (d,):
-        raise ValueError(f"x0 must have shape ({d},)")
     pos = position_indices(n_coords)
     vel = pos + 1
 
@@ -46,10 +39,10 @@ def preset_integrated_rw_t(step_sd: float, t_scale: float, t_dof: float,
         out = np.array(states, dtype=float)
         eps = step_sd * rng.standard_normal((len(out), n_coords))
         out[:, vel] += eps
-        out[:, pos] += drift + out[:, vel]
+        out[:, pos] += out[:, vel]
         return out
 
-    kernel = DiscreteKernel(x0=x0, propagate=propagate)
+    kernel = DiscreteKernel(x0=np.zeros(2 * n_coords), propagate=propagate)
     om = ObservationModel(kind="student_t", scale=t_scale, dof=t_dof,
                           link=projection_link(pos))
     return kernel, om

@@ -243,31 +243,6 @@ def test_analytic_gradient_matches_central_difference(drift, weight_mode, kind, 
     assert np.max(np.abs(analytic - central)) <= 1e-6 * np.max(np.abs(central))
 
 
-@settings(max_examples=40, deadline=None)
-@given(drift=st.sampled_from(sorted(DRIFTS)),
-       weight_mode=st.sampled_from(["unweighted", "sigma_weighted"]),
-       link=st.sampled_from(sorted(LINKS)),
-       shift=st.lists(st.floats(-0.5, 0.5), min_size=2, max_size=2),
-       seed=st.integers(min_value=0, max_value=10_000))
-def test_theta_objective_equals_objective(drift, weight_mode, link, shift, seed):
-    # the theta pass computes the data term once per c; every theta gives
-    # the objective's own float
-    times = np.linspace(0.0, 2.0, 15)
-    rng = stream(16, seed)
-    y = 1.0 + 0.5 * np.sin(times) + 0.05 * rng.standard_normal(len(times))
-    y_obs = _two_column_link(y[:, None]) if link == "two_column" else y
-    obs = NoisyObservationSet(times=times, y_values=y_obs)
-    om = ObservationModel(kind="gaussian", scale=0.1, link=LINKS[link])
-    mu, theta = DRIFTS[drift]
-    spec = DiffusionSpec(drift=mu, diffusion=lambda x, th: 0.4 + x**2, theta=theta, x0=[1.0])
-    basis = BasisConfig.from_times(times)
-    prob = CollocationProblem(basis, obs, om, spec, PenaltySpec(lam=3.0, weight_mode=weight_mode))
-    c = np.linalg.lstsq(prob.B_obs, y, rcond=None)[0] + 0.2 * rng.standard_normal(basis.n_basis)
-    at_c = prob.theta_objective(c)
-    for th in (theta, np.asarray(theta) + shift[:len(theta)]):
-        assert at_c(th) == prob.objective(c, th)
-
-
 def test_link_with_one_mean_per_state_fits_like_the_column_link():
     # a link returning shape (n,) is one observation column, not a row
     # broadcast against every observation
@@ -573,7 +548,7 @@ def test_gauss_newton_step_solves_the_dense_system():
 def test_non_positive_definite_c_block_stalls_into_the_alternation():
     # with lambda 0 no term reaches the basis functions on knot spans past the last
     # observation: their rows of the c-block are zero, so the banded Cholesky fails, the
-    # step raises, and the fit falls back to the alternation from the same start
+    # step raises, and the fit falls back to the joint L-BFGS-B pass from the same start
     times = np.linspace(0.0, 1.0, 10)
     obs = NoisyObservationSet(times=times, y_values=np.exp(0.3 * times))
     basis, spec = BasisConfig(knots=np.linspace(0.0, 4.0, 9)), gbm_beta_spec(0.5, 1.0)
@@ -582,7 +557,7 @@ def test_non_positive_definite_c_block_stalls_into_the_alternation():
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
         prob.gauss_newton_step(np.concatenate([np.ones(basis.n_basis), spec.theta]))
     fit, _ = collocation_fit(obs, OM, spec, basis, pen, max_outer=3)
-    assert fit.diagnostics["optimizer"] == "alternating"
+    assert fit.diagnostics["optimizer"] == "l-bfgs-b" and fit.converged
 
 
 def test_the_start_objective_is_evaluated_once(monkeypatch):
@@ -614,18 +589,31 @@ def _stall(monkeypatch):
 
 
 @pytest.mark.parametrize("kind, stall, digest", [
-    # the alternating fit before the Gauss-Newton pass existed, without its
-    # "optimizer" key: a Student-t fit, and a Gaussian one whose pass stalls
-    ("student_t", False, "c233cf2be14bafb2056b17f9a1d3dde40b36f48894ad2fd23243dfa325cad15c"),
-    ("gaussian", True, "ed19fd527edb432902ff3a88a3b01d394ad4e87fc58255d62ba19c5954123c2d"),
+    # the joint L-BFGS-B pass, without its "optimizer" key: a Student-t fit, and a
+    # Gaussian one whose Gauss-Newton pass stalls
+    ("student_t", False, "5519f66681c3d5a6a9aa6d07ffaf3d5748adb34d3e7613cfbbb61861dfb669de"),
+    ("gaussian", True, "c6e5bc938270be419ab829eda467fd8bace40b96df52b1669ed578cd86cb17d9"),
 ])
-def test_alternating_fit_keeps_its_pinned_digest(monkeypatch, kind, stall, digest):
+def test_joint_fit_keeps_its_pinned_digest(monkeypatch, kind, stall, digest):
     if stall:
         _stall(monkeypatch)
     fit, _ = collocation_fit(*_pinned_problem(kind))
     payload = fit.to_json_dict()
-    assert payload["diagnostics"].pop("optimizer") == "alternating"
+    assert payload["diagnostics"].pop("optimizer") == "l-bfgs-b"
     assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_student_t_fit_converges_past_two_hundred_iterations():
+    # the alternation this pass replaced stopped here unconverged after 200 outer iterations
+    times = np.linspace(0.0, 2.0, 20)
+    noise = stream(41, "logistic", "none", "unweighted", 1000).standard_t(4.0, 20)
+    y = 1.0 + 0.5 * np.sin(1.5 * times) + 0.3 * times + 0.05 * noise
+    mu, theta = DRIFTS["logistic"]
+    spec = DiffusionSpec(drift=mu, diffusion=lambda x, th: 0.4 + x**2, theta=theta, x0=[1.0])
+    fit, _ = collocation_fit(NoisyObservationSet(times=times, y_values=y),
+                             ObservationModel(kind="student_t", scale=0.05, dof=4.0), spec,
+                             BasisConfig.from_times(times), PenaltySpec(lam=1000.0))
+    assert fit.converged and fit.diagnostics["optimizer"] == "l-bfgs-b"
 
 
 @pytest.mark.parametrize("drift", sorted(DRIFTS))
@@ -636,11 +624,11 @@ def test_gauss_newton_ends_no_higher_than_the_alternation(monkeypatch, drift, we
     args = (prob.obs, prob.om, prob.spec, prob.basis, prob.pen)
     fit, _ = collocation_fit(*args, max_outer=60)
     _stall(monkeypatch)
-    alternated, _ = collocation_fit(*args, max_outer=60)
-    assert alternated.diagnostics["optimizer"] == "alternating"
+    joint, _ = collocation_fit(*args, max_outer=60)
+    assert joint.diagnostics["optimizer"] == "l-bfgs-b"
     if fit.diagnostics["optimizer"] == "gauss-newton":
-        f_alt = alternated.objective_value
-        assert fit.objective_value <= f_alt + 1e-9 * max(1.0, abs(f_alt))
+        f_joint = joint.objective_value
+        assert fit.objective_value <= f_joint + 1e-9 * max(1.0, abs(f_joint))
 
 
 def test_non_finite_trial_point_is_rejected(monkeypatch):

@@ -9,21 +9,12 @@ from driftlab.rng import stream
 
 
 def test_zero_step_sd_moves_linearly():
-    kernel, _ = preset_integrated_rw_t(step_sd=0.0, t_scale=0.1, t_dof=4.0,
-                                       x0=np.array([0.0, 0.3]))
-    states = kernel.x0[None, :]
+    kernel, _ = preset_integrated_rw_t(step_sd=0.0, t_scale=0.1, t_dof=4.0)
+    states = np.array([[0.0, 0.3]])
     for k in range(5):
         states = kernel.propagate(states, stream(0, k))
     assert states[0, 0] == pytest.approx(5 * 0.3, rel=1e-12)
     assert states[0, 1] == pytest.approx(0.3, rel=1e-12)
-
-
-def test_drift_adds_mean_velocity():
-    kernel, _ = preset_integrated_rw_t(step_sd=0.0, t_scale=0.1, t_dof=4.0, drift=0.2)
-    states = kernel.x0[None, :]
-    for k in range(4):
-        states = kernel.propagate(states, stream(0, k))
-    assert states[0, 0] == pytest.approx(0.8, rel=1e-12)
 
 
 def test_large_dof_approaches_gaussian_loglik():

@@ -7,7 +7,9 @@ same arithmetic at a fraction of that cost.
 
 Every fit steps through one damped loop, ``likelihood.descend``: the MLE, the
 Gauss-Newton collocation pass and the estimating-equation solve call it, and no
-other function halves a step.
+other function halves a step.  scipy.optimize runs only where it is listed
+below, with its method: the MLE's simplex fallback and collocation's joint
+L-BFGS-B pass.
 
 Every name the package exports, and every public function a module defines at
 its top level, is used by the package, its scripts or its benchmark, so no
@@ -45,6 +47,15 @@ ERRSTATE_CALLS_ALLOWED = {
     ("densities.py", "logsumexp"): "pinned bit for bit to scipy's, and called directly with +-inf",
     ("simulate.py", "euler_advance"): "propagates non-finite states to any caller, by its contract",
     ("simulate.py", "simulate_tv_growth"): 'over="raise" is control flow: it names the step k',
+}
+
+# the scipy.optimize calls allowed in src, by (module, enclosing function): method and reason
+OPTIMIZE_CALLS_ALLOWED = {
+    ("likelihood.py", "minimize_simplex"): ("Nelder-Mead", "the MLE's fallback where descend "
+                                                           "stalls, with one restart"),
+    ("collocation.py", "collocation_fit"): ("L-BFGS-B", "the joint pass over (c, theta) for "
+                                                        "non-Gaussian noise or a stalled "
+                                                        "Gauss-Newton pass"),
 }
 
 # the entry points that apply ``errors._fp_policy``, by module
@@ -308,3 +319,51 @@ def test_every_fit_steps_through_the_one_descend_loop():
                         if isinstance(node, ast.FunctionDef) and node.name == caller)
         assert any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                    and node.func.id == "descend" for node in ast.walk(function)), name
+
+
+def _optimize_calls(tree):
+    """(enclosing function, ``method=`` string or None) of every call to a scipy.optimize
+    function, imported from it (``from scipy.optimize import minimize``) or read off it
+    (``optimize.minimize``, ``scipy.optimize.minimize``, ``so.minimize``)."""
+    names, modules, methods = set(), {"scipy.optimize"}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy.optimize"):
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            prefix = "scipy." if isinstance(node, ast.ImportFrom) and node.module == "scipy" else ""
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if prefix + alias.name == "scipy.optimize")
+
+    def match(node):
+        func = getattr(node, "func", None)
+        if not isinstance(node, ast.Call) or not (
+                (isinstance(func, ast.Name) and func.id in names)
+                or (isinstance(func, ast.Attribute) and ast.unparse(func.value) in modules)):
+            return False
+        methods.append(next((kw.value.value for kw in node.keywords if kw.arg == "method"
+                             and isinstance(kw.value, ast.Constant)), None))
+        return True
+
+    return list(zip(_enclosing_functions(tree, match), methods))
+
+
+def test_only_the_listed_functions_call_scipy_optimize():
+    calls = [(name, function, method) for name, tree in _trees().items()
+             for function, method in _optimize_calls(tree)]
+    allowed = [key + (method,) for key, (method, _) in OPTIMIZE_CALLS_ALLOWED.items()]
+    assert Counter(calls) == Counter(allowed), (
+        f"minimize through likelihood.descend, or list the call with its reason: {calls}")
+
+
+def test_the_optimize_check_catches_each_call_form():
+    for text in ("from scipy.optimize import minimize\nminimize(f, x, method='Powell')",
+                 "from scipy.optimize import minimize as m\nm(f, x, method='Powell')",
+                 "from scipy import optimize\noptimize.minimize(f, x, method='Powell')",
+                 "import scipy.optimize\nscipy.optimize.minimize(f, x, method='Powell')",
+                 "import scipy.optimize as so\nso.minimize(f, x, method='Powell')"):
+        assert _optimize_calls(ast.parse("def fit():\n    " + text.replace("\n", "\n    "))) \
+            == [("fit", "Powell")], text
+    assert _optimize_calls(ast.parse("from scipy.optimize import brentq\nbrentq(f, 0, 1)")) \
+        == [(None, None)]
+    assert not _optimize_calls(ast.parse("from .likelihood import minimize_simplex\n"
+                                         "minimize_simplex(f, x)"))
