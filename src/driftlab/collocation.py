@@ -211,6 +211,19 @@ class CollocationProblem:
         grad = grad + 2.0 * self.pen.lam * (self.dBq.T @ wr - self.Bq.T @ (wr * slope))
         return grad, dm, resid, slope, sig, x_q, dx_q
 
+    def gradient(self, v) -> tuple:
+        """``gauss_newton_system``'s g at v = (c, theta), then what that builds H from: J's theta
+        columns bordered by r (g_theta a gemv, as in a dense J), root w, dm/dx, slope, sigma."""
+        k = self.basis.n_basis
+        c, theta = v[:k], v[k:]
+        grad_c, dm, resid, slope, sig, x_q, dx_q = self._linearize(c, theta)
+        jac_theta = [(self._residual(x_q, dx_q, theta + e) - self._residual(x_q, dx_q, theta - e))
+                     / (2.0 * e.sum()) for e in np.diag(1e-6 * np.maximum(np.abs(theta), 1.0))]
+        root_w = np.sqrt(2.0 * self.pen.lam * self.q_weights)
+        bordered = root_w[:, None] * np.column_stack(jac_theta + [resid])
+        grad = np.concatenate([grad_c, bordered[:, :-1].T @ bordered[:, -1]])
+        return grad, bordered[:, :-1], root_w, dm, slope, sig
+
     def gauss_newton_system(self, v) -> tuple:
         """Gradient g, for any observation noise, and Gauss-Newton matrix H = B_obs^T
         diag(sum (dm/dx)^2 / scale^2) B_obs + 2 lam J^T W J, Gaussian noise, at v = (c, theta); J =
@@ -219,22 +232,14 @@ class CollocationProblem:
         g, the banded c-block in LAPACK's upper band storage (4, k), summed from each row's
         window of 4 in one bincount, the (k, p) c-theta block and the (p, p) theta block."""
         k, p = self.basis.n_basis, len(v) - self.basis.n_basis
-        c, theta = v[:k], v[k:]
-        grad_c, dm, resid, slope, sig, x_q, dx_q = self._linearize(c, theta)
-        jac_theta = [(self._residual(x_q, dx_q, theta + e) - self._residual(x_q, dx_q, theta - e))
-                     / (2.0 * e.sum()) for e in np.diag(1e-6 * np.maximum(np.abs(theta), 1.0))]
-        root_w = np.sqrt(2.0 * self.pen.lam * self.q_weights)
-        # the theta columns bordered by r: g_theta is then a strided gemv, as in a dense J
-        bordered = root_w[:, None] * np.column_stack(jac_theta + [resid])
-        scaled_theta = bordered[:, :-1]
+        grad, scaled_theta, root_w, dm, slope, sig = self.gradient(v)
         b_obs, bq, dbq = self._local
         scaled_c = root_w[:, None] * ((dbq - slope[:, None] * bq) / sig[:, None])
         rows = np.vstack([np.sqrt((dm**2).sum(axis=1))[:, None] / self.om.scale * b_obs, scaled_c])
         band = np.bincount(self._band_at, rows[:, self._pairs].prod(axis=1).ravel(), 4 * k)
         cross = np.bincount((self._q_win[:, :, None] * p + np.arange(p)).ravel(),
                             (scaled_c[:, :, None] * scaled_theta[:, None, :]).ravel(), k * p)
-        return (np.concatenate([grad_c, scaled_theta.T @ bordered[:, -1]]), band.reshape(4, k),
-                cross.reshape(k, p), scaled_theta.T @ scaled_theta)
+        return grad, band.reshape(4, k), cross.reshape(k, p), scaled_theta.T @ scaled_theta
 
     def gauss_newton_step(self, v) -> np.ndarray:
         """-H^-1 g at v: a banded Cholesky solve (dpbsv) of the c-block against [g_c | H_c theta],
@@ -272,7 +277,7 @@ def collocation_fit(obs: NoisyObservationSet, om: ObservationModel, spec: Diffus
     Under Gaussian noise: ``descend`` by ``gauss_newton_step``s, at most
     min(max_outer, 100), a non-finite objective or a zero sigma counting as
     +inf.  Otherwise, or if that pass stalls, from the same start: one L-BFGS-B
-    pass over (c, theta) on ``gauss_newton_system``'s gradient (NaN at a zero
+    pass over (c, theta) on ``gradient``'s g (NaN at a zero
     sigma), at most ``max_outer`` iterations, ``converged=False`` if it stops
     short of JOINT_GTOL or JOINT_FTOL.  Returns (FitResult, fitted Path); the Path
     carries the fitted trajectory and its time derivative as two columns, and the
@@ -310,7 +315,7 @@ def collocation_fit(obs: NoisyObservationSet, om: ObservationModel, spec: Diffus
 
     def gradient(v):
         try:
-            return prob.gauss_newton_system(v)[0]
+            return prob.gradient(v)[0]
         except WeightSingularityError:
             return np.full_like(v, np.nan)
 

@@ -32,19 +32,17 @@ def preset_integrated_rw_t(step_sd: float, t_scale: float, t_dof: float,
         raise ValueError("step_sd must be nonnegative")
     if not (t_scale > 0 and t_dof > 0):
         raise ValueError("t_scale and t_dof must be positive")
-    pos = position_indices(n_coords)
-    vel = pos + 1
 
     def propagate(states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         out = np.array(states, dtype=float)
         eps = step_sd * rng.standard_normal((len(out), n_coords))
-        out[:, vel] += eps
-        out[:, pos] += out[:, vel]
+        out[:, 1::2] += eps  # velocities
+        out[:, 0::2] += out[:, 1::2]  # positions
         return out
 
     kernel = DiscreteKernel(x0=np.zeros(2 * n_coords), propagate=propagate)
     om = ObservationModel(kind="student_t", scale=t_scale, dof=t_dof,
-                          link=projection_link(pos))
+                          link=projection_link(position_indices(n_coords)))
     return kernel, om
 
 

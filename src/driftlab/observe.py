@@ -74,6 +74,7 @@ class ObservationModel:
     ``kind`` is "gaussian" or "student_t"; ``link`` maps states (n, d) to
     observation means (n, p), or (n,) when p = 1, identity by default.
     Observation coordinates are conditionally independent given the state.
+    Its log-density's constants are computed once, in the order they are subtracted.
     """
 
     kind: str
@@ -88,6 +89,13 @@ class ObservationModel:
             raise ValueError("scale must be positive")
         if self.kind == "student_t" and not (self.dof is not None and self.dof > 0):
             raise ValueError("student_t requires dof > 0")
+        if self.kind == "gaussian":
+            consts = (0.5 * np.log(2.0 * np.pi), np.log(self.scale))
+        else:  # the sum and the log1p factor
+            nu = self.dof
+            consts = (gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0) - 0.5 * np.log(nu * np.pi)
+                      - np.log(self.scale), (nu + 1.0) / 2.0)
+        object.__setattr__(self, "_log_consts", consts)
 
     def mean(self, states: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=float)
@@ -101,14 +109,9 @@ class ObservationModel:
             raise DataFormatError(f"the observation link maps {len(states)} states to "
                                   f"means of shape {m.shape}, not (n_states, p)")
         u = (y - m) / self.scale
-        if self.kind == "gaussian":
-            lp = -0.5 * u**2 - 0.5 * np.log(2.0 * np.pi) - np.log(self.scale)
-        else:
-            nu = self.dof
-            lp = (gammaln((nu + 1.0) / 2.0) - gammaln(nu / 2.0)
-                  - 0.5 * np.log(nu * np.pi) - np.log(self.scale)
-                  - (nu + 1.0) / 2.0 * np.log1p(u**2 / nu))
-        return lp.sum(axis=1)
+        a, b = self._log_consts
+        lp = -0.5 * u**2 - a - b if self.kind == "gaussian" else a - b * np.log1p(u**2 / self.dof)
+        return lp[:, 0] if lp.shape[1] == 1 else lp.sum(axis=1)  # one column: its bits, unreduced
 
     def loglik(self, y, states: np.ndarray) -> np.ndarray:
         """Log f(y | x) for each state row; y is one observation.  A far tail

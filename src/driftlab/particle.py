@@ -6,18 +6,20 @@ density, and resampled systematically when the effective sample size drops
 below half the particle count.  The running likelihood estimate uses the
 prediction-error decomposition with the pre-update normalized weights, which
 reduces to log((1/N) sum of incremental weights) whenever the weights are
-uniform (always true right after a resampling step).
+uniform (always true right after a resampling step).  Only a step whose joint
+log-weights have no finite max runs the full ``logsumexp`` and the degenerate check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .densities import logsumexp
-from .errors import FilterDegenerateError, SimulationDivergedError, _fp_policy
+from .densities import _shifted_log_sum, logsumexp
+from .errors import DataFormatError, FilterDegenerateError, SimulationDivergedError, _fp_policy
 from .ioutil import seed_key
 from .models import DiffusionSpec
 from .observe import NoisyObservationSet, ObservationModel
@@ -31,7 +33,7 @@ RESAMPLE_ESS_FRACTION = 0.5  # resample when ESS drops below this share of the p
 def ess_of_weights(weights: np.ndarray) -> float:
     """Effective sample size 1 / sum(w^2) of normalized weights."""
     w = np.asarray(weights, dtype=float)
-    return float(1.0 / np.sum(w**2))
+    return float(1.0 / (w**2).sum())
 
 
 def systematic_resample(weights: np.ndarray, u: float) -> np.ndarray:
@@ -39,7 +41,7 @@ def systematic_resample(weights: np.ndarray, u: float) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     n = len(w)
     positions = (u + np.arange(n)) / n
-    return np.searchsorted(np.cumsum(w), positions).clip(0, n - 1)
+    return np.minimum(np.searchsorted(np.cumsum(w), positions), n - 1)
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,7 @@ class DiscreteKernel:
     """Discrete-time state transition: one kernel step per observation gap."""
 
     x0: np.ndarray
-    propagate: Callable  # (states (N, d), rng) -> (N, d)
+    propagate: Callable  # (states (N, d), rng) -> new states (N, d); no other shape
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
@@ -86,10 +88,11 @@ def particle_filter(model, om: ObservationModel, obs: NoisyObservationSet,
 
     ``model`` is a DiffusionSpec (Euler substeps between observations) or a
     DiscreteKernel (one transition per observation).  The latent state equals
-    the model's x0 at the first observation time.  Step i propagates with the
-    stream keyed (seed, "prop", i) and resamples with (seed, "resample", i),
-    both taken from keys derived once per filter, so the result is
-    deterministic for any worker count.
+    the model's x0 at the first observation time.  A propagation must give
+    states of shape (n_particles, state_dim): any other raises DataFormatError
+    naming the step.  Step i propagates with the stream keyed (seed, "prop", i)
+    and resamples with (seed, "resample", i), all keys derived in one pass per
+    filter, so the result is deterministic for any worker count.
     """
     if n_particles < 2:
         raise ValueError("n_particles must be at least 2")
@@ -101,30 +104,37 @@ def particle_filter(model, om: ObservationModel, obs: NoisyObservationSet,
     y = obs.y2d()
 
     x = np.tile(model.x0, (n_particles, 1)).astype(float)
-    log_w = np.full(n_particles, -np.log(n_particles))
+    log_w = uniform = np.full(n_particles, -np.log(n_particles))
     loglik = 0.0
     means = np.empty((n, d))
     ess_trace = np.empty(n)
     resample_steps: list[int] = []
-    prop_rows = StreamRows(seed, n, "prop")
-    resample_rows = StreamRows(seed, n, "resample")
+    key = seed if isinstance(seed, tuple) else (seed,)
+    rows = StreamRows([key + ("prop",), key + ("resample",)], n)  # rows[0, i], rows[1, i]
 
     for i in range(n):
         if i > 0:
             if is_kernel:
-                x = np.asarray(model.propagate(x, prop_rows[i]), dtype=float)
+                x = np.asarray(model.propagate(x, rows[0, i]), dtype=float)
             else:
                 gap = obs.times[i] - obs.times[i - 1]
-                z = prop_rows[i].standard_normal((substeps, n_particles, d))
+                z = rows[0, i].standard_normal((substeps, n_particles, d))
                 x = euler_advance(model, x, gap / substeps, z)
-            if not np.all(np.isfinite(x)):
+            if x.shape != (n_particles, d):
+                raise DataFormatError(f"the propagation into step {i} gave states of shape "
+                                      f"{x.shape}, not (n_particles, state_dim) {(n_particles, d)}")
+            if not np.isfinite(x).all():
                 raise SimulationDivergedError(i, "non-finite particle state")
 
         log_g = om.loglik(y[i], x)
-        if not np.any(np.isfinite(log_g)):
-            raise FilterDegenerateError(i)
         log_joint = log_w + log_g
-        step_ll = logsumexp(log_joint)
+        top = log_joint.max()
+        if math.isfinite(top):  # logsumexp's own arithmetic, without its checks
+            step_ll = _shifted_log_sum(log_joint, top, None)[0]
+        elif np.any(np.isfinite(log_g)):
+            step_ll = logsumexp(log_joint)
+        else:
+            raise FilterDegenerateError(i)
         loglik += step_ll
         log_w = log_joint - step_ll
 
@@ -134,10 +144,10 @@ def particle_filter(model, om: ObservationModel, obs: NoisyObservationSet,
         means[i] = w @ x
 
         if ess < RESAMPLE_ESS_FRACTION * n_particles and i < n - 1:
-            u = float(resample_rows[i].random())
+            u = float(rows[1, i].random())
             idx = systematic_resample(w, u)
             x = x[idx]
-            log_w = np.full(n_particles, -np.log(n_particles))
+            log_w = uniform
             resample_steps.append(i)
 
     return FilterResult(

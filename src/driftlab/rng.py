@@ -14,7 +14,7 @@ word, then ``generate_state(2, uint64)``), and serves row r by setting one
 reused Philox to ``{key: k[r], counter: 0}``.  Row r is therefore bit-identical
 to ``stream(seed, *ids, r)``.  The generator a row hands out is re-keyed by the
 next row taken, so it is valid only until then and must stay in the thread
-that took it.
+that took it.  Given a list of keys, one pass derives the rows of them all.
 """
 
 from __future__ import annotations
@@ -66,12 +66,12 @@ def stream(seed, *ids) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(_entropy(seed, ids))))
 
 
-def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
-    """init * mult**k mod 2**32 for k = 0..n-1, as a column of uint32."""
+def _hash_consts(init: int, mult: int, n: int, ndim: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k = 0..n-1, as uint32 along the first of ndim + 1 axes."""
     out = [init]
     for _ in range(n - 1):
         out.append(out[-1] * mult & _U32)
-    return np.array(out, dtype=np.uint32)[:, None]
+    return np.array(out, dtype=np.uint32).reshape((n,) + (1,) * ndim)
 
 
 def _hashmix(value: np.ndarray, consts: np.ndarray, k: int, m: int) -> np.ndarray:
@@ -86,23 +86,23 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def seed_sequence_keys(prefix, n: int) -> np.ndarray:
-    """``SeedSequence(list(prefix) + [r]).generate_state(2, np.uint64)`` for
-    r = 0..n-1, as an (n, 2) uint64 array, in one pass over all rows.
+    """``SeedSequence(list(p) + [r]).generate_state(2, np.uint64)`` for r = 0..n-1: (n, 2) uint64
+    for one prefix p, (m, n, 2) for an (m, w) stack (ragged: ValueError), in one pass.
 
-    ``prefix`` holds uint32 entropy words.  The pass follows numpy's
+    A prefix holds uint32 entropy words.  The pass follows numpy's
     ``SeedSequence.mix_entropy`` and ``generate_state`` step for step (pool of
     four words, hashmix constants in the same order); each step acts on every
     row at once.
     """
     prefix = np.asarray(prefix, dtype=np.uint32)
-    n_words = len(prefix) + 1
-    words = np.empty((max(n_words, _POOL_SIZE), n), dtype=np.uint32)
-    words[:len(prefix)] = prefix[:, None]
-    words[len(prefix)] = np.arange(n, dtype=np.uint32)
+    n_words = prefix.shape[-1] + 1
+    words = np.empty((max(n_words, _POOL_SIZE),) + prefix.shape[:-1] + (n,), dtype=np.uint32)
+    words[:n_words - 1] = prefix.T[..., None]
+    words[n_words - 1] = np.arange(n, dtype=np.uint32)
     words[n_words:] = 0  # the pool outgrows the entropy: hash zeros
 
     n_calls = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(n_words - _POOL_SIZE, 0)
-    consts = _hash_consts(_INIT_A, _MULT_A, n_calls + 1)
+    consts = _hash_consts(_INIT_A, _MULT_A, n_calls + 1, prefix.ndim)
     pool = _hashmix(words[:_POOL_SIZE], consts, 0, _POOL_SIZE)
     k = _POOL_SIZE
     for src in range(_POOL_SIZE):
@@ -113,10 +113,15 @@ def seed_sequence_keys(prefix, n: int) -> np.ndarray:
         pool = _mix(pool, _hashmix(words[src], consts, k, _POOL_SIZE))
         k += _POOL_SIZE
 
-    state = _hashmix(pool, _hash_consts(_INIT_B, _MULT_B, _POOL_SIZE + 1), 0, _POOL_SIZE)
-    state = state.astype(np.uint64)
+    consts = _hash_consts(_INIT_B, _MULT_B, _POOL_SIZE + 1, prefix.ndim)
+    state = _hashmix(pool, consts, 0, _POOL_SIZE).astype(np.uint64)
     return np.stack([state[0] | state[1] << np.uint64(32),
-                     state[2] | state[3] << np.uint64(32)], axis=1)
+                     state[2] | state[3] << np.uint64(32)], axis=-1)
+
+
+def _words(seed, ids) -> list:
+    """The uint32 words SeedSequence makes of the key ``(seed, *ids)``: 32-bit limbs, 0 as one."""
+    return [w for v in _entropy(seed, ids) for w in ((v & _U32, v >> 32) if v >> 32 else (v,))]
 
 
 class StreamRows:
@@ -125,21 +130,19 @@ class StreamRows:
     ``rows[r]`` re-keys one Philox generator to row r's key at counter 0 and
     returns it, so its draws equal a fresh ``stream(seed, *ids, r)``'s.  The
     generator is shared by all rows: it is valid only until the next row is
-    taken, and must not leave the thread that took it.
+    taken, and must not leave the thread that took it.  ``seed`` may also be a
+    list of keys of equally many words: ``rows[k, r]`` is then ``stream(seed[k],
+    *ids, r)``, every key from one pass over the stack.
     """
 
     def __init__(self, seed, n: int, *ids):
-        prefix = []
-        for v in _entropy(seed, ids):  # SeedSequence's words of an int: 32-bit limbs, 0 as one
-            prefix.append(v & _U32)
-            if v >> 32:
-                prefix.append(v >> 32)
+        prefix = [_words(s, ids) for s in seed] if isinstance(seed, list) else _words(seed, ids)
         self._keys = seed_sequence_keys(prefix, n)
         self._bitgen = np.random.Philox(0)
         self._gen = np.random.Generator(self._bitgen)
         self._state = self._bitgen.state  # a fresh generator's: empty buffer, no cached word
 
-    def __getitem__(self, r: int) -> np.random.Generator:
+    def __getitem__(self, r) -> np.random.Generator:
         self._state["state"] = {"key": self._keys[r], "counter": (0, 0, 0, 0)}
         self._bitgen.state = self._state
         return self._gen

@@ -603,17 +603,39 @@ def test_joint_fit_keeps_its_pinned_digest(monkeypatch, kind, stall, digest):
     assert hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest() == digest
 
 
-def test_student_t_fit_converges_past_two_hundred_iterations():
-    # the alternation this pass replaced stopped here unconverged after 200 outer iterations
+def _logistic_student_t_problem():
     times = np.linspace(0.0, 2.0, 20)
     noise = stream(41, "logistic", "none", "unweighted", 1000).standard_t(4.0, 20)
     y = 1.0 + 0.5 * np.sin(1.5 * times) + 0.3 * times + 0.05 * noise
     mu, theta = DRIFTS["logistic"]
     spec = DiffusionSpec(drift=mu, diffusion=lambda x, th: 0.4 + x**2, theta=theta, x0=[1.0])
-    fit, _ = collocation_fit(NoisyObservationSet(times=times, y_values=y),
-                             ObservationModel(kind="student_t", scale=0.05, dof=4.0), spec,
-                             BasisConfig.from_times(times), PenaltySpec(lam=1000.0))
+    return (NoisyObservationSet(times=times, y_values=y),
+            ObservationModel(kind="student_t", scale=0.05, dof=4.0), spec,
+            BasisConfig.from_times(times), PenaltySpec(lam=1000.0))
+
+
+def test_student_t_fit_converges_past_two_hundred_iterations():
+    # the alternation this pass replaced stopped here unconverged after 200 outer iterations
+    fit, _ = collocation_fit(*_logistic_student_t_problem())
     assert fit.converged and fit.diagnostics["optimizer"] == "l-bfgs-b"
+
+
+@pytest.mark.parametrize("problem", [lambda: _pinned_problem("student_t"),
+                                     _logistic_student_t_problem], ids=["pinned", "logistic"])
+def test_gradient_is_the_gauss_newton_systems_to_the_bit(monkeypatch, problem):
+    # the L-BFGS-B pass asks for the gradient alone; at every point it asks
+    # for, that equals the gradient of the full system byte for byte
+    gradient, asked = CollocationProblem.gradient, []
+
+    def recorded(self, v):
+        asked.append((self, v.copy()))
+        return gradient(self, v)
+    monkeypatch.setattr(CollocationProblem, "gradient", recorded)
+    fit, _ = collocation_fit(*problem())
+    monkeypatch.undo()
+    assert fit.diagnostics["optimizer"] == "l-bfgs-b" and len(asked) > 20
+    for prob, v in asked:
+        assert prob.gradient(v)[0].tobytes() == prob.gauss_newton_system(v)[0].tobytes()
 
 
 @pytest.mark.parametrize("drift", sorted(DRIFTS))

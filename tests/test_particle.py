@@ -310,3 +310,21 @@ def test_filter_with_one_mean_per_state_link_equals_column_link():
     runs = [particle_filter(ou_spec(OU), om, obs, n_particles=200, seed=4).to_json_dict()
             for om in (ONE_MEAN, COLUMN)]
     assert runs[0] == runs[1]
+
+
+def test_propagation_of_the_wrong_shape_raises_at_its_step():
+    # a kernel returning (n_particles,) made every particle one state of the
+    # observation link and scored each with the sum over all of them; an
+    # Euler drift returning (n,) broadcasts the states to (n, n)
+    obs = NoisyObservationSet(times=np.arange(10.0), y_values=0.1 * np.arange(10.0))
+    om = ObservationModel(kind="gaussian", scale=0.5)
+    flat = DiscreteKernel(x0=[0.0],
+                          propagate=lambda s, rng: np.ravel(s) + rng.standard_normal(len(s)))
+    with pytest.raises(DataFormatError, match=r"step 1 gave states of shape \(200,\)"):
+        particle_filter(flat, om, obs, 200, seed=1)
+    column = DiscreteKernel(x0=[0.0], propagate=lambda s, rng: s + rng.standard_normal(s.shape))
+    assert np.isfinite(particle_filter(column, om, obs, 200, seed=1).loglik)
+    flat_drift = DiffusionSpec(drift=lambda x, th: -x[:, 0], diffusion=lambda x, th: 0.5 + 0.0 * x,
+                               theta=[0.0], x0=[0.0])
+    with pytest.raises(DataFormatError, match=r"step 1 gave states of shape \(200, 200\)"):
+        particle_filter(flat_drift, om, obs, 200, seed=1)

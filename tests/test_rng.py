@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from driftlab.rng import StreamRows, replicate_normals, seed_sequence_keys, stream
+from driftlab.rng import (
+    StreamRows,
+    _entropy,
+    _words,
+    replicate_normals,
+    seed_sequence_keys,
+    stream,
+)
 
 
 def test_same_key_same_draws():
@@ -48,8 +55,11 @@ def test_streams_reproducible_for_any_key(seed, rep):
     assert stream(seed, rep).standard_normal() == stream(seed, rep).standard_normal()
 
 
-@given(st.lists(st.integers(0, 2**32 - 1), max_size=9), st.integers(1, 20))
-def test_key_pass_equals_numpy_seed_sequence(prefix, n):
+@given(st.lists(st.integers(0, 2**32 - 1), max_size=9), st.integers(1, 20),
+       st.lists(st.one_of(st.integers(0, 2**64 - 1), st.text(max_size=6)), max_size=4),
+       st.lists(st.one_of(st.integers(2**32, 2**64 - 1), st.text(max_size=6)), min_size=1,
+                max_size=3))
+def test_key_pass_equals_numpy_seed_sequence(prefix, n, key, names):
     # the vectorised pass re-implements numpy's SeedSequence mixing; if numpy
     # ever changes it, this fails instead of the draws changing silently.
     # Prefixes of 0-3 words mix the row word in the pool's first pass, longer
@@ -59,6 +69,28 @@ def test_key_pass_equals_numpy_seed_sequence(prefix, n):
     for r in range(n):
         expected = np.random.SeedSequence(prefix + [r]).generate_state(2, np.uint64)
         assert np.array_equal(keys[r], expected)
+    # a stack of prefixes (key..., name), one per name: every name is two words
+    # (an int of 2**32 or more, a string's 64-bit code), so the stack is even
+    stack = seed_sequence_keys([_words(0, key + [name]) for name in names], n)
+    assert stack.dtype == np.uint64 and stack.shape == (len(names), n, 2)
+    for name, rows in zip(names, stack):
+        for r in range(n):
+            expected = np.random.SeedSequence(_entropy(0, key + [name]) + [r])
+            assert np.array_equal(rows[r], expected.generate_state(2, np.uint64))
+
+
+def test_a_ragged_stack_of_prefixes_raises():
+    with pytest.raises(ValueError):
+        seed_sequence_keys([[1, 2], [3]], 4)
+    with pytest.raises(ValueError):  # 2**32 is two words, 5 one
+        StreamRows([(7, 2**32), (7, 5)], 4)
+
+
+def test_a_list_of_keys_serves_each_keys_rows():
+    rows = StreamRows([(3, "pf", "prop"), (3, "pf", "resample")], 6, "x")
+    for r in range(6):
+        assert rows[0, r].random() == stream((3, "pf", "prop"), "x", r).random()
+        assert rows[1, r].random() == stream((3, "pf", "resample"), "x", r).random()
 
 
 _id = st.one_of(st.sampled_from([0, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1),
