@@ -20,7 +20,7 @@ from .observe import NoisyObservationSet, ObservationModel, ObservationSet
 from .particle import DiscreteKernel
 from .paths import Path
 from .rng import StreamRows
-from .simulate import euler_advance, ou_paths, pow_square
+from .simulate import euler_advance, ou_paths, pow_square, tv_growth_states
 
 DEFAULT_K = 50
 BAND = (0.05, 0.95)  # quantile envelope of the synthetic statistics
@@ -76,8 +76,7 @@ def simulate_states_at(model, times: np.ndarray, rng: np.random.Generator) -> np
         return ou_paths(model, dts, rng.standard_normal(len(dts)))[:, None]
     if isinstance(model, TvGrowthParams):
         b = simulate_states_at(model.ou, times, rng)[:, 0]
-        x = model.x0 * np.exp(np.concatenate([[0.0], np.cumsum(b[:-1] * dts)]))
-        return x[:, None]
+        return tv_growth_states(model.x0, b, dts)[:, None]
     if isinstance(model, DiscreteKernel):
         state = model.x0[None, :].copy()
         out = np.empty((len(times), model.state_dim))

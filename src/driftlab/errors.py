@@ -57,7 +57,7 @@ class DegenerateImportanceError(DriftlabError):
 
 
 class FilterDegenerateError(DriftlabError):
-    """Every particle received zero likelihood at some filter step."""
+    """Every particle's weight is zero after some filter step's update."""
 
     def __init__(self, step: int):
         self.step = step

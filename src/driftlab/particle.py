@@ -6,8 +6,8 @@ density, and resampled systematically when the effective sample size drops
 below half the particle count.  The running likelihood estimate uses the
 prediction-error decomposition with the pre-update normalized weights, which
 reduces to log((1/N) sum of incremental weights) whenever the weights are
-uniform (always true right after a resampling step).  Only a step whose joint
-log-weights have no finite max runs the full ``logsumexp`` and the degenerate check.
+uniform (always true right after a resampling step).  A step whose joint
+log-weights have no finite max is degenerate and raises FilterDegenerateError.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .densities import _shifted_log_sum, logsumexp
+from .densities import _shifted_log_sum
 from .errors import DataFormatError, FilterDegenerateError, SimulationDivergedError, _fp_policy
 from .ioutil import seed_key
 from .models import DiffusionSpec
@@ -129,12 +129,9 @@ def particle_filter(model, om: ObservationModel, obs: NoisyObservationSet,
         log_g = om.loglik(y[i], x)
         log_joint = log_w + log_g
         top = log_joint.max()
-        if math.isfinite(top):  # logsumexp's own arithmetic, without its checks
-            step_ll = _shifted_log_sum(log_joint, top, None)[0]
-        elif np.any(np.isfinite(log_g)):
-            step_ll = logsumexp(log_joint)
-        else:
+        if not math.isfinite(top):
             raise FilterDegenerateError(i)
+        step_ll = _shifted_log_sum(log_joint, top, None)[0]  # logsumexp's own arithmetic
         loglik += step_ll
         log_w = log_joint - step_ll
 

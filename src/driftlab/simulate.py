@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SimulationDivergedError
+from .errors import SimulationDivergedError, _fp_policy
 from .models import DiffusionSpec, GbmParams, OuParams
 from .paths import Path, TimeGrid
 from .rng import stream
@@ -80,8 +80,8 @@ def ou_transition_moments(p: OuParams, dt) -> tuple:
 
 def pow_square(s):
     """s ** 2 by numpy's scalar power (libm pow; inf, not OverflowError), entry by entry."""
-    if isinstance(s, np.ndarray):  # the array power, s * s, can differ in the last bit
-        return np.array([np.float64(v) ** 2 for v in s.flat]).reshape(s.shape)
+    if isinstance(s, np.ndarray):  # float_power's pow, not the array ** 2 (s * s, last bit off)
+        return np.float_power(s, 2.0)
     return np.float64(s) ** 2
 
 
@@ -107,28 +107,27 @@ def simulate_ou(p: OuParams, grid: TimeGrid, seed) -> Path:
     return Path(times=grid.times(), values=ou_paths(p, grid.dt, z))
 
 
+@_fp_policy()
+def tv_growth_states(x0: float, b: np.ndarray, dts) -> np.ndarray:
+    """x_{k+1} = x_k exp(b_k dt_k): dx = b_t x dt with the rate frozen per step, ``dts``
+    one step length or one per step.  An overflow names the step of the first non-finite x."""
+    if not 0 < x0 < np.inf:
+        raise ValueError("x0 must be positive and finite")
+    x = np.cumprod(np.concatenate([[x0], np.exp(b[:-1] * dts)]))
+    if not np.isfinite(x[-1]):  # once inf or NaN, x stays so
+        step = int(np.argmin(np.isfinite(x))) - 1
+        raise SimulationDivergedError(step, "x overflow in exponential update")
+    return x
+
+
 def simulate_tv_growth(ou: OuParams, x0: float, grid: TimeGrid, seed) -> tuple:
     """Simulate the coupled system: growth rate b_t by exact OU transitions and
-    dx = b_t x dt integrated with b frozen per step, x_{k+1} = x_k exp(b_k dt).
+    x by ``tv_growth_states``.
 
     The exponential update keeps x strictly positive; negative growth rates
     from the OU model are allowed and simply shrink x.  Returns
     (beta_path, x_path) on the shared grid.
     """
-    if not x0 > 0:
-        raise ValueError("x0 must be positive")
     beta_path = simulate_ou(ou, grid, seed)
-    b = beta_path.scalar_values()
-    dt = grid.dt
-    x = np.empty(grid.n_steps + 1)
-    x[0] = x0
-    with np.errstate(over="raise"):  # control flow: names the step k that overflows
-        for k in range(grid.n_steps):
-            try:
-                x[k + 1] = x[k] * np.exp(b[k] * dt)
-            except FloatingPointError:
-                raise SimulationDivergedError(k, "x overflow in exponential update") from None
-    if not np.all(np.isfinite(x)):
-        bad = int(np.argmax(~np.isfinite(x)))
-        raise SimulationDivergedError(bad, "x overflow in exponential update")
+    x = tv_growth_states(x0, beta_path.scalar_values(), grid.dt)
     return beta_path, Path(times=grid.times(), values=x)

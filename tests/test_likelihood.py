@@ -1,12 +1,14 @@
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from driftlab import bridge, densities
+from driftlab import bridge, densities, likelihood
 from driftlab.adequacy import simulate_states_at
+from driftlab.cli import _ou_init_from_data
 from driftlab.densities import gbm_transition_logdensity
 from driftlab.errors import (
     DegenerateDensityError,
@@ -32,9 +34,11 @@ from driftlab.likelihood import (
     _working_differences,
     descend,
     discrete_loglikelihood,
+    fisher_step,
     from_working,
     minimize_simplex,
     mle_fit,
+    newton_step,
     to_working,
 )
 from driftlab.models import (
@@ -596,6 +600,47 @@ def test_a_stalled_scoring_fit_is_the_simplex_fit_from_the_start():
     assert fit.diagnostics["optimizer"] == "nelder-mead"
     assert fit.theta_hat.tobytes() == from_working(z, mask).tobytes()
     assert (fit.objective_value, fit.iterations, fit.converged) == (-f, nit, ok)
+
+
+def test_the_simplex_rescues_an_ou_fit_whose_fisher_matrix_turns_singular(monkeypatch):
+    # a near-white-noise OU record (gamma 13, 74 gaps log-uniform in [0.01, 2]) fitted
+    # from the CLI's data start: scoring steps gamma out to about 1e289, where the Fisher
+    # matrix is singular, and stalls; the simplex converges to the finite MLE that a Newton
+    # pass from the same start also reaches.  Record 1217 of a 1,500-record probe drawn
+    # as below (gamma in [5, 20], 5-500 pairs), where the simplex rescued 4 such fits
+    rng = stream(2032, "ou_irregular", 1217)
+    gamma, sigma = float(np.exp(rng.uniform(np.log(5.0), np.log(20.0)))), rng.uniform(0.05, 3.0)
+    times = np.concatenate([[0.0], np.cumsum(np.exp(rng.uniform(
+        np.log(0.01), np.log(2.0), rng.integers(5, 501))))])
+    p = OuParams(gamma=gamma, beta_bar=rng.normal(), sigma=sigma, b0=rng.normal())
+    obs = ObservationSet(times=times, values=simulate_states_at(p, times, rng)[:, 0])
+    td = OuDensity(OuParams(*_ou_init_from_data(obs)))
+    singular = []
+
+    def recorded_fisher_step(*args):
+        try:
+            return fisher_step(*args)
+        except np.linalg.LinAlgError:
+            singular.append(args[-1])
+            raise
+
+    monkeypatch.setattr(likelihood, "fisher_step", recorded_fisher_step)
+    fit = mle_fit(td, obs, td.theta)
+    assert fit.diagnostics["optimizer"] == "nelder-mead" and fit.converged
+    assert len(singular) == 1 and singular[0][0] > np.log(1e280)  # log gamma
+    assert fit.theta_hat[0] == pytest.approx(42.1652, rel=1e-5) and fit.standard_errors is not None
+
+    mask, terms = np.array(td.positive_mask), td.record_terms(*obs.pairs())
+
+    def negs(zs):
+        totals = [float(terms(from_working(z, mask)).sum()) for z in zs]
+        return np.array([-t if np.isfinite(t) else np.inf for t in totals])
+
+    with np.errstate(all="ignore"):
+        z, f, _, ok = descend(lambda z: negs([z])[0], partial(newton_step, negs),
+                              to_working(td.theta, mask))
+    assert ok and from_working(z, mask) == pytest.approx(fit.theta_hat, rel=1e-6)
+    assert -f == pytest.approx(fit.objective_value, abs=1e-9)
 
 
 # Newton steps: the bridge and Fokker-Planck fits difference the objective and

@@ -2,20 +2,17 @@
 
 The reference below is the filter as it stood before the lean step: every
 observation density constant evaluated on each call, the columns always
-summed, the degenerate check and scipy-equivalent ``logsumexp`` on every step,
-fresh ``stream(seed, "prop" | "resample", i)`` generators, and the movement
-kernel updating its columns through index arrays.  Any change to a draw, a
-rounding or an order shows as unequal bytes.
+summed, the degenerate check (no finite joint log-weight) and scipy-equivalent
+``logsumexp`` on every step, fresh ``stream(seed, "prop" | "resample", i)``
+generators, and the movement kernel updating its columns through index arrays.
+Any change to a draw, a rounding or an order shows as unequal bytes.
 """
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 
-from driftlab import particle
 from driftlab.densities import logsumexp
 from driftlab.errors import FilterDegenerateError, SimulationDivergedError
 from driftlab.models import GbmParams, OuParams, gbm_spec, ou_spec
@@ -58,10 +55,9 @@ def _reference_filter(model, om, obs, n_particles, substeps, seed):
                     x = euler_advance(model, x, gap / substeps, z)
                 if not np.all(np.isfinite(x)):
                     raise SimulationDivergedError(i, "non-finite particle state")
-            log_g = _reference_loglik(om, y[i], x)
-            if not np.any(np.isfinite(log_g)):
+            log_joint = log_w + _reference_loglik(om, y[i], x)
+            if not np.any(np.isfinite(log_joint)):
                 raise FilterDegenerateError(i)
-            log_joint = log_w + log_g
             step_ll = logsumexp(log_joint)
             loglik += step_ll
             log_w = log_joint - step_ll
@@ -163,25 +159,25 @@ def test_runs_with_and_without_resampling_equal_the_reference():
     assert kept.resample_steps == []
 
 
-def test_finite_density_only_where_the_weight_is_zero_equals_the_reference(monkeypatch):
+def test_finite_density_only_where_the_weight_is_zero_equals_the_reference():
     # a quarter of the particles sits at 1, the rest at 0, at every step; the
     # observation at step 1 zeroes the quarter's weights (ESS 3N/4, no
     # resampling) and the one at step 2 is finite only for that quarter, so
-    # every joint weight is -inf.  That is not the degenerate case (some
-    # density is finite): the weights turn NaN, so do loglik and the means,
-    # and the NaN means fail the result's Path check
+    # every joint weight is -inf: degenerate, though some density is finite
     def propagate(states, rng):
         return np.where(np.arange(len(states))[:, None] % 4 == 0, 1.0, 0.0)
 
     kernel = DiscreteKernel(x0=[0.0], propagate=propagate)
     obs = NoisyObservationSet(times=np.arange(4.0), y_values=[0.0, 0.0, 1.0, 1.0])
     om = ObservationModel(kind="gaussian", scale=1e-300)
-    with pytest.raises(ValueError, match="values must be finite"):
+    with pytest.raises(FilterDegenerateError) as new:
         particle_filter(kernel, om, obs, 40, seed=0)
-    monkeypatch.setattr(particle, "Path", SimpleNamespace)
-    res = _assert_identical(kernel, kernel, om, obs, 40, 1, 0)
-    assert np.isnan(res.loglik) and res.resample_steps == []
-    assert res.ess_trace[1] == pytest.approx(30.0) and np.isnan(res.ess_trace[2:]).all()
+    with pytest.raises(FilterDegenerateError) as old:
+        _reference_filter(kernel, om, obs, 40, 1, 0)
+    assert new.value.step == old.value.step == 2
+    first_two = NoisyObservationSet(times=obs.times[:2], y_values=obs.y_values[:2])
+    res = _assert_identical(kernel, kernel, om, first_two, 40, 1, 0)
+    assert res.ess_trace[1] == pytest.approx(30.0) and res.resample_steps == []
 
 
 @pytest.mark.parametrize("dof", [None, 3.0])

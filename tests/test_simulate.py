@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from driftlab.simulate import (
     euler_advance,
     euler_endpoints,
     ou_paths,
+    pow_square,
     simulate_gbm_exact,
     simulate_ou,
     simulate_tv_growth,
@@ -195,9 +198,47 @@ def test_tv_growth_log_identity_and_mean():
 
 
 def test_tv_growth_overflow_reported():
+    # b = 400 and dt = 1: each step multiplies x by e^400, about 5.2e173; the error
+    # names the step that overflows, as the per-step loop did
     ou = OuParams(gamma=0.1, beta_bar=400.0, sigma=0.0, b0=400.0)
-    with pytest.raises(SimulationDivergedError):
-        simulate_tv_growth(ou, 1e300, TimeGrid(0.0, 10.0, 10), 0)
+    for x0, step in ((1e300, 0), (1.0, 1), (1e-300, 3)):
+        with pytest.raises(SimulationDivergedError) as err:
+            simulate_tv_growth(ou, x0, TimeGrid(0.0, 10.0, 10), 0)
+        assert err.value.step == step
+
+
+def test_tv_growth_values_are_the_step_loops_bytes():
+    # sha256 of the x paths of the per-step loop x[k + 1] = x[k] * np.exp(b[k] * dt)
+    # that the one cumulative-product recursion replaced, at seeds 0-99
+    ou = OuParams(gamma=1.0, beta_bar=0.05, sigma=0.5, b0=0.0)
+    digest = hashlib.sha256()
+    for seed in range(100):
+        digest.update(simulate_tv_growth(ou, 2.0, TimeGrid(0.0, 5.0, 200), seed)[1].values.tobytes())
+    assert digest.hexdigest() == "d085f0eb0ab1d1c45c0f24e12a38ab121d8e52861907fd05204cafebd495c87d"
+
+
+def test_tv_growth_needs_a_positive_finite_x0():
+    ou = OuParams(gamma=1.0, beta_bar=0.0, sigma=0.1)
+    for x0 in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="x0 must be positive"):
+            simulate_tv_growth(ou, x0, GRID, 0)
+
+
+# numpy's scalar power (libm pow) squares 0x1.8304189ee8af6p-3 to 0x1.248ab1409d6bep-5,
+# the array square s * s to ...bdp-5
+POW_SIGMA = float.fromhex("0x1.8304189ee8af6p-3")
+
+
+def test_pow_square_is_the_scalar_power_entry_by_entry():
+    rng = stream(21, "pow")
+    s = np.concatenate([rng.uniform(0.0, 3.0, 4000), np.exp(rng.uniform(-700.0, 700.0, 4000)),
+                        [POW_SIGMA, 0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e160, 1e-160]])
+    with np.errstate(over="ignore", under="ignore"):
+        expected = np.array([np.float64(v) ** 2 for v in s])
+        for shape in ((len(s),), (len(s), 1), (1, len(s))):
+            assert pow_square(s.reshape(shape)).tobytes() == expected.tobytes()
+    assert pow_square(np.array([POW_SIGMA]))[0] == pow_square(POW_SIGMA) \
+        == float.fromhex("0x1.248ab1409d6bep-5") != POW_SIGMA * POW_SIGMA
 
 
 def test_strong_order_scaling():

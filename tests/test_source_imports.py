@@ -46,7 +46,6 @@ ERRSTATE_CALLS_ALLOWED = {
     ("errors.py", "_fp_policy"): "the floating-point policy itself: every event ignored",
     ("densities.py", "logsumexp"): "pinned bit for bit to scipy's, and called directly with +-inf",
     ("simulate.py", "euler_advance"): "propagates non-finite states to any caller, by its contract",
-    ("simulate.py", "simulate_tv_growth"): 'over="raise" is control flow: it names the step k',
 }
 
 # the scipy.optimize calls allowed in src, by (module, enclosing function): method and reason
@@ -58,15 +57,18 @@ OPTIMIZE_CALLS_ALLOWED = {
                                                         "Gauss-Newton pass"),
 }
 
-# the entry points that apply ``errors._fp_policy``, by module
+# the entry points that apply ``errors._fp_policy``, by (module, function), each with its reason
 POLICY_ENTRY_POINTS = {
-    ("cli.py", "cli_run"),
-    ("likelihood.py", "mle_fit"),
-    ("likelihood.py", "discrete_loglikelihood"),
-    ("likelihood.py", "logdensities"),  # TransitionDensity's
-    ("collocation.py", "collocation_fit"),
-    ("estimating.py", "ee_solve"),
-    ("particle.py", "particle_filter"),
+    ("cli.py", "cli_run"): "every command: an overflow ends in an exit code, not a warning",
+    ("likelihood.py", "mle_fit"): "the whole fit: a non-finite objective counts as +inf",
+    ("likelihood.py", "discrete_loglikelihood"): "a non-finite term raises NonFiniteTermError",
+    ("likelihood.py", "logdensities"): "TransitionDensity's: the terms as computed, inf or NaN",
+    ("collocation.py", "collocation_fit"): "the whole fit: a non-finite objective counts as +inf",
+    ("estimating.py", "ee_solve"): "the whole solve: a non-finite residual norm counts as +inf",
+    ("particle.py", "particle_filter"): "non-finite states and degenerate weights raise, "
+                                        "naming the step",
+    ("simulate.py", "tv_growth_states"): "simulate's and diagnose's tv-growth recursion: an "
+                                         "overflow raises, naming the step",
 }
 
 
@@ -111,11 +113,12 @@ def test_no_module_uses_scipy_logsumexp():
 
 
 def test_filter_and_bridge_reduce_with_the_densities_logsumexp():
-    # the parse must see the two call sites, or the check above is empty
+    # the parse must see the two call sites, or the check above is empty; the
+    # filter reduces at a finite max only, by logsumexp's own shifted sum
     trees = _trees()
-    for name in ("particle.py", "bridge.py"):
+    for name, function in (("particle.py", "_shifted_log_sum"), ("bridge.py", "logsumexp")):
         assert any(isinstance(node, ast.ImportFrom) and node.module == "densities"
-                   and node.level == 1 and "logsumexp" in {a.name for a in node.names}
+                   and node.level == 1 and function in {a.name for a in node.names}
                    for node in ast.walk(trees[name])), name
 
 
@@ -283,7 +286,7 @@ def test_each_entry_point_applies_the_policy():
                if isinstance(node, ast.FunctionDef)
                and any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_fp_policy"
                        for d in node.decorator_list)}
-    assert applied == POLICY_ENTRY_POINTS
+    assert applied == set(POLICY_ENTRY_POINTS)
     assert any(isinstance(node, ast.FunctionDef) and node.name == "_fp_policy"
                for node in trees["errors.py"].body)
 
