@@ -54,23 +54,22 @@ def raw_moment_psi(orders=(1,)) -> Callable:
     return psi
 
 
-def _mc_expectations(spec: DiffusionSpec, psi: Callable, x_s, dts, z: np.ndarray) -> tuple:
+def _mc_expectations(spec: DiffusionSpec, psi: Callable, x0, sub_dts, z: np.ndarray) -> tuple:
     """(rows of E[psi(x_s[i], X_{s+dts[i]}, theta) | X_s = x_s[i]], dropped count)
-    for every pair i: J Euler paths of EULER_SUBSTEPS steps per pair, driven
-    by z[i] of shape (J, EULER_SUBSTEPS), advance in one kernel call.
+    for every pair i: J Euler paths of EULER_SUBSTEPS steps per pair advance in one
+    kernel call.  Row i of ``x0`` and ``sub_dts``, (n_pairs, J), holds x_s[i] and
+    dts[i] / EULER_SUBSTEPS J times; ``z`` is (EULER_SUBSTEPS, n_pairs, J), step axis
+    first.  All three are contiguous, and every step shares the row ``sub_dts[None]``.
     Replicates whose psi is non-finite are dropped; a pair that loses all J
     raises EstimationFailedError."""
-    n_pairs, n_reps = z.shape[:2]
-    sub_dts = np.broadcast_to((dts / EULER_SUBSTEPS)[:, None], (EULER_SUBSTEPS, n_pairs, 1))
-    y = euler_advance(spec, np.broadcast_to(x_s[:, None], (n_pairs, n_reps)), sub_dts,
-                      z.transpose(2, 0, 1))
-    sim = np.asarray(psi(np.repeat(x_s, n_reps), y.reshape(-1), spec.theta),
-                     dtype=float).reshape(n_pairs, n_reps, -1)
+    y = euler_advance(spec, x0, sub_dts[None], z)
+    sim = np.asarray(psi(x0.reshape(-1), y.reshape(-1), spec.theta),
+                     dtype=float).reshape(x0.shape + (-1,))
     ok = np.all(np.isfinite(sim), axis=2)
     failed = ~ok.any(axis=1)
     if np.any(failed):
         raise EstimationFailedError(
-            f"all {n_reps} replicates diverged for observation pair {int(np.argmax(failed))}")
+            f"all {x0.shape[1]} replicates diverged for observation pair {int(np.argmax(failed))}")
     sim = np.where(ok[:, :, None], sim, 0.0)
     return sim.sum(axis=1) / ok.sum(axis=1)[:, None], int(np.sum(~ok))
 
@@ -102,6 +101,8 @@ def ee_solve(spec: DiffusionSpec, ef: EstimatingFunction, obs: ObservationSet,
 
     if expectation_fn is None:
         z = replicate_normals(seed, n_pairs, (ef.J, EULER_SUBSTEPS), "ee")
+        z = np.ascontiguousarray(z.transpose(2, 0, 1))  # step axis first, for _mc_expectations
+        x0, sub_dts = (np.repeat(v, ef.J).reshape(-1, ef.J) for v in (x_s, dts / EULER_SUBSTEPS))
     seen = {}  # theta bytes -> (residual, dropped replicates): descend re-evaluates its point
 
     def residual(theta):
@@ -112,7 +113,7 @@ def ee_solve(spec: DiffusionSpec, ef: EstimatingFunction, obs: ObservationSet,
                 cond = np.asarray(expectation_fn(x_s, dts, theta), dtype=float).reshape(n_pairs, k)
                 dropped = 0
             else:
-                cond, dropped = _mc_expectations(spec.with_theta(theta), ef.psi, x_s, dts, z)
+                cond, dropped = _mc_expectations(spec.with_theta(theta), ef.psi, x0, sub_dts, z)
             seen[key] = (psi_data - cond).sum(axis=0), dropped
         return seen[key][0]
 

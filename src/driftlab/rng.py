@@ -66,12 +66,13 @@ def stream(seed, *ids) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(_entropy(seed, ids))))
 
 
+@functools.lru_cache(maxsize=64)
 def _hash_consts(init: int, mult: int, n: int, ndim: int) -> np.ndarray:
-    """init * mult**k mod 2**32 for k = 0..n-1, as uint32 along the first of ndim + 1 axes."""
-    out = [init]
-    for _ in range(n - 1):
-        out.append(out[-1] * mult & _U32)
-    return np.array(out, dtype=np.uint32).reshape((n,) + (1,) * ndim)
+    """init * mult**k mod 2**32 for k = 0..n-1, as uint32 along the first of ndim + 1 axes;
+    read-only and cached, as every key pass asks for the same few."""
+    out = np.array([init * pow(mult, k, 2**32) & _U32 for k in range(n)], dtype=np.uint32)
+    out.flags.writeable = False
+    return out.reshape((n,) + (1,) * ndim)
 
 
 def _hashmix(value: np.ndarray, consts: np.ndarray, k: int, m: int) -> np.ndarray:
@@ -132,18 +133,21 @@ class StreamRows:
     generator is shared by all rows: it is valid only until the next row is
     taken, and must not leave the thread that took it.  ``seed`` may also be a
     list of keys of equally many words: ``rows[k, r]`` is then ``stream(seed[k],
-    *ids, r)``, every key from one pass over the stack.
+    *ids, r)``, every key from one pass over the stack.  Keys are held as Python
+    ints, which re-key Philox twice as fast as numpy's; r and k may be numpy ints.
     """
 
     def __init__(self, seed, n: int, *ids):
         prefix = [_words(s, ids) for s in seed] if isinstance(seed, list) else _words(seed, ids)
-        self._keys = seed_sequence_keys(prefix, n)
+        self._keys = seed_sequence_keys(prefix, n).tolist()
         self._bitgen = np.random.Philox(0)
         self._gen = np.random.Generator(self._bitgen)
         self._state = self._bitgen.state  # a fresh generator's: empty buffer, no cached word
+        self._state["buffer"] = self._state["buffer"].tolist()
 
     def __getitem__(self, r) -> np.random.Generator:
-        self._state["state"] = {"key": self._keys[r], "counter": (0, 0, 0, 0)}
+        key = self._keys[r[0]][r[1]] if isinstance(r, tuple) else self._keys[r]
+        self._state["state"] = {"key": key, "counter": (0, 0, 0, 0)}
         self._bitgen.state = self._state
         return self._gen
 

@@ -21,12 +21,14 @@ def euler_advance(spec: DiffusionSpec, x, dts, z: np.ndarray, out=None) -> np.nd
 
     x_{k+1} = x_k + mu(x_k) dt_k + sigma(x_k) sqrt(dt_k) z_k.  ``z`` has the
     step axis first and each row broadcasts against ``x``; ``dts`` is one step
-    length or one row per step.  Non-finite states propagate instead of
-    raising, so callers decide whether divergence is an error.  ``out``, when
-    given, receives every state: out[0] = x and out[k + 1] after step k.
+    length, one row per step, or one row ``row[None]`` that every step shares
+    (its sqrt taken once).  Contiguous rows of the states' shape run fastest.
+    Non-finite states propagate instead of raising, so callers decide whether
+    divergence is an error.  ``out``, when given, receives every state: out[0] = x
+    and out[k + 1] after step k.
     """
-    dts = np.broadcast_to(dts, (len(z),) + np.shape(dts)[1:])
-    sqdts = np.sqrt(dts)
+    shape = (len(z),) + np.shape(dts)[1:]
+    dts, sqdts = np.broadcast_to(dts, shape), np.broadcast_to(np.sqrt(dts), shape)
     if out is not None:
         out[0] = x
     with np.errstate(over="ignore", invalid="ignore"):  # propagates inf and NaN to any caller
@@ -48,7 +50,7 @@ def euler_endpoints(spec: DiffusionSpec, grid: TimeGrid, z: np.ndarray) -> np.nd
     if z.ndim == 2:
         z = z[:, :, None]
     x = np.broadcast_to(spec.x0, (len(z), spec.state_dim))
-    return euler_advance(spec, x, grid.dt, z.transpose(1, 0, 2))
+    return euler_advance(spec, x, grid.dt, np.ascontiguousarray(z.transpose(1, 0, 2)))
 
 
 def simulate_gbm_exact(p: GbmParams, grid: TimeGrid, seed) -> Path:

@@ -20,9 +20,11 @@ def _obs(times, key, p=GbmParams(beta=0.1, sigma=0.2, x0=1.0)):
 
 def mc_conditional_expectation(spec, ef, dt, x, seed):
     """(E[psi(x, X_dt, theta) | X_0 = x], dropped replicate count) for one pair,
-    from J Euler paths driven by the stream keyed ``seed``."""
-    z = stream(seed).standard_normal((1, ef.J, EULER_SUBSTEPS))
-    est, dropped = estimating._mc_expectations(spec, ef.psi, np.array([x]), np.array([dt]), z)
+    from J Euler paths driven by the stream keyed ``seed``, in the solve's contiguous
+    layout: (1, J) start states and substep lengths, (EULER_SUBSTEPS, 1, J) normals."""
+    z = stream(seed).standard_normal((1, ef.J, EULER_SUBSTEPS)).transpose(2, 0, 1).copy()
+    x0, sub_dts = np.full((1, ef.J), x), np.full((1, ef.J), dt / EULER_SUBSTEPS)
+    est, dropped = estimating._mc_expectations(spec, ef.psi, x0, sub_dts, z)
     return est[0], dropped
 
 

@@ -93,6 +93,18 @@ def test_a_list_of_keys_serves_each_keys_rows():
         assert rows[1, r].random() == stream((3, "pf", "resample"), "x", r).random()
 
 
+def test_rows_take_numpy_integer_indices():
+    # the keys are a list of Python ints, which numpy integers index as ints do
+    rows = StreamRows(5, 4, "x")
+    stack = StreamRows([(5, "a"), (5, "b")], 4, "x")
+    for r in range(4):
+        for i in (np.int64(r), np.uint32(r)):
+            assert np.array_equal(rows[i].standard_normal(3), stream(5, "x", r).standard_normal(3))
+            for k, key in enumerate([(5, "a"), (5, "b")]):
+                assert np.array_equal(stack[np.int64(k), i].standard_normal(3),
+                                      stream(key, "x", r).standard_normal(3))
+
+
 _id = st.one_of(st.sampled_from([0, 2**32, 2**64 - 1]), st.integers(0, 2**64 - 1),
                 st.text(max_size=6))
 

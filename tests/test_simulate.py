@@ -80,6 +80,31 @@ def test_euler_advance_propagates_nonfinite_and_records_states():
     assert np.array_equal(out[0], [[1.0], [1e200]])
 
 
+@pytest.mark.parametrize("x0", [1.0, 1e200])  # 1e200 overflows to inf and stays so
+def test_a_shared_step_row_advances_as_per_step_rows(x0):
+    # one (n, J) row that every step shares, taken as row[None], gives the bytes of
+    # that row repeated per step and of a plain loop, for contiguous and strided
+    # normals and in ``out``
+    spec = DiffusionSpec(drift=lambda x, th: x * x, diffusion=lambda x, th: 0.3 * x,
+                         theta=[0.0], x0=[0.0])
+    n_steps, x = 20, np.full((5, 4), x0)
+    row = stream(13, "row").uniform(0.01, 0.05, (5, 4))
+    z_pairs_first = stream(13, "z").standard_normal((5, 4, n_steps))
+    z = np.ascontiguousarray(z_pairs_first.transpose(2, 0, 1))
+    expected = euler_advance(spec, x, np.broadcast_to(row, (n_steps,) + row.shape), z)
+    looped = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for zk in z:
+            looped = looped + looped * looped * row + 0.3 * looped * np.sqrt(row) * zk
+    assert looped.tobytes() == expected.tobytes()
+    assert np.all(np.isfinite(expected)) == (x0 == 1.0)
+    out = np.empty((n_steps + 1,) + row.shape)
+    for result in (euler_advance(spec, x, row[None], z),
+                   euler_advance(spec, x, row[None], z_pairs_first.transpose(2, 0, 1)),
+                   euler_advance(spec, x, row[None], z, out=out), out[-1]):
+        assert result.tobytes() == expected.tobytes()
+
+
 def test_gbm_exact_noise_free():
     p = GbmParams(beta=0.3, sigma=0.0, x0=2.0)
     path = simulate_gbm_exact(p, GRID, 7)
