@@ -60,18 +60,18 @@ def _mc_expectations(spec: DiffusionSpec, psi: Callable, x0, sub_dts, z: np.ndar
     kernel call.  Row i of ``x0`` and ``sub_dts``, (n_pairs, J), holds x_s[i] and
     dts[i] / EULER_SUBSTEPS J times; ``z`` is (EULER_SUBSTEPS, n_pairs, J), step axis
     first.  All three are contiguous, and every step shares the row ``sub_dts[None]``.
-    Replicates whose psi is non-finite are dropped; a pair that loses all J
-    raises EstimationFailedError."""
+    Only where some psi is non-finite are replicates masked: those whose psi is are
+    dropped, and a pair that loses all J raises EstimationFailedError."""
     y = euler_advance(spec, x0, sub_dts[None], z)
     sim = np.asarray(psi(x0.reshape(-1), y.reshape(-1), spec.theta),
                      dtype=float).reshape(x0.shape + (-1,))
-    ok = np.all(np.isfinite(sim), axis=2)
-    failed = ~ok.any(axis=1)
-    if np.any(failed):
-        raise EstimationFailedError(
-            f"all {x0.shape[1]} replicates diverged for observation pair {int(np.argmax(failed))}")
-    sim = np.where(ok[:, :, None], sim, 0.0)
-    return sim.sum(axis=1) / ok.sum(axis=1)[:, None], int(np.sum(~ok))
+    if np.isfinite(sim).all():  # the masked mean's bits, without the mask
+        return sim.sum(axis=1) / x0.shape[1], 0
+    ok = np.isfinite(sim).all(axis=2, keepdims=True)
+    if not ok.any(axis=1).all():
+        raise EstimationFailedError(f"all {x0.shape[1]} replicates diverged for observation "
+                                    f"pair {int(np.argmin(ok.any(axis=1)))}")
+    return np.where(ok, sim, 0.0).sum(axis=1) / ok.sum(axis=1), int(np.sum(~ok))
 
 
 @_fp_policy()

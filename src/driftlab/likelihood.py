@@ -163,13 +163,16 @@ class EulerDensity(_GaussianDensity, _SpecDensity):
     def record_moments(self, dts, x, y):
         record = densities.record_arrays(dts, x, y)
         moments = partial(densities.euler_moments, self.spec, record)
-        if densities.takes_columns(self.spec, record[1]):
-            return moments, 0.0
+        columns = []  # [whether drift and diffusion take a stack as columns], on the first stack
 
-        def by_rows(theta):  # m = 1: each row of a stack in a 1-D call
-            target, mean, var = map(np.array, zip(*map(moments, np.atleast_2d(theta))))
-            return (target[0], mean, var) if np.ndim(theta) == 2 else (target[0], mean[0], var[0])
-        return by_rows, 0.0
+        def at(theta):  # a stack in one call where drift and diffusion take columns, else by rows
+            if np.ndim(theta) == 2 and not columns:
+                columns.append(densities.takes_columns(self.spec, record[1]))
+            if np.ndim(theta) < 2 or columns[0]:
+                return moments(theta)
+            target, mean, var = map(np.array, zip(*map(moments, theta)))
+            return target[0], mean, var
+        return at, 0.0
 
 
 @dataclass(frozen=True)

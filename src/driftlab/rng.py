@@ -7,14 +7,10 @@ independent, and a given key always yields the same numbers, so serial and
 parallel replicate loops produce bit-identical results.
 
 ``stream`` builds one generator through numpy's ``SeedSequence``.  Loops over
-rows ``(seed, *ids, r)``, r = 0..n-1, use ``StreamRows`` instead: it derives
-all n Philox keys in one vectorised uint32 pass that reproduces
-``SeedSequence``'s mixing (shared prefix words, then the row index as the last
-word, then ``generate_state(2, uint64)``), and serves row r by setting one
-reused Philox to ``{key: k[r], counter: 0}``.  Row r is therefore bit-identical
-to ``stream(seed, *ids, r)``.  The generator a row hands out is re-keyed by the
-next row taken, so it is valid only until then and must stay in the thread
-that took it.  Given a list of keys, one pass derives the rows of them all.
+rows ``(seed, *ids, r)``, r = 0..n-1, use ``StreamRows``: ``seed_sequence_keys``
+reproduces ``SeedSequence``'s mixing for all n keys in one pass (the words every
+row shares mixed once, as Python ints), and row r re-keys one reused Philox to its
+key, bit-identical to ``stream(seed, *ids, r)``; a list of keys is one pass too.
 """
 
 from __future__ import annotations
@@ -22,6 +18,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import os.path
 
 import numpy as np
 
@@ -86,33 +83,53 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
+def _shared_pool(words: list, shape: tuple) -> np.ndarray:
+    """SeedSequence's pool after len(words) >= 4 entropy words, mixed as Python ints: uint32."""
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * len(words) + 1, 0).tolist()
+    calls = zip(consts, consts[1:])  # one (constant, next constant) per hash call, in order
+
+    def hashmix(value):
+        c, c_next = next(calls)
+        value = (value ^ c) * c_next & _U32
+        return value ^ value >> _XSHIFT
+
+    def mix(x, value):  # x mixed with hashmix(value)
+        x = _MIX_MULT_L * x - _MIX_MULT_R * hashmix(value) & _U32
+        return x ^ x >> _XSHIFT
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        pool = [p if dst == src else mix(p, pool[src]) for dst, p in enumerate(pool)]
+    for w in words[_POOL_SIZE:]:
+        pool = [mix(p, w) for p in pool]
+    return np.array(pool, np.uint32).reshape(shape)
+
+
 def seed_sequence_keys(prefix, n: int) -> np.ndarray:
     """``SeedSequence(list(p) + [r]).generate_state(2, np.uint64)`` for r = 0..n-1: (n, 2) uint64
     for one prefix p, (m, n, 2) for an (m, w) stack (ragged: ValueError), in one pass.
 
-    A prefix holds uint32 entropy words.  The pass follows numpy's
-    ``SeedSequence.mix_entropy`` and ``generate_state`` step for step (pool of
-    four words, hashmix constants in the same order); each step acts on every
-    row at once.
+    A prefix holds uint32 entropy words.  The pass follows numpy's ``SeedSequence.mix_entropy``
+    and ``generate_state`` step for step (pool of four words, hashmix constants in order).
+    Words all rows share (all but the row word; of a stack, those before its prefixes part)
+    mix once as Python ints if they fill the pool; every other step acts on all rows at once.
     """
     prefix = np.asarray(prefix, dtype=np.uint32)
     n_words = prefix.shape[-1] + 1
-    words = np.empty((max(n_words, _POOL_SIZE),) + prefix.shape[:-1] + (n,), dtype=np.uint32)
+    words = np.zeros((max(n_words, _POOL_SIZE), *prefix.shape[:-1], n), np.uint32)  # 0-padded
     words[:n_words - 1] = prefix.T[..., None]
     words[n_words - 1] = np.arange(n, dtype=np.uint32)
-    words[n_words:] = 0  # the pool outgrows the entropy: hash zeros
+    shared = os.path.commonprefix(prefix.tolist()) if prefix.ndim == 2 else prefix.tolist()
 
-    n_calls = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(n_words - _POOL_SIZE, 0)
-    consts = _hash_consts(_INIT_A, _MULT_A, n_calls + 1, prefix.ndim)
-    pool = _hashmix(words[:_POOL_SIZE], consts, 0, _POOL_SIZE)
-    k = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        dst = [i for i in range(_POOL_SIZE) if i != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts, k, _POOL_SIZE - 1))
-        k += _POOL_SIZE - 1
-    for src in range(_POOL_SIZE, n_words):
-        pool = _mix(pool, _hashmix(words[src], consts, k, _POOL_SIZE))
-        k += _POOL_SIZE
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * max(n_words, _POOL_SIZE) + 1, prefix.ndim)
+    if len(shared) >= _POOL_SIZE:
+        start, pool = len(shared), _shared_pool(shared, consts[:_POOL_SIZE].shape)
+    else:
+        start, pool = _POOL_SIZE, _hashmix(words[:_POOL_SIZE], consts, 0, _POOL_SIZE)
+        for src in range(_POOL_SIZE):
+            dst, k = [i for i in range(_POOL_SIZE) if i != src], _POOL_SIZE + (_POOL_SIZE - 1) * src
+            pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts, k, _POOL_SIZE - 1))
+    for src in range(start, n_words):
+        pool = _mix(pool, _hashmix(words[src], consts, _POOL_SIZE * src, _POOL_SIZE))
 
     consts = _hash_consts(_INIT_B, _MULT_B, _POOL_SIZE + 1, prefix.ndim)
     state = _hashmix(pool, consts, 0, _POOL_SIZE).astype(np.uint64)

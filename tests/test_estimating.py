@@ -1,3 +1,5 @@
+import hashlib
+import json
 import warnings
 
 import numpy as np
@@ -10,6 +12,7 @@ from driftlab.estimating import EULER_SUBSTEPS, EstimatingFunction, ee_solve, ra
 from driftlab.models import DiffusionSpec, GbmParams, gbm_beta_spec, gbm_spec
 from driftlab.observe import ObservationSet
 from driftlab.rng import stream
+from driftlab.simulate import euler_advance
 
 SPEC = gbm_spec(GbmParams(beta=0.1, sigma=0.2, x0=1.0))
 
@@ -68,6 +71,71 @@ def test_divergence_counter_in_diagnostics():
     ef = EstimatingFunction(psi=raw_moment_psi((1,)), J=16)
     _, dropped = mc_conditional_expectation(SPEC, ef, 0.5, 1.0, seed=1)
     assert dropped == 0
+
+
+def _block(n_pairs, J, key):
+    """(start states, substep lengths, normals) of n_pairs pairs at J replicates, in the
+    solve's contiguous layout, from the GBM record ``_obs(0.1 * arange(n_pairs + 1), key)``."""
+    x = _obs(0.1 * np.arange(n_pairs + 1), key).values[:-1]
+    z = stream(*key, "z").standard_normal((EULER_SUBSTEPS, n_pairs, J))
+    return np.repeat(x, J).reshape(n_pairs, J), np.full((n_pairs, J), 0.1 / EULER_SUBSTEPS), z
+
+
+def test_partly_divergent_pairs_average_their_finite_replicates():
+    # psi is non-finite wherever a path ends above 1.02 times its start: some
+    # replicates of some pairs are lost, no pair loses all J, and the masked mean
+    # keeps each pair's finite replicates as a per-pair loop over them does
+    def psi(x, y, th):
+        y = np.asarray(y, dtype=float)
+        return np.stack([y, np.where(y > 1.02 * x, np.inf, x * y)], axis=-1)
+
+    x0, sub_dts, z = _block(12, 6, (37, 0))
+    est, dropped = estimating._mc_expectations(SPEC, psi, x0, sub_dts, z)
+    y = euler_advance(SPEC, x0, sub_dts[None], z)
+    expected, kept = np.empty((12, 2)), []
+    for i in range(12):
+        values = psi(x0[i], y[i], SPEC.theta)
+        keep = np.isfinite(values).all(axis=1)
+        expected[i] = values[keep].sum(axis=0) / keep.sum()
+        kept.append(int(keep.sum()))
+    assert 0 < min(kept) < max(kept) == 6  # some pairs lose some replicates, none loses all
+    assert dropped == 12 * 6 - sum(kept) and est.tobytes() == expected.tobytes()
+
+
+def test_a_transposed_psi_takes_the_plain_mean_bit_for_bit():
+    # an (n, k) psi laid out column by column: no replicate diverges, and the mean
+    # over J equals the masked mean of the same values bit for bit
+    def psi(x, y, th):
+        return np.stack([y, x * y, y**2]).T
+
+    x0, sub_dts, z = _block(10, 8, (38, 0))
+    est, dropped = estimating._mc_expectations(SPEC, psi, x0, sub_dts, z)
+    y = euler_advance(SPEC, x0, sub_dts[None], z)
+    sim = psi(x0.reshape(-1), y.reshape(-1), SPEC.theta).reshape(10, 8, 3)
+    assert not sim.flags.c_contiguous
+    ok = np.isfinite(sim).all(axis=2)
+    masked = np.where(ok[:, :, None], sim, 0.0).sum(axis=1) / ok.sum(axis=1)[:, None]
+    assert dropped == 0 and est.tobytes() == masked.tobytes()
+
+
+def test_ee_at_the_benchmark_design_keeps_its_pinned_digest():
+    # ee_solve at J 8 on six 200-pair GBM records (beta 0.1, sigma 0.3, dt 0.05)
+    # from the moment start of beta, seeds (1, "golden", "ee", i): every byte of
+    # theta_hat, the residual norm, the Jacobian count and the dropped replicates,
+    # taken while every key word was still mixed over the rows and every residual
+    # masked its replicates
+    fits = []
+    for i in range(6):
+        obs = _obs(0.05 * np.arange(201), (1, "golden", i), GbmParams(beta=0.1, sigma=0.3))
+        r, dts = np.diff(np.log(obs.values)), np.diff(obs.times)
+        beta0 = float(np.mean(r / dts) + 0.5 * np.std(r / np.sqrt(dts), ddof=1) ** 2)
+        ef = EstimatingFunction(psi=raw_moment_psi((1,)), J=8)
+        fit = ee_solve(gbm_beta_spec(beta0, 0.3), ef, obs, [beta0], seed=(1, "golden", "ee", i))
+        fits.append([fit.theta_hat.tolist(), fit.objective_value, fit.iterations,
+                     fit.diagnostics["divergent_replicates"]])
+    payload = json.dumps(fits).encode()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "d0e356e459e70d83c157b772a31033f1bc9e44d7480084f0c9326bed640e3727")
 
 
 def test_ee_closed_form_root_matches_moment_estimator():

@@ -932,3 +932,24 @@ def test_an_euler_spec_of_python_floats_fits_as_the_broadcasting_spec():
     assert fits[0].standard_errors.tobytes() == fits[1].standard_errors.tobytes()
     assert (fits[0].objective_value, fits[0].iterations) == (fits[1].objective_value,
                                                             fits[1].iterations)
+
+
+def test_a_one_theta_euler_log_likelihood_calls_drift_and_diffusion_once():
+    # whether drift and diffusion take a stack of thetas as columns is asked on a
+    # record's first stacked call, not when the record is prepared: a log-likelihood
+    # at one theta calls each once, and a record asks once however many stacks follow
+    calls = []
+    ou = ou_spec(OuParams(gamma=1.0, beta_bar=0.2, sigma=0.5))
+    spec = replace(ou, drift=lambda x, th: calls.append("drift") or ou.drift(x, th),
+                   diffusion=lambda x, th: calls.append("diffusion") or ou.diffusion(x, th))
+    obs = _gbm_obs(OuParams(gamma=1.0, beta_bar=0.2, sigma=0.5), 0.1 * np.arange(201), (96, 0))
+    loglik = discrete_loglikelihood(EulerDensity(spec), obs)
+    assert calls == ["drift", "diffusion"]
+    assert loglik == discrete_loglikelihood(EulerDensity(ou), obs)
+    calls.clear()
+    at = EulerDensity(spec).record_terms(*obs.pairs())
+    thetas = ou.theta + np.array([[0.0, 0.0, 0.0], [0.1, -0.1, 0.2]])
+    with _fp_policy():
+        stacks = [at(thetas), at(thetas)]
+    assert calls.count("drift") == calls.count("diffusion") == 3 + 2  # the check's 3, then 1 a stack
+    assert stacks[1].tobytes() == np.vstack([at(theta) for theta in thetas]).tobytes()

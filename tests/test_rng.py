@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from driftlab.rng import (
     StreamRows,
@@ -55,28 +55,46 @@ def test_streams_reproducible_for_any_key(seed, rep):
     assert stream(seed, rep).standard_normal() == stream(seed, rep).standard_normal()
 
 
-@given(st.lists(st.integers(0, 2**32 - 1), max_size=9), st.integers(1, 20),
-       st.lists(st.one_of(st.integers(0, 2**64 - 1), st.text(max_size=6)), max_size=4),
-       st.lists(st.one_of(st.integers(2**32, 2**64 - 1), st.text(max_size=6)), min_size=1,
-                max_size=3))
-def test_key_pass_equals_numpy_seed_sequence(prefix, n, key, names):
-    # the vectorised pass re-implements numpy's SeedSequence mixing; if numpy
-    # ever changes it, this fails instead of the draws changing silently.
-    # Prefixes of 0-3 words mix the row word in the pool's first pass, longer
-    # ones in the trailing pass.
-    keys = seed_sequence_keys(prefix, n)
-    assert keys.dtype == np.uint64 and keys.shape == (n, 2)
-    for r in range(n):
-        expected = np.random.SeedSequence(prefix + [r]).generate_state(2, np.uint64)
-        assert np.array_equal(keys[r], expected)
-    # a stack of prefixes (key..., name), one per name: every name is two words
-    # (an int of 2**32 or more, a string's 64-bit code), so the stack is even
-    stack = seed_sequence_keys([_words(0, key + [name]) for name in names], n)
-    assert stack.dtype == np.uint64 and stack.shape == (len(names), n, 2)
-    for name, rows in zip(names, stack):
-        for r in range(n):
-            expected = np.random.SeedSequence(_entropy(0, key + [name]) + [r])
-            assert np.array_equal(rows[r], expected.generate_state(2, np.uint64))
+# key parts: ints below 2**32 (one word), from 2**32 on (two), strings (a 64-bit code)
+_part = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.text(max_size=6))
+
+
+def _seed_sequence_rows(entropy: list, n: int) -> np.ndarray:
+    return np.array([np.random.SeedSequence(entropy + [r]).generate_state(2, np.uint64)
+                     for r in range(n)])
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.lists(st.integers(0, 2**32 - 1), max_size=12), st.lists(_part, max_size=8),
+       st.integers(1, 20))
+def test_key_pass_equals_numpy_seed_sequence(words, parts, n):
+    # the pass re-implements numpy's SeedSequence mixing; if numpy ever changes
+    # it, this fails instead of the draws changing silently.  Prefixes of 0-3
+    # words mix the row word in the pool's first pass; longer ones mix their words
+    # once and the row word in the trailing pass
+    for prefix, entropy in ((words, words), (_words(tuple(parts), ()), _entropy(tuple(parts), ()))):
+        keys = seed_sequence_keys(prefix, n)
+        assert keys.dtype == np.uint64 and keys.shape == (n, 2)
+        assert np.array_equal(keys, _seed_sequence_rows(entropy, n))
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.lists(_part, max_size=6), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3,
+                                             unique=True),
+       st.lists(_part, max_size=2), st.integers(1, 20))
+@example([], [1, 2], ["x"], 5)  # agreeing on 0, 3, 4 and 6 words, always tried
+@example([7, 8, 9], [1, 2], [], 5)
+@example([7, "ab", 9], [1, 2, 3], [2**40], 5)
+@example([1, 2, 3, 4, 5, 6], [1, 2], [2**33], 5)
+def test_a_stack_of_prefixes_equals_numpy_seed_sequence(head, parted, tail, n):
+    # prefixes (*head, p, *tail), one per p: they agree on head's 0-12 words and
+    # part at p, so the rows share fewer than four words, or four or more
+    prefixes = [_words(tuple(head), ()) + [p] + _words(tuple(tail), ()) for p in parted]
+    stack = seed_sequence_keys(prefixes, n)
+    assert stack.dtype == np.uint64 and stack.shape == (len(parted), n, 2)
+    for p, rows in zip(parted, stack):
+        entropy = _entropy(tuple(head), ()) + [p] + _entropy(tuple(tail), ())
+        assert np.array_equal(rows, _seed_sequence_rows(entropy, n))
 
 
 def test_a_ragged_stack_of_prefixes_raises():
