@@ -27,7 +27,7 @@ from .estimating import EstimatingFunction, ee_solve, raw_moment_psi
 from .likelihood import BridgeDensity, GbmDensity, OuDensity, mle_fit
 from .ioutil import atomic_write_text, write_json
 from .models import GbmParams, OuParams, TvGrowthParams, gbm_beta_spec, gbm_spec, ou_spec
-from .movement import gaussian_position_model, preset_integrated_rw_t
+from .movement import preset_integrated_rw_t
 from .observe import (
     ObservationModel,
     read_noisy_csv,
@@ -221,9 +221,9 @@ def _cmd_filter(opts: dict) -> int:
         n_coords = obs.y2d().shape[1]
         spec, om = preset_integrated_rw_t(opts["step-sd"], opts["t-scale"],
                                           opts["t-dof"], n_coords=n_coords)
-        if opts.get("obs-kind") == "gaussian":
-            om = gaussian_position_model(opts.get("obs-scale", opts["t-scale"]),
-                                         n_coords=n_coords)
+        kind = opts.get("obs-kind", "student_t")
+        if kind != "student_t":  # gaussian, or a kind ObservationModel refuses
+            om = ObservationModel(kind, opts.get("obs-scale", opts["t-scale"]), link=om.link)
     else:
         raise ConfigError(f"unknown model {model_id!r} for filter")
     result = particle_filter(spec, om, obs, n_particles=opts.get("particles", 1000),

@@ -9,8 +9,9 @@ parallel replicate loops produce bit-identical results.
 ``stream`` builds one generator through numpy's ``SeedSequence``.  Loops over
 rows ``(seed, *ids, r)``, r = 0..n-1, use ``StreamRows``: ``seed_sequence_keys``
 reproduces ``SeedSequence``'s mixing for all n keys in one pass (the words every
-row shares mixed once, as Python ints), and row r re-keys one reused Philox to its
-key, bit-identical to ``stream(seed, *ids, r)``; a list of keys is one pass too.
+row shares mixed once, by numpy's ``SeedSequence`` itself), and row r re-keys one
+reused Philox to its key, bit-identical to ``stream(seed, *ids, r)``; a list of
+keys is one pass too.
 """
 
 from __future__ import annotations
@@ -83,27 +84,6 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
-def _shared_pool(words: list, shape: tuple) -> np.ndarray:
-    """SeedSequence's pool after len(words) >= 4 entropy words, mixed as Python ints: uint32."""
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * len(words) + 1, 0).tolist()
-    calls = zip(consts, consts[1:])  # one (constant, next constant) per hash call, in order
-
-    def hashmix(value):
-        c, c_next = next(calls)
-        value = (value ^ c) * c_next & _U32
-        return value ^ value >> _XSHIFT
-
-    def mix(x, value):  # x mixed with hashmix(value)
-        x = _MIX_MULT_L * x - _MIX_MULT_R * hashmix(value) & _U32
-        return x ^ x >> _XSHIFT
-    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        pool = [p if dst == src else mix(p, pool[src]) for dst, p in enumerate(pool)]
-    for w in words[_POOL_SIZE:]:
-        pool = [mix(p, w) for p in pool]
-    return np.array(pool, np.uint32).reshape(shape)
-
-
 def seed_sequence_keys(prefix, n: int) -> np.ndarray:
     """``SeedSequence(list(p) + [r]).generate_state(2, np.uint64)`` for r = 0..n-1: (n, 2) uint64
     for one prefix p, (m, n, 2) for an (m, w) stack (ragged: ValueError), in one pass.
@@ -111,7 +91,8 @@ def seed_sequence_keys(prefix, n: int) -> np.ndarray:
     A prefix holds uint32 entropy words.  The pass follows numpy's ``SeedSequence.mix_entropy``
     and ``generate_state`` step for step (pool of four words, hashmix constants in order).
     Words all rows share (all but the row word; of a stack, those before its prefixes part)
-    mix once as Python ints if they fill the pool; every other step acts on all rows at once.
+    are mixed once by numpy's ``SeedSequence`` if they fill the pool; every other step acts
+    on all rows at once.
     """
     prefix = np.asarray(prefix, dtype=np.uint32)
     n_words = prefix.shape[-1] + 1
@@ -122,7 +103,8 @@ def seed_sequence_keys(prefix, n: int) -> np.ndarray:
 
     consts = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * max(n_words, _POOL_SIZE) + 1, prefix.ndim)
     if len(shared) >= _POOL_SIZE:
-        start, pool = len(shared), _shared_pool(shared, consts[:_POOL_SIZE].shape)
+        start, pool = len(shared), np.random.SeedSequence(np.array(shared, np.uint32)).pool
+        pool = pool.reshape(consts[:_POOL_SIZE].shape)
     else:
         start, pool = _POOL_SIZE, _hashmix(words[:_POOL_SIZE], consts, 0, _POOL_SIZE)
         for src in range(_POOL_SIZE):

@@ -224,6 +224,19 @@ def test_filter_command(tmp_path):
     assert len(payload["filtered_means"]) == 50
 
 
+@pytest.mark.parametrize("kind, code", [("gaussian", 0), ("student_t", 0), ("foo", 2)])
+def test_irw_filter_takes_only_known_observation_kinds(tmp_path, capsys, kind, code):
+    data = tmp_path / "noisy.csv"
+    data.write_text("t,y\n" + "\n".join(f"{i},{0.5 * i}" for i in range(10)) + "\n")
+    out = tmp_path / "filter.json"
+    assert cli_run(["filter", "--model", "irw", "--step-sd", "0.2", "--t-scale", "0.5",
+                    "--t-dof", "4", "--obs-kind", kind, "--particles", "50", "--seed", "1",
+                    "--data", str(data), "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+    if code:  # the message --model ou gives for the same typo
+        assert "unknown observation model kind 'foo'" in capsys.readouterr().err
+
+
 def test_collocate_command_and_nonconvergence_exit(tmp_path):
     times = np.linspace(0, 2, 30)
     data = tmp_path / "obs.csv"

@@ -67,11 +67,14 @@ def _seed_sequence_rows(entropy: list, n: int) -> np.ndarray:
 @settings(derandomize=True, max_examples=200)
 @given(st.lists(st.integers(0, 2**32 - 1), max_size=12), st.lists(_part, max_size=8),
        st.integers(1, 20))
+@example([1, 2, 3], [7, 2**40], 5)  # 3 words: the blocked first-pool pass, always tried
+@example([1, 2, 3, 4], [2**40, 7, 9], 5)  # 4 words: numpy's pool of the shared words
+@example(list(range(40)), [2**33 + k for k in range(20)], 5)  # 40 words, beyond the strategy's
 def test_key_pass_equals_numpy_seed_sequence(words, parts, n):
     # the pass re-implements numpy's SeedSequence mixing; if numpy ever changes
     # it, this fails instead of the draws changing silently.  Prefixes of 0-3
-    # words mix the row word in the pool's first pass; longer ones mix their words
-    # once and the row word in the trailing pass
+    # words mix the row word in the pool's first pass; longer ones take numpy's
+    # pool of their words and mix the row word in the trailing pass
     for prefix, entropy in ((words, words), (_words(tuple(parts), ()), _entropy(tuple(parts), ()))):
         keys = seed_sequence_keys(prefix, n)
         assert keys.dtype == np.uint64 and keys.shape == (n, 2)
